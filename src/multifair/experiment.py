@@ -15,6 +15,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -240,6 +241,20 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineError(name, str(exc)) from exc
 
 
+def _fit_stage(train: Dataset, weights: SampleWeights, config: TrainConfig):
+    """The fit stage; a fit that did not converge gets a warning on stderr,
+    which reports and stdout never carry."""
+    model = _stage("fit", fit, train, weights, config)
+    if not model.converged:
+        print(
+            f"warning [fit] did not converge: n_iter {model.n_iter}, "
+            f"max_iterations {config.max_iterations}, "
+            f"gradient_tolerance {config.gradient_tolerance:g} per unit of weight mass",
+            file=sys.stderr,
+        )
+    return model
+
+
 def _binarize_on_train(train: Dataset, other: Dataset, names) -> tuple[dict, dict]:
     """Binarize each attribute with the training-split mean as threshold and
     the training-split base rates choosing the privileged side; the same
@@ -295,7 +310,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "binarize", _binarize_on_train, train, test, config.sensitive_attributes
     )
     weights = _stage("reweight", _training_weights, config, train, train_groups)
-    model = _stage("fit", fit, train, weights, config.train)
+    model = _fit_stage(train, weights, config.train)
 
     def evaluate():
         scores = predict_scores(model, test)
@@ -338,7 +353,7 @@ def run_detection(config: ExperimentConfig) -> DetectionResult:
     ds = config.dataset
     dataset = _stage("load", load_csv, ds.path, ds.label_column, ds.positive_label)
     train, _ = _stage("split", split, dataset, config.split)
-    model = _stage("fit", fit, train, SampleWeights.unit(train.n_rows), config.train)
+    model = _fit_stage(train, SampleWeights.unit(train.n_rows), config.train)
 
     def run_detect():
         preds = PredictionSet.from_scores(predict_scores(model, train), train.labels)

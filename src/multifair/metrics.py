@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data import GroupAssignment
 from .errors import DataError, MetricUndefinedError
@@ -172,6 +171,14 @@ def equal_opportunity_difference(preds: PredictionSet, group: GroupAssignment) -
     return tpr_u - tpr_p
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied values sharing their average rank; the
+    half-integer ranks are exact in float64."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # rank of the last value in each tied block
+    return (last - (counts - 1) / 2.0)[inverse]
+
+
 def auroc(scores, labels) -> float:
     """Rank-statistic AUROC: probability a random positive outranks a
     random negative, ties counted one half."""
@@ -182,7 +189,7 @@ def auroc(scores, labels) -> float:
     n_neg = int(labels.shape[0] - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError("AUROC undefined: labels contain a single class")
-    ranks = rankdata(scores)  # average ranks over ties
+    ranks = _average_ranks(scores)
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

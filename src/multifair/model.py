@@ -1,14 +1,17 @@
-"""Weighted logistic regression trained by deterministic gradient descent.
+"""Weighted logistic regression trained by damped Newton (IRLS).
 
 The fit minimizes
 
     L(theta, b) = sum_i w_i * CE(sigmoid(z_i theta + b), y_i) + l2 * ||theta||^2
 
 over weight-standardized features z (so zero-weight rows influence
-nothing and constant columns keep coefficient exactly 0).  The optimizer
-is full-batch gradient descent with a Barzilai-Borwein trial step and
-Armijo backtracking: monotone in the loss, free of randomness, and
-bit-reproducible on a fixed platform.
+nothing and constant columns keep coefficient exactly 0).  Each iteration
+solves the (d+1)x(d+1) Newton system and backtracks on the loss (Armijo),
+so the loss never increases; the method starts from zero parameters, uses
+no randomness, and is bit-reproducible on a fixed platform.  The fit
+converges when max|dL| / sum_i w_i < gradient_tolerance: the tolerance is
+per unit of weight mass, so it does not depend on the row count or on the
+scale of the weights.
 """
 
 from __future__ import annotations
@@ -91,52 +94,6 @@ def weighted_loss_and_gradient(coefficients, intercept, features, labels, weight
     return loss, grad_coef, grad_intercept
 
 
-def _descend(loss_grad, x0, max_iterations, gradient_tolerance):
-    """Monotone gradient descent with BB trial steps and Armijo backtracking.
-
-    Returns (x, n_iter, converged, losses); losses holds the accepted
-    values and is non-increasing by construction.
-    """
-    x = np.asarray(x0, dtype=np.float64).copy()
-    loss, grad = loss_grad(x)
-    losses = [loss]
-    prev_x = prev_grad = None
-    step = 1.0
-    n_iter = 0
-    converged = False
-    while n_iter < max_iterations:
-        if np.abs(grad).max() < gradient_tolerance:
-            converged = True
-            break
-        if prev_x is not None:
-            s = x - prev_x
-            y = grad - prev_grad
-            sy = float(s @ y)
-            if sy > 0.0:
-                step = float(s @ s) / sy
-        else:
-            step = 1.0 / max(1.0, float(np.abs(grad).max()))
-        step = min(max(step, 1e-16), 1e16)
-        grad_sq = float(grad @ grad)
-        accepted = False
-        while step >= 1e-20:
-            candidate = x - step * grad
-            cand_loss, cand_grad = loss_grad(candidate)
-            if cand_loss <= loss - 1e-4 * step * grad_sq:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break  # numerically flat; no step yields sufficient decrease
-        prev_x, prev_grad = x, grad
-        x, loss, grad = candidate, cand_loss, cand_grad
-        losses.append(loss)
-        n_iter += 1
-    else:
-        converged = bool(np.abs(grad).max() < gradient_tolerance)
-    return x, n_iter, converged, losses
-
-
 def _standardization(features: np.ndarray, weights: np.ndarray):
     """Weighted per-column mean and scale.
 
@@ -157,7 +114,8 @@ def _standardization(features: np.ndarray, weights: np.ndarray):
 
 
 def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfig()) -> ModelParams:
-    """Train weighted logistic regression on ``train``.
+    """Train weighted logistic regression on ``train`` by damped Newton
+    from zero parameters.
 
     Raises DataError when the weights are misaligned or when either class
     carries zero weight mass (a single-class problem has no finite
@@ -173,23 +131,55 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
         raise DataError("single-class training labels (one class has zero weight mass)")
 
     means, scales = _standardization(train.features, w)
-    standardized = (train.features - means) / scales
-    d = train.n_cols
+    # Exactly constant columns standardize to 0; leaving them out of the
+    # solve keeps their coefficients bit-exact 0.
+    active = np.flatnonzero(np.ptp(train.features, axis=0) > 0.0)
+    z = (train.features[:, active] - means[active]) / scales[active]
+    k = active.shape[0]
 
     def loss_grad(params):
         loss, grad_coef, grad_b = weighted_loss_and_gradient(
-            params[:d], params[d], standardized, y, w, config.l2_penalty
+            params[:k], params[k], z, y, w, config.l2_penalty
         )
         return loss, np.append(grad_coef, grad_b)
 
-    x0 = np.zeros(d + 1)
-    x, n_iter, converged, _ = _descend(
-        loss_grad, x0, config.max_iterations, config.gradient_tolerance
-    )
+    x = np.zeros(k + 1)
+    loss, grad = loss_grad(x)
+    for n_iter in range(config.max_iterations + 1):
+        converged = bool(np.abs(grad).max() < config.gradient_tolerance * w.sum())
+        if converged or n_iter == config.max_iterations:
+            break
+        p = expit(z @ x[:k] + x[k])
+        s = w * p * (1.0 - p)
+        r = np.sqrt(s)[:, None] * z
+        hessian = np.empty((k + 1, k + 1))
+        hessian[:k, :k] = r.T @ r  # same operand transposed: a symmetric rank-k update
+        hessian[:k, k] = hessian[k, :k] = s @ z
+        hessian[k, k] = s.sum()
+        # A relative floor on the curvature bounds the step where collinear
+        # columns (both sides of a one-hot pair) leave an unpenalized
+        # Hessian numerically singular; it changes the steps, not the optimum.
+        ridge = np.full(k + 1, 1e-10 * hessian.diagonal().max())
+        ridge[:k] += 2.0 * config.l2_penalty
+        hessian[np.diag_indices(k + 1)] += ridge
+        step = np.linalg.solve(hessian, grad)
+        decrease = 1e-4 * float(grad @ step)  # Armijo sufficient decrease per unit step
+        t = 1.0
+        while decrease > 0.0 and t >= 1e-10:
+            candidate = x - t * step
+            cand_loss, cand_grad = loss_grad(candidate)
+            if cand_loss <= loss - t * decrease:
+                break
+            t *= 0.5
+        else:
+            break  # numerically flat: no step along the Newton direction lowers the loss
+        x, loss, grad = candidate, cand_loss, cand_grad
+    coefficients = np.zeros(train.n_cols)
+    coefficients[active] = x[:k]
     return ModelParams(
         feature_names=train.column_names,
-        coefficients=x[:d],
-        intercept=float(x[d]),
+        coefficients=coefficients,
+        intercept=float(x[k]),
         means=means,
         scales=scales,
         converged=converged,

@@ -8,6 +8,7 @@ bands.
 """
 
 import pytest
+from conftest import REPO_ROOT
 
 from multifair.census import (
     CENSUS_COLUMNS,
@@ -120,3 +121,21 @@ class TestSurrogatePipeline:
         assert 0.2 < positive < 0.32
         male = ds.column("sex=Male") == 1
         assert ds.labels[male].mean() > ds.labels[~male].mean() + 0.1
+
+
+@pytest.mark.parametrize("method, level_weights", [
+    ("none", None),
+    ("m3fair", {SENSITIVE[0]: 1, SENSITIVE[1]: 2}),
+])
+def test_committed_surrogate_fit_converges_quickly(method, level_weights):
+    # 26049 training rows under the default settings: the stopping rule is
+    # per unit of weight mass, so the row count does not keep the fit from
+    # converging
+    report = run_experiment(ExperimentConfig(
+        dataset=DatasetConfig(str(REPO_ROOT / "data" / "census_surrogate.csv"), "income", ">50K"),
+        sensitive_attributes=SENSITIVE,
+        method=method,
+        level_weights=level_weights,
+    ))
+    assert report.converged
+    assert report.n_iter <= 20

@@ -116,6 +116,67 @@ class TestGrid:
         assert len(sweep["points"]) == 2
 
 
+class TestConvergenceWarning:
+    """A fit that stops short of convergence is reported on stderr alone:
+    stdout and the report files are what they would be without it."""
+
+    STARVED = {"train": {"max_iterations": 1}}
+
+    @staticmethod
+    def warnings(err):
+        return [line for line in err.splitlines() if line.startswith("warning [fit]")]
+
+    def test_converged_run_prints_no_warning(self, workspace, capsys):
+        root, csv_path = workspace
+        config = write_config(root, csv_path, name="conv.json", report_path=str(root / "conv"))
+        assert main(["run", "--config", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((root / "conv.json").read_text())["metadata"]["converged"] is True
+
+    def test_run_warns_once(self, workspace, capsys):
+        root, csv_path = workspace
+        config = write_config(root, csv_path, name="starved.json",
+                              report_path=str(root / "starved"), **self.STARVED)
+        assert main(["run", "--config", str(config)]) == 0
+        captured = capsys.readouterr()
+        assert self.warnings(captured.err) == [
+            "warning [fit] did not converge: n_iter 1, max_iterations 1, "
+            "gradient_tolerance 1e-06 per unit of weight mass"
+        ]
+        assert captured.out == (root / "starved.txt").read_text()
+        report = json.loads((root / "starved.json").read_text())
+        assert report["metadata"]["converged"] is False and report["metadata"]["n_iter"] == 1
+        assert "warning" not in captured.out + (root / "starved.json").read_text()
+
+    def test_grid_warns_for_the_winner_only(self, workspace, capsys):
+        root, csv_path = workspace
+        config = write_config(
+            root, csv_path, name="starved_grid.json",
+            method="m3fair", level_weights={"attr_a": 1, "attr_b": 1},
+            report_path=str(root / "starved_winner"), **self.STARVED,
+        )
+        assert main(["grid", "--config", str(config), "--output", str(root / "starved_sweep")]) == 0
+        captured = capsys.readouterr()
+        assert len(self.warnings(captured.err)) == 1
+        assert captured.out.endswith((root / "starved_winner.txt").read_text())
+        assert "warning" not in captured.out
+
+    def test_detect_warns_for_the_baseline_fit(self, tmp_path, capsys):
+        csv_path = tmp_path / "planted.csv"
+        save_csv(planted_bias_dataset(500, n_noise=8, seed=2), csv_path,
+                 label_column="label", positive_label="1", negative_label="0")
+        config = tmp_path / "detect.json"
+        config.write_text(json.dumps({
+            "dataset": {"path": str(csv_path), "label_column": "label", "positive_label": "1"},
+            "sensitive_attributes": ["planted"],
+            **self.STARVED,
+        }))
+        assert main(["detect", "--config", str(config), "--output", str(tmp_path / "d")]) == 0
+        captured = capsys.readouterr()
+        assert len(self.warnings(captured.err)) == 1
+        assert "warning" not in captured.out + (tmp_path / "d.json").read_text()
+
+
 class TestWeights:
     def test_weights_exported_aligned_with_training_rows(self, workspace, capsys):
         root, csv_path = workspace
@@ -141,3 +202,13 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "Method" in proc.stdout
+
+    def test_import_does_not_load_scipy_stats(self):
+        # scipy.stats alone once made up most of the CLI's start-up time
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, multifair.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

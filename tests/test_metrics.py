@@ -9,6 +9,7 @@ from multifair.data import GroupAssignment
 from multifair.errors import DataError, MetricUndefinedError
 from multifair.metrics import (
     PredictionSet,
+    _average_ranks,
     accuracy,
     auprc,
     auroc,
@@ -147,6 +148,18 @@ class TestAuroc:
     def test_single_class_undefined(self):
         with pytest.raises(MetricUndefinedError, match="AUROC undefined"):
             auroc([0.1, 0.2], [1, 1])
+
+    def test_average_ranks_match_scipy_rankdata(self):
+        # test-only oracle: the library ranks in numpy so that importing it
+        # does not pay for scipy.stats
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 17, 1000):
+            untied = rng.uniform(size=n)
+            tied = rng.integers(0, max(2, n // 10), n) / 7.0
+            for values in (untied, tied, np.full(n, 0.5)):
+                np.testing.assert_array_equal(_average_ranks(values), rankdata(values))
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)

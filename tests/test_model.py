@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from multifair.data import Dataset
 from multifair.errors import DataError
 from multifair.model import (
     ModelParams,
     TrainConfig,
-    _descend,
+    _standardization,
     fit,
     load_model,
     predict_scores,
@@ -180,21 +181,49 @@ class TestGradient:
         assert grad_b == pytest.approx((p - labels).sum(), rel=1e-12)
 
 
+def objective(model, ds, weights, l2_penalty):
+    """The fit's objective at ``model``'s parameters, in its standardized
+    coordinates."""
+    z = (ds.features - model.means) / model.scales
+    loss, _, _ = weighted_loss_and_gradient(
+        model.coefficients, model.intercept, z, ds.labels, weights.values, l2_penalty
+    )
+    return loss
+
+
+def lbfgs_scores(ds, weights, l2_penalty):
+    """Test oracle: scipy's L-BFGS-B on the same objective and coordinates,
+    scored on the training rows."""
+    means, scales = _standardization(ds.features, weights.values)
+    z = (ds.features - means) / scales
+    y = ds.labels.astype(np.float64)
+    w = weights.values
+    d = z.shape[1]
+
+    def fun(x):
+        margin = z @ x[:d] + x[d]
+        loss = w @ (np.logaddexp(0.0, margin) - y * margin) + l2_penalty * (x[:d] @ x[:d])
+        residual = w * (1.0 / (1.0 + np.exp(-margin)) - y)
+        grad = np.append(z.T @ residual + 2.0 * l2_penalty * x[:d], residual.sum())
+        return loss / w.sum(), grad / w.sum()
+
+    result = minimize(fun, np.zeros(d + 1), jac=True, method="L-BFGS-B",
+                      options={"maxiter": 20000, "ftol": 0.0, "gtol": 1e-11})
+    assert np.abs(result.jac).max() < 1e-9
+    return 1.0 / (1.0 + np.exp(-(z @ result.x[:d] + result.x[d])))
+
+
 class TestDescent:
     def test_loss_non_increasing(self):
         rng = np.random.default_rng(21)
-        features = rng.standard_normal((80, 5))
-        labels = rng.binomial(1, 0.4, 80).astype(float)
-        weights = rng.uniform(0.2, 2.0, 80)
-
-        def loss_grad(params):
-            loss, gc, gb = weighted_loss_and_gradient(
-                params[:5], params[5], features, labels, weights, 1e-4
-            )
-            return loss, np.append(gc, gb)
-
-        _, _, _, losses = _descend(loss_grad, np.zeros(6), 200, 1e-8)
+        ds, weights = random_problem(rng, 80, 5)
+        losses = [
+            objective(fit(ds, weights, TrainConfig(max_iterations=k, gradient_tolerance=1e-14)),
+                      ds, weights, 1e-4)
+            for k in range(1, 9)
+        ]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
+        assert losses[-1] < losses[0]
 
     def test_reports_convergence_flag(self):
         ds = separable_toy()
@@ -205,6 +234,53 @@ class TestDescent:
                       TrainConfig(max_iterations=2, gradient_tolerance=1e-12))
         assert not starved.converged
         assert starved.n_iter == 2
+
+    def test_matches_lbfgs_oracle(self):
+        rng = np.random.default_rng(31)
+        for n, d, l2 in ((200, 3, 1e-4), (500, 8, 1e-2), (120, 1, 0.0)):
+            ds, weights = random_problem(rng, n, d)
+            model = fit(ds, weights, TrainConfig(l2_penalty=l2, gradient_tolerance=1e-10))
+            assert model.converged
+            np.testing.assert_allclose(
+                predict_scores(model, ds), lbfgs_scores(ds, weights, l2), atol=1e-6
+            )
+
+    def test_collinear_one_hot_without_penalty_matches_lbfgs_oracle(self):
+        # both sides of a one-hot pair sum to 1, so with no penalty the
+        # Hessian is singular and the coefficients are not unique, but the
+        # predictions are
+        rng = np.random.default_rng(32)
+        n = 300
+        male = rng.binomial(1, 0.6, n).astype(np.float64)
+        age = rng.normal(40.0, 10.0, n)
+        labels = rng.binomial(1, 1.0 / (1.0 + np.exp(-(0.8 * male + 0.05 * (age - 40.0) - 0.5))))
+        ds = Dataset(np.column_stack([age, male, 1.0 - male]), labels,
+                     ("age", "sex=Male", "sex=Female"))
+        weights = SampleWeights(rng.uniform(0.5, 2.0, n))
+        model = fit(ds, weights, TrainConfig(l2_penalty=0.0, gradient_tolerance=1e-10))
+        assert model.converged
+        np.testing.assert_allclose(
+            predict_scores(model, ds), lbfgs_scores(ds, weights, 0.0), atol=1e-6
+        )
+
+    def test_convergence_is_scale_free(self):
+        # ten copies of every row and ten times every weight are the same
+        # objective; the stopping rule is per unit of weight mass, so
+        # neither takes more iterations than the original rows
+        rng = np.random.default_rng(33)
+        ds, weights = random_problem(rng, 400, 6)
+        base = fit(ds, weights)
+        copies = np.tile(np.arange(ds.n_rows), 10)
+        duplicated = fit(ds.take(copies), SampleWeights(weights.values[copies]))
+        heavier = fit(ds, SampleWeights(10.0 * weights.values))
+        assert base.converged and duplicated.converged and heavier.converged
+        assert duplicated.n_iter <= base.n_iter and heavier.n_iter <= base.n_iter
+        np.testing.assert_allclose(predict_scores(duplicated, ds), predict_scores(heavier, ds),
+                                   atol=1e-9)
+        # with the penalty unscaled, the heavier data term moves the optimum
+        # only slightly
+        np.testing.assert_allclose(predict_scores(heavier, ds), predict_scores(base, ds),
+                                   atol=1e-5)
 
 
 class TestPredict:
