@@ -159,16 +159,91 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     """Load a headered CSV file into a :class:`Dataset`.
 
     The label column must hold at most two distinct values, one of them
-    ``positive_label`` (mapped to 1).  Columns whose non-empty cells all
-    parse as numbers become float features; any other column is one-hot
-    encoded into ``name=value`` indicator columns, categories ordered by
-    first appearance.  Cell whitespace is stripped, so comma-space
-    separated files load cleanly.
+    ``positive_label`` (mapped to 1).  A column is numeric when every
+    non-empty cell parses as a number (``float()``); it becomes one float
+    feature.  Any other column is text and is one-hot encoded into
+    ``name=value`` indicator columns, categories ordered by first
+    appearance.  Cell whitespace is stripped, so comma-space separated
+    files load cleanly.
+
+    Files are read by one C-parsed ``np.loadtxt`` pass.  Files it cannot
+    read exactly as the csv module does (ragged rows, empty or non-finite
+    numeric cells, spellings only Python's ``float()`` accepts such as
+    ``1_000``, a stray label value) take the slower csv-module path, which
+    gives the same result and is the one source of the errors below.
 
     Raises DataError for: duplicate or missing header names, row arity
     mismatches, empty or non-finite numeric cells, or a label value
     outside the declared positive/negative pair.
     """
+    dataset = _load_loadtxt(path, label_column, positive_label)
+    if dataset is None:
+        dataset = _load_rows(path, label_column, positive_label)
+    return dataset
+
+
+def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | None:
+    """The fast path of :func:`load_csv`, or None when the file must take
+    the csv-module path.
+
+    The csv module reads the header and the first data row, which decides
+    the column kinds: a feature column is text when its first cell is
+    non-empty and not a number.  Text and label cells are coded by
+    converters in first-appearance order (loadtxt converts row by row).
+    Numeric cells go through numpy's C float parser, which rounds as
+    ``float()`` does; the few spellings only ``float()`` reads make
+    loadtxt raise, and so take the csv-module path.
+    """
+    # newline="" keeps line endings inside quoted cells as the csv module does
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = [cell.strip() for cell in next(reader)]
+            header_lines = reader.line_num
+            first = next(row for row in reader if row)
+        except (StopIteration, csv.Error, ValueError):
+            return None
+        if (len(header) < 2 or len(first) != len(header)
+                or len(set(header)) != len(header) or label_column not in header):
+            return None
+        label_idx = header.index(label_column)
+        tables = {
+            j: {} for j, cell in enumerate(first)
+            if j == label_idx or (cell.strip() != "" and _parse_float(cell) is None)
+        }
+        handle.seek(0)
+        try:
+            values = np.loadtxt(
+                handle, delimiter=",", quotechar='"', comments=None, encoding="utf-8",
+                ndmin=2, skiprows=header_lines,
+                converters={
+                    j: lambda cell, table=table: table.setdefault(cell.strip(), len(table))
+                    for j, table in tables.items()
+                },
+            )
+        except ValueError:
+            return None
+
+    labels_seen = tables[label_idx]
+    if len(labels_seen.keys() - {positive_label}) > 1 or not np.isfinite(values).all():
+        return None
+    blocks, names = [], []
+    for j, name in enumerate(header):
+        if j == label_idx:
+            continue
+        if j in tables:
+            blocks.append(values[:, j, None] == np.arange(len(tables[j])))
+            names.extend(f"{name}={category}" for category in tables[j])
+        else:
+            blocks.append(values[:, j, None])
+            names.append(name)
+    labels = values[:, label_idx] == labels_seen.get(positive_label, -1)
+    return Dataset(np.concatenate(blocks, axis=1, dtype=np.float64), labels, tuple(names))
+
+
+def _load_rows(path, label_column: str, positive_label: str) -> Dataset:
+    """The csv-module path of :func:`load_csv`: per-cell Python parsing,
+    for every file and with every error the docstring there names."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -221,7 +296,8 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
                     )
                 if not math.isfinite(p):
                     raise DataError(
-                        f"{path}: non-finite numeric value {c!r} in column {name!r}"
+                        f"{path}: non-finite numeric value {c!r} in column {name!r}, "
+                        f"data row {i + 1}"
                     )
             columns.append(np.array([p for p in parsed], dtype=np.float64))
             names.append(name)

@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset
 from .errors import DataError
@@ -74,6 +73,13 @@ class ModelParams:
         return self.coefficients.shape[0]
 
 
+def _sigmoid(z):
+    """Logistic function in the stable form: exp only ever sees -|z|, so no
+    input overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def weighted_loss_and_gradient(coefficients, intercept, features, labels, weights, l2_penalty):
     """Weighted cross-entropy loss with L2 on the coefficients, and its
     analytic gradient (d/dcoefficients, d/dintercept).
@@ -88,7 +94,7 @@ def weighted_loss_and_gradient(coefficients, intercept, features, labels, weight
     # CE_i = y*softplus(-z) + (1-y)*softplus(z)
     ce = labels * np.logaddexp(0.0, -z) + (1.0 - labels) * np.logaddexp(0.0, z)
     loss = float(weights @ ce + l2_penalty * (coefficients @ coefficients))
-    residual = weights * (expit(z) - labels)
+    residual = weights * (_sigmoid(z) - labels)
     grad_coef = features.T @ residual + 2.0 * l2_penalty * coefficients
     grad_intercept = float(residual.sum())
     return loss, grad_coef, grad_intercept
@@ -149,7 +155,7 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
         converged = bool(np.abs(grad).max() < config.gradient_tolerance * w.sum())
         if converged or n_iter == config.max_iterations:
             break
-        p = expit(z @ x[:k] + x[k])
+        p = _sigmoid(z @ x[:k] + x[k])
         s = w * p * (1.0 - p)
         r = np.sqrt(s)[:, None] * z
         hessian = np.empty((k + 1, k + 1))
@@ -195,7 +201,7 @@ def predict_scores(model: ModelParams, data: Dataset) -> np.ndarray:
             f"column count mismatch: model fit on {model.n_cols}, data has {data.n_cols}"
         )
     z = ((data.features - model.means) / model.scales) @ model.coefficients + model.intercept
-    return np.clip(expit(z), 1e-12, 1.0 - 1e-12)
+    return np.clip(_sigmoid(z), 1e-12, 1.0 - 1e-12)
 
 
 def save_model(model: ModelParams, path) -> None:

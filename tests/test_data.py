@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO_ROOT
+from multifair import data
 from multifair.data import (
     Dataset,
     GroupAssignment,
@@ -14,6 +16,7 @@ from multifair.data import (
     split,
 )
 from multifair.errors import DataError, DegenerateAttributeError
+from multifair.synth import planted_bias_dataset
 
 
 def write(path, text):
@@ -56,7 +59,7 @@ class TestLoadCsv:
 
     def test_non_finite_numeric_cell_rejected(self, tmp_path):
         p = write(tmp_path / "t.csv", "x,y\nnan,0\n2,1\n")
-        with pytest.raises(DataError, match="non-finite"):
+        with pytest.raises(DataError, match="non-finite numeric value 'nan' in column 'x', data row 1"):
             load_csv(p, "y", "1")
 
     def test_duplicate_header(self, tmp_path):
@@ -97,6 +100,135 @@ class TestLoadCsv:
         assert back.column_names == ds.column_names
         assert np.array_equal(back.features, ds.features)
         assert np.array_equal(back.labels, ds.labels)
+
+
+def load_outcome(loader, path):
+    """What a loader makes of a file: names, feature bytes and labels, or
+    the exception it raised."""
+    try:
+        ds = loader(path, "y", "p")
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ds.column_names, ds.features.tobytes(), ds.labels.tolist()
+
+
+NUMBER_CELLS = ["1", "2.5", " 3 ", '"4"', "-0", "1e3", "0.1"]
+TEXT_CELLS = ["a", " b ", '"a,b"', '"a\nb"', '"a\r\nb"', '"a""b"', 'a"b', "é", ""]
+ODD_CELLS = ["", "1_000", "١٢", "nan", "-inf", "#c", ' "1.5"', "0x1", "a"]
+
+
+@st.composite
+def csv_texts(draw):
+    """Headered CSV text with label column ``y``: numeric, text and mixed
+    columns, quoting, padding, blank and whitespace-only lines, every line
+    ending, occasional ragged rows, and 1-3 label values."""
+    kinds = draw(st.lists(st.sampled_from(["number", "text", "mixed"]), min_size=1, max_size=3))
+    labels = draw(st.lists(st.sampled_from(["p", "q", " q", '"p"', "r"]),
+                           min_size=1, max_size=3, unique=True))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join([f"c{j}" for j in range(len(kinds))] + ["y"])]
+    for _ in range(draw(st.integers(1, 6))):
+        row = []
+        for kind in kinds:
+            odd = kind == "mixed" or draw(st.integers(0, 9)) == 0
+            row.append(draw(st.sampled_from(
+                ODD_CELLS if odd else NUMBER_CELLS if kind == "number" else TEXT_CELLS)))
+        row.append(draw(st.sampled_from(labels)))
+        if draw(st.integers(0, 19)) == 0:
+            row.append("")  # trailing comma
+        lines.append(",".join(row))
+        lines.extend(draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=1)))
+    return draw(st.sampled_from(["", "\ufeff"])) + end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+ADVERSARIAL_FILES = [
+    "x,y\n1,p\n   \n2,q\n",  # whitespace-only line
+    "x,y\n1,p\n\t\n2,q\n",
+    "x,y\n1,p\n#2,q\n",  # '#' is not a comment
+    "c,y\n#a,p\nb,q\n",
+    'c,y\n"a,b",p\nc,q\n',  # quoted comma
+    'c,y\n"a\nb",p\nc,q\n',  # quoted newline
+    'c,y\r\n"a\r\nb",p\r\nc,q\r\n',  # quoted CRLF stays CRLF
+    'c,y\r"a\rb",p\rc,q\r',
+    'c,y\n"a""b",p\nc,q\n',  # "" escape
+    "x,y\r\n1,p\r\n2,q\r\n",  # CRLF
+    "x,y\r1,p\r2,q\r",  # CR
+    "\ufeffx,y\n1,p\n2,q\n",  # BOM
+    "\ufeffy,x\np,1\nq,2\n",  # BOM glued to the label name
+    'x,y\n "1.5",p\n2,q\n',  # a quote after a space is text
+    'x,y\n"1.5",p\n2,q\n',
+    'c,y\na"b,p\nc,q\n',  # a quote inside a cell is literal
+    '"x\nz",y\n1,p\n2,q\n',  # quoted multi-line header
+    '"c\nd",y\na,p\nb,p\n',  # ... whose second line reads as a data row
+    "x,y,\n1,p,\n2,q,\n",  # trailing comma everywhere
+    "x,y\n1,p,\n2,q\n",  # trailing comma on a data row
+    "c,y\né,p\nü,q\n",  # non-ASCII text
+    "x , y \n 1 , p \n 2 ,q\n",  # padding
+    "x,y\n1,p\n2,q,3\n",  # ragged row
+    "x,y\n1,p,3\n2,q,4\n",  # every row wider than the header
+    "x,x,y\n1,2,p\n",  # duplicate header names
+    "y\np\nq\n",  # no feature column
+    "x,y\n1,p\n,q\n",  # empty numeric cell
+    "x,y\n1,p\na,q\n",  # later text in a column whose first cell is numeric
+    "x,y\n1_000,p\n2,q\n",  # only float() reads underscores
+    "x,y\n١٢,p\n3,q\n",  # only float() reads non-ASCII digits
+    "x,y\n1,p\n2,q\n3,r\n",  # third label value
+    "x,y\nnan,p\n2,q\n",
+    "x,y\n1,p\n-inf,q\n",
+]
+
+
+def with_adversarial_examples(test):
+    for text in reversed(ADVERSARIAL_FILES):
+        test = example(text=text)(test)
+    return test
+
+
+class TestFastPathMatchesCsvPath:
+    """load_csv reads most files with one np.loadtxt pass; whatever path a
+    file takes, the result must be the csv-module path's, error included."""
+
+    @pytest.fixture(scope="class")
+    def csv_file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "t.csv"
+
+    def check(self, path, text):
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            handle.write(text)
+        assert load_outcome(load_csv, path) == load_outcome(data._load_rows, path)
+
+    @with_adversarial_examples
+    @given(text=csv_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_structured(self, csv_file, text):
+        self.check(csv_file, text)
+
+    @given(text=st.text(alphabet=',"\n\r\t a1.#_pqé', max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_raw_characters(self, csv_file, text):
+        self.check(csv_file, "x,y\n" + text)
+
+
+def test_fast_path_reads_the_repository_inputs(tmp_path, monkeypatch):
+    planted = tmp_path / "planted.csv"
+    save_csv(planted_bias_dataset(300, n_noise=20, seed=3), planted)
+    inputs = [
+        (REPO_ROOT / "data" / "synthetic.csv", "outcome", "yes"),
+        (REPO_ROOT / "data" / "census_surrogate.csv", "income", ">50K"),
+        (planted, "label", "1"),
+    ]
+    expected = [data._load_rows(*args) for args in inputs]
+
+    def fail(*args):
+        raise AssertionError("fell back to the csv-module path")
+
+    # a loader that always fell back would pass every other loading test
+    monkeypatch.setattr(data, "_load_rows", fail)
+    for args, want in zip(inputs, expected):
+        got = load_csv(*args)
+        assert got.column_names == want.column_names
+        assert got.features.tobytes() == want.features.tobytes()
+        assert np.array_equal(got.labels, want.labels)
 
 
 class TestDatasetInvariants:

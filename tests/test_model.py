@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import expit
 
 from multifair.data import Dataset
 from multifair.errors import DataError
 from multifair.model import (
     ModelParams,
     TrainConfig,
+    _sigmoid,
     _standardization,
     fit,
     load_model,
@@ -284,6 +286,13 @@ class TestDescent:
 
 
 class TestPredict:
+    def test_sigmoid_matches_expit_without_overflow(self):
+        z = np.array([-800.0, -745.5, -40.0, -1.0, -1e-300, 0.0, 1e-300, 1.0, 40.0, 800.0])
+        # RuntimeWarnings are errors in this suite, so an overflowing exp fails here
+        p = _sigmoid(z)
+        np.testing.assert_allclose(p, expit(z), rtol=1e-15, atol=0.0)
+        assert p[0] == 0.0 and p[-1] == 1.0 and p[5] == 0.5
+
     def test_zero_parameters_score_half(self):
         ds = separable_toy()
         model = ModelParams(
