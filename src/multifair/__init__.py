@@ -58,15 +58,12 @@ from .model import (
     ModelParams,
     TrainConfig,
     fit,
-    load_model,
     predict_scores,
-    save_model,
     weighted_loss_and_gradient,
 )
 from .reweighting import (
     LevelWeightConfig,
     SampleWeights,
-    SensitivityLevels,
     compute_sensitivity_levels,
     load_weights_csv,
     m3fair,

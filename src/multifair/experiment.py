@@ -31,8 +31,6 @@ from .data import (
 from .detection import DetectionConfig, DetectionResult, detect
 from .errors import (
     ConfigError,
-    DataError,
-    DegenerateAttributeError,
     MetricUndefinedError,
     PipelineError,
     UnreachableCellError,
@@ -296,45 +294,54 @@ def _method_attributes(config: ExperimentConfig) -> tuple[str, ...]:
     return config.sensitive_attributes
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Execute one condition end to end and return (and optionally emit)
-    its report.
-
-    Stage order: load -> split -> binarize -> reweight -> fit -> evaluate
-    -> report.  Any stage failure aborts with a diagnostic naming it.
-    """
+def _load_split(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """The load and split stages: the configured CSV as (train, test)."""
     ds = config.dataset
     dataset = _stage("load", load_csv, ds.path, ds.label_column, ds.positive_label)
-    train, test = _stage("split", split, dataset, config.split)
-    train_groups, test_groups = _stage(
-        "binarize", _binarize_on_train, train, test, config.sensitive_attributes
+    return _stage("split", split, dataset, config.split)
+
+
+def _weigh(config: ExperimentConfig, train: Dataset, other: Dataset) -> tuple[SampleWeights, dict]:
+    """The binarize and reweight stages: the training rows' weights under
+    the configured method, and the other split's groups, binarized on the
+    training split's thresholds."""
+    train_groups, other_groups = _stage(
+        "binarize", _binarize_on_train, train, other, config.sensitive_attributes
     )
-    weights = _stage("reweight", _training_weights, config, train, train_groups)
+    return _stage("reweight", _training_weights, config, train, train_groups), other_groups
+
+
+def _evaluate(model, data: Dataset, groups: dict) -> tuple[PredictionSet, list]:
+    """Score ``data`` and evaluate every group's fairness on the scores."""
+    preds = PredictionSet(predict_scores(model, data), data.labels)
+    return preds, [evaluate_fairness(preds, group) for group in groups.values()]
+
+
+def _run_condition(config: ExperimentConfig, train: Dataset, test: Dataset) -> ExperimentReport:
+    """Binarize, reweight, fit, evaluate on ``test`` and emit the report."""
+    weights, test_groups = _weigh(config, train, test)
     model = _fit_stage(train, weights, config.train)
 
     def evaluate():
-        scores = predict_scores(model, test)
-        preds = PredictionSet.from_scores(scores, test.labels)
-        rows = []
-        for name in config.sensitive_attributes:
-            fairness = evaluate_fairness(preds, test_groups[name])
-            rows.append(
-                ReportRow(
-                    method=config.method,
-                    sensitive_attributes=_method_attributes(config),
-                    evaluated_attribute=name,
-                    acc=fairness.acc,
-                    auroc=fairness.auroc,
-                    auprc=fairness.auprc,
-                    di=fairness.di,
-                    spd=fairness.spd,
-                    aod=fairness.aod,
-                    eod=fairness.eod,
-                    flags=fairness.flags,
-                )
+        _, fairness = _evaluate(model, test, test_groups)
+        rows = tuple(
+            ReportRow(
+                method=config.method,
+                sensitive_attributes=_method_attributes(config),
+                evaluated_attribute=f.attribute_name,
+                acc=f.acc,
+                auroc=f.auroc,
+                auprc=f.auprc,
+                di=f.di,
+                spd=f.spd,
+                aod=f.aod,
+                eod=f.eod,
+                flags=f.flags,
             )
+            for f in fairness
+        )
         return ExperimentReport(
-            rows=tuple(rows),
+            rows=rows,
             seed=config.split.seed,
             config_hash=config.config_hash(),
             converged=model.converged,
@@ -347,16 +354,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return report
 
 
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
+    """Execute one condition end to end and return (and optionally emit)
+    its report.
+
+    Stage order: load -> split -> binarize -> reweight -> fit -> evaluate
+    -> report.  Any stage failure aborts with a diagnostic naming it.
+    """
+    return _run_condition(config, *_load_split(config))
+
+
 def run_detection(config: ExperimentConfig) -> DetectionResult:
     """Detect biased columns on the training split using predictions from
     an unweighted baseline model fit on that split."""
-    ds = config.dataset
-    dataset = _stage("load", load_csv, ds.path, ds.label_column, ds.positive_label)
-    train, _ = _stage("split", split, dataset, config.split)
+    train, _ = _load_split(config)
     model = _fit_stage(train, SampleWeights.unit(train.n_rows), config.train)
 
     def run_detect():
-        preds = PredictionSet.from_scores(predict_scores(model, train), train.labels)
+        preds = PredictionSet(predict_scores(model, train), train.labels)
         return detect(train, preds, config.detection)
 
     result = _stage("detect", run_detect)
@@ -367,13 +382,7 @@ def run_detection(config: ExperimentConfig) -> DetectionResult:
 
 def compute_training_weights(config: ExperimentConfig) -> SampleWeights:
     """The training-split weights the configured method would train with."""
-    ds = config.dataset
-    dataset = _stage("load", load_csv, ds.path, ds.label_column, ds.positive_label)
-    train, test = _stage("split", split, dataset, config.split)
-    train_groups, _ = _stage(
-        "binarize", _binarize_on_train, train, test, config.sensitive_attributes
-    )
-    return _stage("reweight", _training_weights, config, train, train_groups)
+    return _weigh(config, *_load_split(config))[0]
 
 
 def export_training_weights(config: ExperimentConfig, path) -> SampleWeights:
@@ -469,9 +478,11 @@ def grid_search(
 
     Each point trains on a sub-training split and is scored on the carved
     validation split; points whose level partition has an unreachable
-    (level, label) cell are recorded as failed and excluded from
-    selection.  The winning level weights are then re-run as a full
-    experiment (training on the whole training split, metrics on test).
+    (level, label) cell, or whose validation metrics are undefined, are
+    recorded as failed and excluded from selection.  Any other error aborts
+    the sweep.  The winning level weights are then re-run as a full
+    condition on the already loaded split (training on the whole training
+    split, metrics on test).
     """
     if config.method != "m3fair":
         raise ConfigError("grid search requires method 'm3fair'")
@@ -484,9 +495,7 @@ def grid_search(
     if extra:
         raise ConfigError(f"candidate attributes not in level_weights: {sorted(extra)}")
 
-    ds = config.dataset
-    dataset = _stage("load", load_csv, ds.path, ds.label_column, ds.positive_label)
-    train, _test = _stage("split", split, dataset, config.split)
+    train, test = _load_split(config)
     subtrain, validation = _stage(
         "split", split, train, SplitSpec(grid.validation_fraction, config.split.seed)
     )
@@ -494,25 +503,22 @@ def grid_search(
         "binarize", _binarize_on_train, subtrain, validation, config.sensitive_attributes
     )
 
-    points: list[GridPoint] = []
-    for combo in itertools.product(*(candidates[name] for name in attrs)):
-        level_weights = dict(zip(attrs, combo))
-        try:
-            weights = m3fair(
-                subtrain.labels,
-                list(sub_groups.values()),
-                LevelWeightConfig(level_weights),
-                SampleWeights.unit(subtrain.n_rows),
+    def sweep():
+        points: list[GridPoint] = []
+        for combo in itertools.product(*(candidates[name] for name in attrs)):
+            level_weights = dict(zip(attrs, combo))
+            point_config = replace(config, level_weights=level_weights)
+            try:
+                weights = _training_weights(point_config, subtrain, sub_groups)
+                model = fit(subtrain, weights, config.train)
+                preds, fairness = _evaluate(model, validation, val_groups)
+            except (UnreachableCellError, MetricUndefinedError) as exc:
+                points.append(GridPoint(level_weights=level_weights, status="failed", reason=str(exc)))
+                continue
+            composite = sum(
+                (math.inf if math.isinf(f.di) else abs(1.0 - f.di)) + abs(f.spd) + abs(f.aod) + abs(f.eod)
+                for f in fairness
             )
-            model = fit(subtrain, weights, config.train)
-            preds = PredictionSet.from_scores(
-                predict_scores(model, validation), validation.labels
-            )
-            composite = 0.0
-            for name in config.sensitive_attributes:
-                fairness = evaluate_fairness(preds, val_groups[name])
-                di_term = math.inf if math.isinf(fairness.di) else abs(1.0 - fairness.di)
-                composite += di_term + abs(fairness.spd) + abs(fairness.aod) + abs(fairness.eod)
             points.append(
                 GridPoint(
                     level_weights=level_weights,
@@ -521,12 +527,11 @@ def grid_search(
                     val_auroc=auroc(preds.scores, preds.labels),
                 )
             )
-        except (UnreachableCellError, MetricUndefinedError, DegenerateAttributeError, DataError) as exc:
-            points.append(GridPoint(level_weights=level_weights, status="failed", reason=str(exc)))
+        return points
 
+    points = _stage("grid", sweep)
     winner = select_grid_winner(points)
-    final_config = replace(config, level_weights=winner.level_weights)
-    report = run_experiment(final_config)
+    report = _run_condition(replace(config, level_weights=winner.level_weights), train, test)
     return GridSearchResult(
         winner=LevelWeightConfig(winner.level_weights),
         report=report,
@@ -549,6 +554,12 @@ def _report_paths(path) -> tuple[str, str]:
     return base + ".json", base + ".txt"
 
 
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+
 def _json_float(value: float):
     return value if value is not None and math.isfinite(value) else None
 
@@ -561,6 +572,15 @@ def _format_sa(row: ReportRow) -> str:
     if row.method == "m3fair":
         return "[" + ", ".join(row.sensitive_attributes) + "]"
     return row.sensitive_attributes[0]
+
+
+def _aligned(headers, body) -> list[str]:
+    """Header and body lines with each column left-justified to its widest
+    cell, columns two spaces apart and trailing spaces trimmed."""
+    widths = [max(map(len, column)) for column in zip(headers, *body)]
+    return [
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip() for line in [headers, *body]
+    ]
 
 
 def format_report_table(report: ExperimentReport) -> str:
@@ -588,14 +608,7 @@ def format_report_table(report: ExperimentReport) -> str:
                 f"{row.eod:.4f}",
             ]
         )
-    widths = [
-        max(len(headers[i]), *(len(line[i]) for line in body)) if body else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for line in body:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip())
-    return "\n".join(lines) + "\n"
+    return "\n".join(_aligned(headers, body)) + "\n"
 
 
 def emit_report(report: ExperimentReport, path) -> None:
@@ -625,11 +638,8 @@ def emit_report(report: ExperimentReport, path) -> None:
             "n_iter": report.n_iter,
         },
     }
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    with open(text_path, "w", encoding="utf-8") as handle:
-        handle.write(format_report_table(report))
+    _write_json(json_path, payload)
+    Path(text_path).write_text(format_report_table(report), encoding="utf-8")
 
 
 def load_report(path) -> ExperimentReport:
@@ -679,9 +689,7 @@ def emit_detection(result: DetectionResult, path) -> None:
             for metric, ranking in result.per_metric_rankings.items()
         },
     }
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _write_json(json_path, payload)
 
 
 def format_grid_table(result: GridSearchResult) -> str:
@@ -698,17 +706,8 @@ def format_grid_table(result: GridSearchResult) -> str:
                 point.reason or "",
             ]
         )
-    widths = [
-        max(len(headers[i]), *(len(line[i]) for line in body)) if body else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip()]
-    for line in body:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip())
     winner = ", ".join(f"{k}={v}" for k, v in result.winner.entries.items())
-    lines.append("")
-    lines.append(f"selected level weights: {winner}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_aligned(headers, body) + ["", f"selected level weights: {winner}"]) + "\n"
 
 
 def emit_grid(result: GridSearchResult, path) -> None:
@@ -728,8 +727,5 @@ def emit_grid(result: GridSearchResult, path) -> None:
             for point in result.points
         ],
     }
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    with open(text_path, "w", encoding="utf-8") as handle:
-        handle.write(format_grid_table(result))
+    _write_json(json_path, payload)
+    Path(text_path).write_text(format_grid_table(result), encoding="utf-8")

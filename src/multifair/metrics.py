@@ -15,7 +15,7 @@ as ``inf`` and flagged "di_undefined" in reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,42 +27,32 @@ DECISION_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class PredictionSet:
-    """Aligned scores, thresholded predictions, and true labels."""
+    """Aligned scores and true labels, plus the predictions derived by
+    thresholding the scores."""
 
     scores: np.ndarray
-    predictions: np.ndarray
     labels: np.ndarray
     threshold: float = DECISION_THRESHOLD
+    predictions: np.ndarray = field(init=False)
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)
-        predictions = np.asarray(self.predictions)
         labels = np.asarray(self.labels)
-        n = scores.shape[0]
-        if scores.ndim != 1 or predictions.shape != (n,) or labels.shape != (n,):
-            raise DataError("scores, predictions, and labels must be equal-length vectors")
-        if n == 0:
+        if scores.ndim != 1 or labels.shape != scores.shape:
+            raise DataError("scores and labels must be equal-length vectors")
+        if scores.shape[0] == 0:
             raise DataError("empty prediction set")
         if not ((scores >= 0.0) & (scores <= 1.0)).all():
             raise DataError("scores must lie in [0, 1]")
-        if not np.isin(predictions, (0, 1)).all() or not np.isin(labels, (0, 1)).all():
-            raise DataError("predictions and labels must be 0 or 1")
-        expected = scores >= self.threshold
-        if not np.array_equal(predictions.astype(bool), expected):
-            raise DataError("predictions must equal scores thresholded at the decision threshold")
-        predictions = predictions.astype(np.int64)
+        if not np.isin(labels, (0, 1)).all():
+            raise DataError("labels must be 0 or 1")
+        predictions = (scores >= self.threshold).astype(np.int64)
         labels = labels.astype(np.int64)
         for arr in (scores, predictions, labels):
             arr.setflags(write=False)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "predictions", predictions)
         object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def from_scores(cls, scores, labels, threshold: float = DECISION_THRESHOLD) -> "PredictionSet":
-        scores = np.asarray(scores, dtype=np.float64)
-        predictions = (scores >= threshold).astype(np.int64)
-        return cls(scores, predictions, labels, threshold)
 
     def __len__(self) -> int:
         return self.scores.shape[0]

@@ -16,7 +16,6 @@ scale of the weights.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,32 +202,3 @@ def predict_scores(model: ModelParams, data: Dataset) -> np.ndarray:
     z = ((data.features - model.means) / model.scales) @ model.coefficients + model.intercept
     return np.clip(_sigmoid(z), 1e-12, 1.0 - 1e-12)
 
-
-def save_model(model: ModelParams, path) -> None:
-    """Audit-friendly JSON serialization of the fitted parameters."""
-    payload = {
-        "feature_names": list(model.feature_names),
-        "coefficients": model.coefficients.tolist(),
-        "intercept": model.intercept,
-        "means": model.means.tolist(),
-        "scales": model.scales.tolist(),
-        "converged": model.converged,
-        "n_iter": model.n_iter,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-def load_model(path) -> ModelParams:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return ModelParams(
-        feature_names=tuple(payload["feature_names"]),
-        coefficients=np.array(payload["coefficients"], dtype=np.float64),
-        intercept=float(payload["intercept"]),
-        means=np.array(payload["means"], dtype=np.float64),
-        scales=np.array(payload["scales"], dtype=np.float64),
-        converged=bool(payload["converged"]),
-        n_iter=int(payload["n_iter"]),
-    )

@@ -85,30 +85,12 @@ class LevelWeightConfig:
         return self.entries.items()
 
 
-@dataclass(frozen=True)
-class SensitivityLevels:
-    """Per-row integer levels plus the induced row partition."""
-
-    levels: np.ndarray
-    groups: dict[int, np.ndarray]
-
-    def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=np.int64)
-        levels.setflags(write=False)
-        object.__setattr__(self, "levels", levels)
-
-    @classmethod
-    def from_levels(cls, levels: np.ndarray) -> "SensitivityLevels":
-        levels = np.asarray(levels, dtype=np.int64)
-        groups = {int(lv): np.flatnonzero(levels == lv) for lv in np.unique(levels)}
-        return cls(levels, groups)
-
-
 def compute_sensitivity_levels(
     groups: Sequence[GroupAssignment], config: LevelWeightConfig
-) -> SensitivityLevels:
-    """Sum each configured attribute's level weight over the rows on its
-    unprivileged side.
+) -> np.ndarray:
+    """Per-row int64 sensitivity levels: each configured attribute's level
+    weight summed over the attributes on whose unprivileged side the row
+    falls.
 
     Every configured attribute must have a row-aligned assignment with the
     privileged side already set.
@@ -125,15 +107,17 @@ def compute_sensitivity_levels(
     levels = np.zeros(n, dtype=np.int64)
     for assignment, (name, weight) in zip(selected, config.items()):
         levels += weight * assignment.unprivileged_indicator()
-    return SensitivityLevels.from_levels(levels)
+    return levels
 
 
 def reweight(labels, partition, prior: SampleWeights) -> SampleWeights:
     """Rescale weights so labels are independent of the partition groups.
 
-    ``partition`` is a vector of integer group ids.  Raises
-    UnreachableCellError when a (group, label) cell that must carry mass is
-    empty or has zero prior weight.
+    ``partition`` is a vector of integer group ids.  The module docstring's
+    formula gives one multiplier per (group, label) cell, from two
+    bincounts over the cells.  Raises UnreachableCellError for the first
+    cell (groups in sorted order, label 0 first) that must carry mass but
+    is empty or has zero prior weight.
     """
     labels = np.asarray(labels, dtype=np.int64)
     partition = np.asarray(partition, dtype=np.int64)
@@ -144,28 +128,21 @@ def reweight(labels, partition, prior: SampleWeights) -> SampleWeights:
     if not np.isin(labels, (0, 1)).all():
         raise DataError("labels must be 0 or 1")
 
-    total = weights.sum()
-    label_mass = {d: weights[labels == d].sum() for d in (0, 1)}
-    out = np.empty_like(weights)
-    for g in np.unique(partition):
-        group_mask = partition == g
-        group_mass = weights[group_mask].sum()
-        for d in (0, 1):
-            cell = group_mask & (labels == d)
-            demand = label_mass[d] * group_mass
-            if not cell.any():
-                if demand > 0.0:
-                    raise UnreachableCellError(
-                        f"unreachable cell: group {g} has no rows with label {d}"
-                    )
-                continue
-            cell_mass = weights[cell].sum()
-            if cell_mass <= 0.0:
-                raise UnreachableCellError(
-                    f"unreachable cell: group {g}, label {d} has zero prior weight"
-                )
-            out[cell] = weights[cell] * (demand / (total * cell_mass))
-    return SampleWeights(out)
+    # Cell c = 2 * group index + label, groups in sorted id order.
+    ids, group = np.unique(partition, return_inverse=True)
+    cell = 2 * group + labels
+    count = np.bincount(cell, minlength=2 * ids.shape[0]).reshape(-1, 2)
+    mass = np.bincount(cell, weights=weights, minlength=2 * ids.shape[0]).reshape(-1, 2)
+    demand = mass.sum(axis=1)[:, None] * mass.sum(axis=0)
+    empty = count == 0
+    unreachable = np.flatnonzero((empty & (demand > 0.0)) | (~empty & (mass <= 0.0)))
+    if unreachable.size:
+        g, d = divmod(int(unreachable[0]), 2)
+        if empty[g, d]:
+            raise UnreachableCellError(f"unreachable cell: group {ids[g]} has no rows with label {d}")
+        raise UnreachableCellError(f"unreachable cell: group {ids[g]}, label {d} has zero prior weight")
+    multiplier = np.divide(demand, weights.sum() * mass, out=np.zeros_like(mass), where=~empty)
+    return SampleWeights(weights * multiplier[group, labels])
 
 
 def reweight_single_attribute(
@@ -199,8 +176,7 @@ def m3fair(
     :func:`reweight_single_attribute` (the level partition has the same
     two fibers as the membership partition).
     """
-    levels = compute_sensitivity_levels(groups, config)
-    return reweight(labels, levels.levels, prior)
+    return reweight(labels, compute_sensitivity_levels(groups, config), prior)
 
 
 def save_weights_csv(weights: SampleWeights, path) -> None:

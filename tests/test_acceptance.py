@@ -286,7 +286,7 @@ def test_census_detection_flags_sex_and_race(adult_runs):
     dataset = load_csv(path, "income", ">50K")
     train, _ = split(dataset, SplitSpec())
     model = fit(train, SampleWeights.unit(train.n_rows), ADULT_TRAIN)
-    preds = PredictionSet.from_scores(predict_scores(model, train), train.labels)
+    preds = PredictionSet(predict_scores(model, train), train.labels)
     result = detect(train, preds, DetectionConfig(top_n=20))
     hits = sorted(result.intersection)
     assert any(name.startswith("sex=") for name in hits), hits
@@ -322,7 +322,7 @@ def test_c9_detection_recovers_planted_bias():
     for seed in range(20):
         ds = planted_bias_dataset(n_rows=500, n_noise=30, rate_gap=0.6, seed=seed)
         model = fit(ds, SampleWeights.unit(ds.n_rows))
-        preds = PredictionSet.from_scores(predict_scores(model, ds), ds.labels)
+        preds = PredictionSet(predict_scores(model, ds), ds.labels)
         result = detect(ds, preds, DetectionConfig(top_n=20))
         hits += "planted" in result.intersection
     assert hits >= 19

@@ -4,8 +4,11 @@ import sys
 
 import pytest
 
+import multifair.experiment
+from conftest import REPO_ROOT
 from multifair.cli import main
 from multifair.data import save_csv
+from multifair.errors import DataError
 from multifair.reweighting import load_weights_csv
 from multifair.synth import planted_bias_dataset, two_attribute_biased_dataset
 
@@ -102,6 +105,23 @@ class TestGrid:
         assert set(sweep["winner_level_weights"]) == {"attr_a", "attr_b"}
         assert (root / "winner.json").exists()
         assert "selected level weights" in capsys.readouterr().out
+
+    def test_unexpected_point_error_aborts_the_grid(self, workspace, monkeypatch, capsys):
+        # Only infeasible points (an unreachable cell, an undefined metric)
+        # are recorded as failed; any other error is a fault and stops the grid.
+        root, csv_path = workspace
+        config = write_config(
+            root, csv_path, name="grid_fault.json",
+            method="m3fair", level_weights={"attr_a": 1, "attr_b": 1},
+        )
+
+        def misaligned(*args, **kwargs):
+            raise DataError("weights not row-aligned with the training data")
+
+        monkeypatch.setattr(multifair.experiment, "fit", misaligned)
+        assert main(["grid", "--config", str(config), "--output", str(root / "fault")]) == 1
+        assert capsys.readouterr().err == "error [grid] weights not row-aligned with the training data\n"
+        assert not (root / "fault.json").exists()
 
     def test_grid_section_in_config(self, workspace):
         root, csv_path = workspace
@@ -214,3 +234,37 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestCommittedOutputs:
+    """The README's five commands regenerate the committed ``out/synthetic_*``
+    files byte for byte.  They run from the repository root, because the
+    dataset path is part of ``config_hash``; the output paths, which the hash
+    ignores, point into a temporary directory."""
+
+    @staticmethod
+    def config_copy(tmp_path, name, report_path):
+        payload = json.loads((REPO_ROOT / "configs" / name).read_text())
+        payload["report_path"] = str(report_path)
+        path = tmp_path / f"config_{name}"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_readme_commands_reproduce_committed_outputs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        baseline = self.config_copy(tmp_path, "synthetic_baseline.json", tmp_path / "synthetic_baseline")
+        m3fair = self.config_copy(tmp_path, "synthetic_m3fair.json", tmp_path / "synthetic_m3fair")
+        commands = [
+            ["run", "--config", baseline],
+            ["run", "--config", m3fair],
+            ["grid", "--config", m3fair, "--output", str(tmp_path / "synthetic_grid")],
+            ["detect", "--config", baseline, "--output", str(tmp_path / "synthetic_detection")],
+            ["weights", "--config", m3fair, "--output", str(tmp_path / "synthetic_weights.csv")],
+        ]
+        for argv in commands:
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
+        assert capsys.readouterr().err == ""
+        committed = sorted(p.name for p in (REPO_ROOT / "out").glob("synthetic_*"))
+        assert committed == sorted(p.name for p in tmp_path.glob("synthetic_*"))
+        for name in committed:
+            assert (tmp_path / name).read_bytes() == (REPO_ROOT / "out" / name).read_bytes(), name

@@ -14,7 +14,7 @@ from multifair.synth import planted_bias_dataset
 
 def baseline_predictions(dataset):
     model = fit(dataset, SampleWeights.unit(dataset.n_rows))
-    return PredictionSet.from_scores(predict_scores(model, dataset), dataset.labels)
+    return PredictionSet(predict_scores(model, dataset), dataset.labels)
 
 
 def direct_unfairness(dataset, preds, column):
@@ -98,7 +98,7 @@ class TestDetect:
 
     def test_all_degenerate_rejected(self):
         ds = Dataset(np.full((10, 2), 1.0), (np.arange(10) % 2), ("a", "b"))
-        preds = PredictionSet.from_scores(np.full(10, 0.6), ds.labels)
+        preds = PredictionSet(np.full(10, 0.6), ds.labels)
         with pytest.raises(DegenerateAttributeError, match="no detectable attributes"):
             detect(ds, preds)
 
@@ -118,7 +118,7 @@ class TestDetect:
             labels,
             ("b0", "b1", "b2", "fair"),
         )
-        preds = PredictionSet(pred.astype(float), pred, labels)
+        preds = PredictionSet(pred.astype(float), labels)
         result = detect(ds, preds, DetectionConfig(top_n=3))
         scores = {c: direct_unfairness(ds, preds, c) for c in ("b0", "b1", "b2")}
         assert all(all(v > 0 for v in s.values()) for s in scores.values())
@@ -126,6 +126,6 @@ class TestDetect:
 
     def test_misaligned_predictions_rejected(self):
         ds = planted_bias_dataset(50, n_noise=2, seed=0)
-        preds = PredictionSet.from_scores(np.full(49, 0.4), np.zeros(49, dtype=int) + (np.arange(49) % 2))
+        preds = PredictionSet(np.full(49, 0.4), np.zeros(49, dtype=int) + (np.arange(49) % 2))
         with pytest.raises(DataError, match="row-aligned"):
             detect(ds, preds)

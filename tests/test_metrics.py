@@ -24,7 +24,7 @@ from multifair.metrics import (
 
 def preds_from(predictions, labels):
     predictions = np.asarray(predictions, dtype=float)
-    return PredictionSet(predictions, predictions.astype(int), np.asarray(labels))
+    return PredictionSet(predictions, np.asarray(labels))
 
 
 def group_of(membership, privileged=1):
@@ -43,6 +43,18 @@ def auroc_bruteforce(scores, labels):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+class TestPredictionSet:
+    def test_predictions_are_scores_at_or_above_the_threshold(self):
+        scores, labels = np.array([0.2, 0.5, 0.7]), np.array([0, 1, 1])
+        assert PredictionSet(scores, labels).predictions.tolist() == [0, 1, 1]
+        assert PredictionSet(scores, labels, threshold=0.6).predictions.tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("scores, labels", [([0.2, 0.7], [1]), (0.7, 1), ([[0.7]], [[1]])])
+    def test_non_vector_or_misaligned_input_rejected(self, scores, labels):
+        with pytest.raises(DataError, match="equal-length vectors"):
+            PredictionSet(np.array(scores), np.array(labels))
 
 
 class TestRateMetrics:
@@ -277,9 +289,7 @@ class TestProperties:
         preds, membership = random_instance(seed)
         group = group_of(membership)
         perm = np.random.default_rng(perm_seed).permutation(len(preds))
-        permuted = PredictionSet(
-            preds.scores[perm], preds.predictions[perm], preds.labels[perm]
-        )
+        permuted = PredictionSet(preds.scores[perm], preds.labels[perm])
         pgroup = group_of(membership[perm])
         assert statistical_parity_difference(preds, group) == pytest.approx(
             statistical_parity_difference(permuted, pgroup), abs=1e-12

@@ -11,9 +11,7 @@ from multifair.model import (
     _sigmoid,
     _standardization,
     fit,
-    load_model,
     predict_scores,
-    save_model,
     weighted_loss_and_gradient,
 )
 from multifair.reweighting import SampleWeights
@@ -331,18 +329,3 @@ class TestPredict:
         with pytest.raises(DataError, match="column count mismatch"):
             predict_scores(model, narrow)
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        ds = separable_toy(seed=9)
-        model = fit(ds, SampleWeights.unit(ds.n_rows))
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        back = load_model(path)
-        assert back.feature_names == model.feature_names
-        assert np.array_equal(back.coefficients, model.coefficients)
-        assert back.intercept == model.intercept
-        np.testing.assert_array_equal(back.means, model.means)
-        np.testing.assert_array_equal(back.scales, model.scales)
-        assert back.converged == model.converged and back.n_iter == model.n_iter
-        np.testing.assert_array_equal(predict_scores(back, ds), predict_scores(model, ds))

@@ -57,14 +57,14 @@ class TestSensitivityLevels:
     def test_single_attribute_equals_membership(self):
         group = GroupAssignment("a", np.array([0, 1, 1, 0]), privileged_value=0)
         levels = compute_sensitivity_levels([group], LevelWeightConfig({"a": 1}))
-        assert levels.levels.tolist() == [0, 1, 1, 0]
+        assert levels.dtype == np.int64 and levels.tolist() == [0, 1, 1, 0]
 
     def test_two_attribute_enumeration(self):
         # weights (sexish=1, raceish=2); all four membership combinations
         a = GroupAssignment("a", np.array([1, 1, 0, 0]), privileged_value=0)
         b = GroupAssignment("b", np.array([1, 0, 1, 0]), privileged_value=0)
         levels = compute_sensitivity_levels([a, b], LevelWeightConfig({"a": 1, "b": 2}))
-        assert levels.levels.tolist() == [3, 1, 2, 0]
+        assert levels.tolist() == [3, 1, 2, 0]
 
     def test_three_attribute_maximum(self):
         rows = np.array([1, 0])
@@ -72,18 +72,12 @@ class TestSensitivityLevels:
             GroupAssignment(name, rows, privileged_value=0) for name in ("a", "b", "c")
         ]
         levels = compute_sensitivity_levels(groups, LevelWeightConfig({"a": 1, "b": 2, "c": 2}))
-        assert levels.levels.tolist() == [5, 0]
+        assert levels.tolist() == [5, 0]
 
     def test_membership_counted_on_unprivileged_side(self):
         group = GroupAssignment("a", np.array([0, 1]), privileged_value=1)
         levels = compute_sensitivity_levels([group], LevelWeightConfig({"a": 3}))
-        assert levels.levels.tolist() == [3, 0]
-
-    def test_groups_partition_rows(self):
-        a = GroupAssignment("a", np.array([1, 0, 1, 0]), privileged_value=0)
-        levels = compute_sensitivity_levels([a], LevelWeightConfig({"a": 2}))
-        assert sorted(levels.groups) == [0, 2]
-        assert levels.groups[2].tolist() == [0, 2]
+        assert levels.tolist() == [3, 0]
 
     def test_missing_assignment_rejected(self):
         with pytest.raises(ConfigError, match="no group assignment"):
@@ -174,6 +168,25 @@ class TestReweight:
         prior = SampleWeights(np.array([1.0, 1.0, 0.0, 1.0]))
         with pytest.raises(UnreachableCellError, match="zero prior weight"):
             reweight(labels, partition, prior)
+
+    @pytest.mark.parametrize(
+        "labels, partition, prior, message",
+        [
+            # groups 9 and 5 each miss a label; 5 sorts first
+            ([1, 1, 0, 0, 1, 0], [9, 9, 5, 5, 2, 2], [1.0] * 6,
+             "group 5 has no rows with label 1"),
+            # group 2's label-1 cell has no weight; group 5 has no label-0 rows
+            ([0, 1, 1, 1, 0, 1], [2, 2, 5, 5, 7, 7], [1.0, 0.0, 1.0, 1.0, 1.0, 1.0],
+             "group 2, label 1 has zero prior weight"),
+            # within one group, label 0 comes before label 1
+            ([0, 1, 1, 0, 0, 1], [3, 3, 4, 4, 4, 4], [0.0, 0.0, 1.0, 1.0, 1.0, 1.0],
+             "group 3, label 0 has zero prior weight"),
+        ],
+    )
+    def test_first_unreachable_cell_is_named(self, labels, partition, prior, message):
+        with pytest.raises(UnreachableCellError) as info:
+            reweight(np.array(labels), np.array(partition), SampleWeights(np.array(prior)))
+        assert str(info.value) == f"unreachable cell: {message}"
 
     def test_single_class_labels_keep_weights(self):
         # no label-0 mass anywhere: every cell already balanced
@@ -270,8 +283,8 @@ class TestM3Fair:
             ga = GroupAssignment("a", a, privileged_value=1)
             gb = GroupAssignment("b", b, privileged_value=1)
             levels = compute_sensitivity_levels([ga, gb], LevelWeightConfig({"a": 1, "b": 2}))
-            cells = {(lv, y) for lv, y in zip(levels.levels.tolist(), labels.tolist())}
-            if cells == {(lv, y) for lv in set(levels.levels.tolist()) for y in (0, 1)}:
+            cells = {(lv, y) for lv, y in zip(levels.tolist(), labels.tolist())}
+            if cells == {(lv, y) for lv in set(levels.tolist()) for y in (0, 1)}:
                 return labels, ga, gb
 
     def test_single_attribute_collapse_bit_identical(self):
@@ -291,9 +304,9 @@ class TestM3Fair:
         labels, ga, gb = self._instance(2)
         config = LevelWeightConfig({"a": 1, "b": 2})
         levels = compute_sensitivity_levels([ga, gb], config)
-        assert set(levels.levels.tolist()) <= {0, 1, 2, 3}
+        assert set(levels.tolist()) <= {0, 1, 2, 3}
         ours = m3fair(labels, [ga, gb], config, SampleWeights.unit(len(labels))).values
-        oracle = frequency_oracle(labels, levels.levels, np.ones(len(labels)))
+        oracle = frequency_oracle(labels, levels, np.ones(len(labels)))
         np.testing.assert_allclose(ours, oracle, rtol=1e-12)
 
     def test_level_relabeling_same_fibers_same_weights(self):
