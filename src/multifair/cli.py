@@ -28,12 +28,11 @@ from .experiment import (
 def _load_config(path, output=None) -> tuple[ExperimentConfig, GridSearchConfig]:
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    grid_payload = payload.pop("grid", None) if isinstance(payload, dict) else None
+    grid = payload.pop("grid", {}) if isinstance(payload, dict) else {}
     config = ExperimentConfig.from_dict(payload)
     if output is not None:
         config = replace(config, report_path=output)
-    grid = GridSearchConfig.from_dict(grid_payload) if grid_payload else GridSearchConfig()
-    return config, grid
+    return config, GridSearchConfig.from_dict(grid)
 
 
 def _cmd_run(args) -> int:

@@ -35,7 +35,7 @@ class DetectionConfig:
         if self.top_n < 1:
             raise DataError("top_n must be at least 1")
         if self.candidate_columns is not None:
-            object.__setattr__(self, "candidate_columns", tuple(self.candidate_columns))
+            object.__setattr__(self, "candidate_columns", tuple(self.candidate_columns) or None)
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,8 @@ class DetectionResult:
 
 def _unfairness_scores(dataset: Dataset, preds: PredictionSet, column: str) -> dict[str, float]:
     group = set_privileged(binarize_by_mean(dataset, column), dataset)
-    di = disparate_impact(preds, group)
     scores = {
-        "di": math.inf if math.isinf(di) else abs(1.0 - di),
+        "di": abs(1.0 - disparate_impact(preds, group)),
         "spd": abs(statistical_parity_difference(preds, group)),
         "aod": abs(average_odds_difference(preds, group)),
     }

@@ -16,8 +16,10 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .data import (
     Dataset,
@@ -48,6 +50,58 @@ from .reweighting import (
 
 METHODS = ("none", "rw_single", "rw_sequential", "m3fair")
 
+_SCALARS = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
+
+
+def _expect(value, key: str, kinds, noun: str):
+    # bool is an int to Python but never a number in a config
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
+    return value
+
+
+def _typed(hint, value, key: str):
+    """``value`` checked against the field type ``hint``: a config
+    dataclass, ``tuple[T, ...]`` (a JSON list), ``dict[str, T]``, ``str``,
+    ``int``, ``float`` (an int is kept as it is), or one of them ``| None``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        if value is None:
+            return None
+        (hint,) = set(args) - {NoneType}
+        return _typed(hint, value, key)
+    if is_dataclass(hint):
+        return _parse(hint, value, key)
+    if origin is tuple:
+        items = _expect(value, key, (list, tuple), "a list")
+        return tuple(_typed(args[0], item, f"{key}[{i}]") for i, item in enumerate(items))
+    if origin is dict:
+        items = _expect(value, key, dict, "an object")
+        return {name: _typed(args[1], item, f"{key}.{name}") for name, item in items.items()}
+    return _expect(value, key, *_SCALARS[hint])
+
+
+def _parse(cls, payload, key: str = ""):
+    """Build the config dataclass ``cls`` from the JSON object ``payload``
+    (the section ``key``; empty at the top level).  Its fields are the
+    allowed keys, those without a default are required, and each value must
+    have its field's type."""
+    _expect(payload, key or "config", dict, "an object")
+    keys = f"keys in {key!r}" if key else "config keys"
+    declared = fields(cls)
+    unknown = set(payload) - {f.name for f in declared}
+    if unknown:
+        raise ConfigError(f"unknown {keys}: {sorted(unknown)}")
+    required = {f.name for f in declared if f.default is MISSING and f.default_factory is MISSING}
+    missing = required - set(payload)
+    if missing:
+        raise ConfigError(f"missing {keys}: {sorted(missing)}")
+    hints = get_type_hints(cls)
+    return cls(**{
+        name: _typed(hints[name], value, f"{key}.{name}" if key else name)
+        for name, value in payload.items()
+    })
+
 
 @dataclass(frozen=True)
 class DatasetConfig:
@@ -58,7 +112,8 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experimental condition; mirrors the JSON config file field-for-field."""
+    """One experimental condition.  Its fields, and those of its section
+    dataclasses, are the JSON config's keys (see ``_parse``)."""
 
     dataset: DatasetConfig
     sensitive_attributes: tuple[str, ...]
@@ -103,97 +158,11 @@ class ExperimentConfig:
             raise ConfigError("rw_single requires exactly one sensitive attribute")
 
     def to_dict(self) -> dict:
-        payload = {
-            "dataset": {
-                "path": self.dataset.path,
-                "label_column": self.dataset.label_column,
-                "positive_label": self.dataset.positive_label,
-            },
-            "split": {"test_fraction": self.split.test_fraction, "seed": self.split.seed},
-            "sensitive_attributes": list(self.sensitive_attributes),
-            "method": self.method,
-            "detection": {
-                "top_n": self.detection.top_n,
-                "candidate_columns": (
-                    None
-                    if self.detection.candidate_columns is None
-                    else list(self.detection.candidate_columns)
-                ),
-            },
-            "train": {
-                "l2_penalty": self.train.l2_penalty,
-                "max_iterations": self.train.max_iterations,
-                "gradient_tolerance": self.train.gradient_tolerance,
-                "seed": self.train.seed,
-            },
-        }
-        if self.attribute_order is not None:
-            payload["attribute_order"] = list(self.attribute_order)
-        if self.level_weights is not None:
-            payload["level_weights"] = dict(self.level_weights)
-        if self.report_path is not None:
-            payload["report_path"] = self.report_path
-        return payload
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        def section(name, allowed, required=()):
-            raw = payload.get(name)
-            if raw is None:
-                return {}
-            if not isinstance(raw, dict):
-                raise ConfigError(f"config section {name!r} must be an object")
-            unknown = set(raw) - set(allowed)
-            if unknown:
-                raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
-            missing = set(required) - set(raw)
-            if missing:
-                raise ConfigError(f"missing keys in {name!r}: {sorted(missing)}")
-            return raw
-
-        allowed_top = {
-            "dataset", "split", "sensitive_attributes", "method",
-            "attribute_order", "level_weights", "detection", "train", "report_path",
-        }
-        unknown = set(payload) - allowed_top
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "dataset" not in payload:
-            raise ConfigError("config requires a 'dataset' section")
-        if "sensitive_attributes" not in payload:
-            raise ConfigError("config requires 'sensitive_attributes'")
-
-        ds = section("dataset", ("path", "label_column", "positive_label"),
-                     required=("path", "label_column", "positive_label"))
-        sp = section("split", ("test_fraction", "seed"))
-        de = section("detection", ("top_n", "candidate_columns"))
-        tr = section("train", ("l2_penalty", "max_iterations", "gradient_tolerance", "seed"))
-        level_weights = payload.get("level_weights")
-        if level_weights is not None:
-            level_weights = dict(level_weights)
-        return cls(
-            dataset=DatasetConfig(ds["path"], ds["label_column"], ds["positive_label"]),
-            sensitive_attributes=tuple(payload["sensitive_attributes"]),
-            method=payload.get("method", "none"),
-            split=SplitSpec(**sp),
-            attribute_order=(
-                tuple(payload["attribute_order"]) if payload.get("attribute_order") is not None else None
-            ),
-            level_weights=level_weights,
-            detection=DetectionConfig(
-                top_n=de.get("top_n", 20),
-                candidate_columns=(
-                    tuple(de["candidate_columns"]) if de.get("candidate_columns") else None
-                ),
-            ),
-            train=TrainConfig(**tr),
-            report_path=payload.get("report_path"),
-        )
-
-    @classmethod
-    def from_json_file(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        return _parse(cls, payload)
 
     def config_hash(self) -> str:
         """Hash of the experimental condition (the output location is not
@@ -324,22 +293,8 @@ def _run_condition(config: ExperimentConfig, train: Dataset, test: Dataset) -> E
 
     def evaluate():
         _, fairness = _evaluate(model, test, test_groups)
-        rows = tuple(
-            ReportRow(
-                method=config.method,
-                sensitive_attributes=_method_attributes(config),
-                evaluated_attribute=f.attribute_name,
-                acc=f.acc,
-                auroc=f.auroc,
-                auprc=f.auprc,
-                di=f.di,
-                spd=f.spd,
-                aod=f.aod,
-                eod=f.eod,
-                flags=f.flags,
-            )
-            for f in fairness
-        )
+        attrs = _method_attributes(config)
+        rows = tuple(ReportRow(config.method, attrs, **asdict(f)) for f in fairness)
         return ExperimentReport(
             rows=rows,
             seed=config.split.seed,
@@ -399,21 +354,18 @@ def export_training_weights(config: ExperimentConfig, path) -> SampleWeights:
 @dataclass(frozen=True)
 class GridSearchConfig:
     """Candidate level weights per attribute (default {1, 2} each) and the
-    selection rule.
+    share of the training split held out for selection.
 
-    The only selection metric is the composite unfairness score
+    Points are ranked by the composite unfairness score
     sum_attrs(|1 - DI| + |SPD| + |AOD| + |EOD|), computed on a validation
     split carved from the training data so the test split never guides
     selection.
     """
 
     candidates: dict[str, tuple[int, ...]] | None = None
-    selection_metric: str = "composite_unfairness"
     validation_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.selection_metric != "composite_unfairness":
-            raise ConfigError(f"unsupported selection metric {self.selection_metric!r}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must lie strictly between 0 and 1")
         if self.candidates is not None:
@@ -430,18 +382,13 @@ class GridSearchConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GridSearchConfig":
-        allowed = {"candidates", "selection_metric", "validation_fraction"}
-        unknown = set(payload) - allowed
-        if unknown:
-            raise ConfigError(f"unknown grid config keys: {sorted(unknown)}")
-        candidates = payload.get("candidates")
-        if candidates is not None:
-            candidates = {name: tuple(values) for name, values in candidates.items()}
-        return cls(
-            candidates=candidates,
-            selection_metric=payload.get("selection_metric", "composite_unfairness"),
-            validation_fraction=payload.get("validation_fraction", 0.2),
-        )
+        """Parse the config's ``grid`` section.  It may also name the
+        selection metric, which must be ``composite_unfairness``."""
+        payload = dict(_expect(payload, "grid", dict, "an object"))
+        metric = payload.pop("selection_metric", "composite_unfairness")
+        if metric != "composite_unfairness":
+            raise ConfigError(f"unsupported selection metric {metric!r}")
+        return _parse(cls, payload, "grid")
 
 
 @dataclass(frozen=True)
@@ -515,10 +462,7 @@ def grid_search(
             except (UnreachableCellError, MetricUndefinedError) as exc:
                 points.append(GridPoint(level_weights=level_weights, status="failed", reason=str(exc)))
                 continue
-            composite = sum(
-                (math.inf if math.isinf(f.di) else abs(1.0 - f.di)) + abs(f.spd) + abs(f.aod) + abs(f.eod)
-                for f in fairness
-            )
+            composite = sum(abs(1.0 - f.di) + abs(f.spd) + abs(f.aod) + abs(f.eod) for f in fairness)
             points.append(
                 GridPoint(
                     level_weights=level_weights,
@@ -561,7 +505,16 @@ def _write_json(path, payload) -> None:
 
 
 def _json_float(value: float):
-    return value if value is not None and math.isfinite(value) else None
+    return value if math.isfinite(value) else None
+
+
+def _json_record(record) -> dict:
+    """A report dataclass's fields, in order, as JSON values (a non-finite
+    float becomes null)."""
+    return {
+        key: _json_float(value) if isinstance(value, float) else value
+        for key, value in asdict(record).items()
+    }
 
 
 def _format_sa(row: ReportRow) -> str:
@@ -614,31 +567,9 @@ def format_report_table(report: ExperimentReport) -> str:
 def emit_report(report: ExperimentReport, path) -> None:
     """Write the structured JSON report and its aligned text table."""
     json_path, text_path = _report_paths(path)
-    payload = {
-        "rows": [
-            {
-                "method": row.method,
-                "sensitive_attributes": list(row.sensitive_attributes),
-                "evaluated_attribute": row.evaluated_attribute,
-                "acc": row.acc,
-                "auroc": row.auroc,
-                "auprc": row.auprc,
-                "di": _json_float(row.di),
-                "spd": row.spd,
-                "aod": row.aod,
-                "eod": row.eod,
-                "flags": list(row.flags),
-            }
-            for row in report.rows
-        ],
-        "metadata": {
-            "seed": report.seed,
-            "config_hash": report.config_hash,
-            "converged": report.converged,
-            "n_iter": report.n_iter,
-        },
-    }
-    _write_json(json_path, payload)
+    metadata = asdict(report)
+    del metadata["rows"]
+    _write_json(json_path, {"rows": [_json_record(row) for row in report.rows], "metadata": metadata})
     Path(text_path).write_text(format_report_table(report), encoding="utf-8")
 
 
@@ -647,35 +578,14 @@ def load_report(path) -> ExperimentReport:
     json_path, _ = _report_paths(path)
     with open(json_path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    rows = []
-    for raw in payload["rows"]:
-        flags = tuple(raw["flags"])
-        di = raw["di"]
-        if di is None:
-            di = math.inf if "di_undefined" in flags else math.nan
-        rows.append(
-            ReportRow(
-                method=raw["method"],
-                sensitive_attributes=tuple(raw["sensitive_attributes"]),
-                evaluated_attribute=raw["evaluated_attribute"],
-                acc=raw["acc"],
-                auroc=raw["auroc"],
-                auprc=raw["auprc"],
-                di=di,
-                spd=raw["spd"],
-                aod=raw["aod"],
-                eod=raw["eod"],
-                flags=flags,
-            )
-        )
-    meta = payload["metadata"]
-    return ExperimentReport(
-        rows=tuple(rows),
-        seed=meta["seed"],
-        config_hash=meta["config_hash"],
-        converged=meta["converged"],
-        n_iter=meta["n_iter"],
-    )
+
+    def row(raw: dict) -> ReportRow:
+        raw = {key: tuple(value) if isinstance(value, list) else value for key, value in raw.items()}
+        if raw["di"] is None:
+            raw["di"] = math.inf if "di_undefined" in raw["flags"] else math.nan
+        return ReportRow(**raw)
+
+    return ExperimentReport(rows=tuple(map(row, payload["rows"])), **payload["metadata"])
 
 
 def emit_detection(result: DetectionResult, path) -> None:
@@ -716,16 +626,7 @@ def emit_grid(result: GridSearchResult, path) -> None:
     json_path, text_path = _report_paths(path)
     payload = {
         "winner_level_weights": dict(result.winner.entries),
-        "points": [
-            {
-                "level_weights": dict(point.level_weights),
-                "status": point.status,
-                "score": _json_float(point.score),
-                "val_auroc": _json_float(point.val_auroc),
-                "reason": point.reason,
-            }
-            for point in result.points
-        ],
+        "points": [_json_record(point) for point in result.points],
     }
     _write_json(json_path, payload)
     Path(text_path).write_text(format_grid_table(result), encoding="utf-8")

@@ -64,7 +64,7 @@ class FairnessReport:
     values plus the shared performance triple.  ``flags`` records partial
     support or an undefined DI."""
 
-    attribute_name: str
+    evaluated_attribute: str
     di: float
     spd: float
     aod: float
@@ -220,7 +220,7 @@ def evaluate_fairness(preds: PredictionSet, group: GroupAssignment) -> FairnessR
     if not odds_support_complete(preds, group):
         flags.append("aod_partial_support")
     return FairnessReport(
-        attribute_name=group.attribute_name,
+        evaluated_attribute=group.attribute_name,
         di=di,
         spd=statistical_parity_difference(preds, group),
         aod=average_odds_difference(preds, group),

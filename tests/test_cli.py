@@ -72,6 +72,37 @@ class TestRun:
         assert "[config]" in capsys.readouterr().err
 
 
+class TestConfigTypes:
+    """A config value of the wrong JSON type is a config error naming its
+    key, never a traceback or a value used as something else."""
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"sensitive_attributes": None}, "'sensitive_attributes' must be a list"),
+        ({"sensitive_attributes": "attr_a"}, "'sensitive_attributes' must be a list"),
+        ({"train": {"l2_penalty": "x"}}, "'train.l2_penalty' must be a number"),
+        ({"train": {"max_iterations": 1000.0}}, "'train.max_iterations' must be an integer"),
+        ({"train": {"max_iterations": True}}, "'train.max_iterations' must be an integer"),
+        ({"split": {"test_fraction": "0.2"}}, "'split.test_fraction' must be a number"),
+        ({"split": None}, "'split' must be an object"),
+        ({"grid": {"candidates": [1, 2]}}, "'grid.candidates' must be an object"),
+        ({"level_weights": [1]}, "'level_weights' must be an object"),
+    ])
+    def test_wrong_typed_value(self, workspace, capsys, extra, message):
+        root, csv_path = workspace
+        config = write_config(root, csv_path, name="typed.json", **extra)
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [config] ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"config"'])
+    def test_top_level_must_be_an_object(self, tmp_path, capsys, text):
+        config = tmp_path / "top.json"
+        config.write_text(text)
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error [config] 'config' must be an object")
+
+
 class TestDetect:
     def test_detect_emits_structured_report(self, tmp_path, capsys):
         csv_path = tmp_path / "planted.csv"

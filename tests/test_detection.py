@@ -124,6 +124,21 @@ class TestDetect:
         assert all(all(v > 0 for v in s.values()) for s in scores.values())
         assert "fair" not in result.intersection
 
+    def test_privileged_side_selecting_nobody_ranks_first_on_di(self):
+        # "blocked": members carry the higher label base rate, so they are the
+        # privileged side, and no member is predicted favorable while half of
+        # the others are: DI is undefined, and the column maximally unfair on it
+        blocked = np.repeat([1.0, 0.0], 20)
+        labels = np.concatenate([np.repeat([1, 0], [15, 5]), np.repeat([1, 0], [5, 15])])
+        scores = np.where(blocked == 1.0, 0.2, np.tile([0.8, 0.2], 20))
+        mild = np.tile([1.0, 1.0, 0.0, 0.0], 10)
+        ds = Dataset(np.column_stack([mild, blocked]), labels, ("mild", "blocked"))
+        preds = PredictionSet(scores, labels)
+        assert direct_unfairness(ds, preds, "blocked")["di"] == math.inf
+        result = detect(ds, preds, DetectionConfig(top_n=1))
+        assert result.per_metric_rankings["di"][0] == ("blocked", math.inf)
+        assert math.isfinite(result.per_metric_rankings["di"][1][1])
+
     def test_misaligned_predictions_rejected(self):
         ds = planted_bias_dataset(50, n_noise=2, seed=0)
         preds = PredictionSet(np.full(49, 0.4), np.zeros(49, dtype=int) + (np.arange(49) % 2))

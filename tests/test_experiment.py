@@ -1,9 +1,12 @@
+import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import REPO_ROOT
 from multifair.data import Dataset, SplitSpec, save_csv
 from multifair.detection import DetectionConfig
 from multifair.errors import ConfigError, PipelineError
@@ -75,6 +78,24 @@ class TestConfigValidation:
             self._dataset(), ("a", "b"), method="m3fair", level_weights={"a": 1, "b": 2}
         )
         assert ExperimentConfig.from_dict(config.to_dict()) == config
+
+    def test_required_keys_named(self):
+        with pytest.raises(ConfigError, match=r"missing config keys: \['dataset'\]"):
+            ExperimentConfig.from_dict({"sensitive_attributes": ["a"]})
+        with pytest.raises(ConfigError, match=r"missing keys in 'dataset': \['positive_label'\]"):
+            ExperimentConfig.from_dict({
+                "dataset": {"path": "x.csv", "label_column": "y"},
+                "sensitive_attributes": ["a"],
+            })
+
+    def test_empty_candidate_list_means_all_columns(self):
+        # as before the section parser: [] and null are one config, one hash
+        payload = {
+            "dataset": {"path": "x.csv", "label_column": "y", "positive_label": "1"},
+            "sensitive_attributes": ["a"],
+        }
+        empty = ExperimentConfig.from_dict({**payload, "detection": {"candidate_columns": []}})
+        assert empty == ExperimentConfig.from_dict(payload)
 
     def test_unknown_keys_rejected(self):
         payload = {
@@ -210,6 +231,48 @@ class TestReports:
         assert lines[2].lstrip().startswith("attr_b")  # continuation row: EA first
 
 
+class TestPipelineMetamorphic:
+    """Surrogate checks on the committed synthetic data, not paper
+    reproduction: moving the label column first and reversing the feature
+    columns of the CSV changes no result."""
+
+    @pytest.fixture(scope="class")
+    def reordered_csv(self, tmp_path_factory):
+        with (REPO_ROOT / "data" / "synthetic.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        label = rows[0].index("outcome")
+        order = [label] + [i for i in reversed(range(len(rows[0]))) if i != label]
+        path = tmp_path_factory.mktemp("reordered") / "synthetic.csv"
+        with path.open("w", newline="") as handle:
+            csv.writer(handle).writerows([row[i] for i in order] for row in rows)
+        return path
+
+    @staticmethod
+    def committed(name, csv_path):
+        payload = json.loads((REPO_ROOT / "configs" / name).read_text())
+        payload.pop("grid", None)
+        config = ExperimentConfig.from_dict(payload)
+        return replace(config, dataset=replace(config.dataset, path=str(csv_path)), report_path=None)
+
+    @pytest.mark.parametrize("name", ["synthetic_baseline.json", "synthetic_m3fair.json"])
+    def test_run_metrics_unchanged(self, reordered_csv, name):
+        original = run_experiment(self.committed(name, REPO_ROOT / "data" / "synthetic.csv"))
+        reordered = run_experiment(self.committed(name, reordered_csv))
+        assert [r.evaluated_attribute for r in reordered.rows] == ["attr_a", "attr_b"]
+        for before, after in zip(original.rows, reordered.rows, strict=True):
+            assert after.evaluated_attribute == before.evaluated_attribute
+            assert after.flags == before.flags
+            for metric in ("acc", "auroc", "auprc", "di", "spd", "aod", "eod"):
+                assert getattr(after, metric) == pytest.approx(getattr(before, metric), rel=0, abs=1e-9)
+
+    def test_detect_intersection_unchanged(self, reordered_csv):
+        name = "synthetic_baseline.json"
+        original = run_detection(self.committed(name, REPO_ROOT / "data" / "synthetic.csv"))
+        reordered = run_detection(self.committed(name, reordered_csv))
+        assert original.intersection
+        assert reordered.intersection == original.intersection
+
+
 class TestDetectionPipeline:
     def test_detects_planted_column(self, tmp_path):
         path = tmp_path / "planted.csv"
@@ -306,6 +369,7 @@ class TestGridSearch:
 
     def test_grid_config_validation(self):
         with pytest.raises(ConfigError, match="unsupported selection metric"):
-            GridSearchConfig(selection_metric="accuracy")
+            GridSearchConfig.from_dict({"selection_metric": "accuracy"})
+        assert GridSearchConfig.from_dict({"selection_metric": "composite_unfairness"}) == GridSearchConfig()
         with pytest.raises(ConfigError, match="empty candidate set"):
             GridSearchConfig(candidates={"a": ()})
