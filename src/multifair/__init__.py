@@ -65,7 +65,6 @@ from .reweighting import (
     LevelWeightConfig,
     SampleWeights,
     compute_sensitivity_levels,
-    load_weights_csv,
     m3fair,
     reweight,
     reweight_sequential,

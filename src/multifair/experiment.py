@@ -37,7 +37,7 @@ from .errors import (
     PipelineError,
     UnreachableCellError,
 )
-from .metrics import PredictionSet, auroc, evaluate_fairness
+from .metrics import PredictionSet, accuracy, auprc, auroc, evaluate_fairness
 from .model import TrainConfig, fit, predict_scores
 from .reweighting import (
     LevelWeightConfig,
@@ -126,9 +126,13 @@ class ExperimentConfig:
     report_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "sensitive_attributes", tuple(self.sensitive_attributes))
-        if self.attribute_order is not None:
-            object.__setattr__(self, "attribute_order", tuple(self.attribute_order))
+        for key in ("sensitive_attributes", "attribute_order"):
+            names = getattr(self, key)
+            # tuple("ab") would be ("a", "b"); the JSON path rejects it too
+            if isinstance(names, str):
+                raise ConfigError(f"{key!r} must be a list, got {names!r}")
+            if names is not None:
+                object.__setattr__(self, key, tuple(names))
         attrs = self.sensitive_attributes
         if not attrs:
             raise ConfigError("sensitive_attributes must not be empty")
@@ -292,9 +296,14 @@ def _run_condition(config: ExperimentConfig, train: Dataset, test: Dataset) -> E
     model = _fit_stage(train, weights, config.train)
 
     def evaluate():
-        _, fairness = _evaluate(model, test, test_groups)
+        preds, fairness = _evaluate(model, test, test_groups)
+        performance = {
+            "acc": accuracy(preds),
+            "auroc": auroc(preds.scores, preds.labels),
+            "auprc": auprc(preds.scores, preds.labels),
+        }
         attrs = _method_attributes(config)
-        rows = tuple(ReportRow(config.method, attrs, **asdict(f)) for f in fairness)
+        rows = tuple(ReportRow(config.method, attrs, **performance, **asdict(f)) for f in fairness)
         return ExperimentReport(
             rows=rows,
             seed=config.split.seed,
@@ -375,7 +384,7 @@ class GridSearchConfig:
                 if not values:
                     raise ConfigError(f"empty candidate set for attribute {name!r}")
                 for v in values:
-                    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                    if v < 1:
                         raise ConfigError(f"candidate level weights must be positive integers, got {v!r}")
                 cleaned[name] = values
             object.__setattr__(self, "candidates", cleaned)
@@ -427,9 +436,11 @@ def grid_search(
     validation split; points whose level partition has an unreachable
     (level, label) cell, or whose validation metrics are undefined, are
     recorded as failed and excluded from selection.  Any other error aborts
-    the sweep.  The winning level weights are then re-run as a full
-    condition on the already loaded split (training on the whole training
-    split, metrics on test).
+    the sweep.  Points whose training weights are bit-identical (level maps
+    with the same fibers) share one fit and one outcome: the fit is
+    deterministic, so each would give the same model.  The winning level
+    weights are then re-run as a full condition on the already loaded split
+    (training on the whole training split, metrics on test).
     """
     if config.method != "m3fair":
         raise ConfigError("grid search requires method 'm3fair'")
@@ -450,27 +461,32 @@ def grid_search(
         "binarize", _binarize_on_train, subtrain, validation, config.sensitive_attributes
     )
 
+    def score(weights: SampleWeights) -> dict:
+        """The outcome fields of a GridPoint trained with ``weights``."""
+        try:
+            model = fit(subtrain, weights, config.train)
+            preds, fairness = _evaluate(model, validation, val_groups)
+            val_auroc = auroc(preds.scores, preds.labels)
+        except MetricUndefinedError as exc:
+            return {"status": "failed", "reason": str(exc)}
+        composite = sum(abs(1.0 - f.di) + abs(f.spd) + abs(f.aod) + abs(f.eod) for f in fairness)
+        return {"status": "ok", "score": composite, "val_auroc": val_auroc}
+
     def sweep():
         points: list[GridPoint] = []
+        outcomes: dict[bytes, dict] = {}  # training-weight bytes -> outcome
         for combo in itertools.product(*(candidates[name] for name in attrs)):
             level_weights = dict(zip(attrs, combo))
             point_config = replace(config, level_weights=level_weights)
             try:
                 weights = _training_weights(point_config, subtrain, sub_groups)
-                model = fit(subtrain, weights, config.train)
-                preds, fairness = _evaluate(model, validation, val_groups)
-            except (UnreachableCellError, MetricUndefinedError) as exc:
+            except UnreachableCellError as exc:
                 points.append(GridPoint(level_weights=level_weights, status="failed", reason=str(exc)))
                 continue
-            composite = sum(abs(1.0 - f.di) + abs(f.spd) + abs(f.aod) + abs(f.eod) for f in fairness)
-            points.append(
-                GridPoint(
-                    level_weights=level_weights,
-                    status="ok",
-                    score=composite,
-                    val_auroc=auroc(preds.scores, preds.labels),
-                )
-            )
+            key = weights.values.tobytes()
+            if key not in outcomes:
+                outcomes[key] = score(weights)
+            points.append(GridPoint(level_weights=level_weights, **outcomes[key]))
         return points
 
     points = _stage("grid", sweep)

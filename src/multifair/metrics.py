@@ -60,22 +60,18 @@ class PredictionSet:
 
 @dataclass(frozen=True)
 class FairnessReport:
-    """One attribute's row pair of the report table: four group-fairness
-    values plus the shared performance triple.  ``flags`` records partial
-    support or an undefined DI."""
+    """One attribute's four group-fairness values.  ``flags`` records
+    partial support or an undefined DI."""
 
     evaluated_attribute: str
     di: float
     spd: float
     aod: float
     eod: float
-    acc: float
-    auroc: float
-    auprc: float
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for name in ("spd", "aod", "eod", "acc", "auroc", "auprc"):
+        for name in ("spd", "aod", "eod"):
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"{name} must be finite")
         if math.isnan(self.di) or self.di < 0:
@@ -212,21 +208,43 @@ def accuracy(preds: PredictionSet) -> float:
 
 
 def evaluate_fairness(preds: PredictionSet, group: GroupAssignment) -> FairnessReport:
-    """All seven report metrics for one attribute, with support flags."""
-    di = disparate_impact(preds, group)
+    """DI, SPD, AOD and EOD for one attribute, with support flags.
+
+    One bincount over the (side, label, prediction) cells gives every rate;
+    the values, flags and errors are those of :func:`disparate_impact`,
+    :func:`statistical_parity_difference`, :func:`average_odds_difference`,
+    :func:`equal_opportunity_difference` and :func:`odds_support_complete`.
+    """
+    unpriv, _ = _group_masks(preds, group)
+    # cells[side, label, prediction], side 0 unprivileged and 1 privileged
+    cells = np.bincount(
+        4 * ~unpriv + 2 * preds.labels + preds.predictions, minlength=8
+    ).reshape(2, 2, 2)
+    by_label = cells.sum(axis=2)
+    if not by_label[:, 1].all():
+        raise MetricUndefinedError(
+            f"EOD undefined: attribute {group.attribute_name!r} has a group with no positive labels"
+        )
+    # A side without negatives gets FPR 0 (flagged as partial support).
+    fp, negatives = cells[:, 0, 1], by_label[:, 0]
+    fpr = np.divide(fp, negatives, out=np.zeros(2), where=negatives > 0)
+    tpr = cells[:, 1, 1] / by_label[:, 1]
+    rate = cells[:, :, 1].sum(axis=1) / by_label.sum(axis=1)
+    (rate_u, rate_p), (fpr_u, fpr_p), (tpr_u, tpr_p) = rate.tolist(), fpr.tolist(), tpr.tolist()
+    if rate_p == 0.0:
+        di = 1.0 if rate_u == 0.0 else math.inf
+    else:
+        di = rate_u / rate_p
     flags = []
     if math.isinf(di):
         flags.append("di_undefined")
-    if not odds_support_complete(preds, group):
+    if not negatives.all():
         flags.append("aod_partial_support")
     return FairnessReport(
         evaluated_attribute=group.attribute_name,
         di=di,
-        spd=statistical_parity_difference(preds, group),
-        aod=average_odds_difference(preds, group),
-        eod=equal_opportunity_difference(preds, group),
-        acc=accuracy(preds),
-        auroc=auroc(preds.scores, preds.labels),
-        auprc=auprc(preds.scores, preds.labels),
+        spd=rate_u - rate_p,
+        aod=0.5 * ((fpr_u - fpr_p) + (tpr_u - tpr_p)),
+        eod=tpr_u - tpr_p,
         flags=tuple(flags),
     )

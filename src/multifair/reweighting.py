@@ -186,12 +186,3 @@ def save_weights_csv(weights: SampleWeights, path) -> None:
         for value in weights.values:
             handle.write(f"{float(value)!r}\n")
 
-
-def load_weights_csv(path) -> SampleWeights:
-    """Inverse of :func:`save_weights_csv`."""
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().strip()
-        if header != "weight":
-            raise DataError(f"{path}: expected header 'weight', got {header!r}")
-        values = [float(line) for line in handle if line.strip()]
-    return SampleWeights(np.array(values, dtype=np.float64))

@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import multifair.experiment
 from conftest import REPO_ROOT
 from multifair.data import Dataset, SplitSpec, save_csv
 from multifair.detection import DetectionConfig
-from multifair.errors import ConfigError, PipelineError
+from multifair.errors import ConfigError, MetricUndefinedError, PipelineError
 from multifair.experiment import (
     DatasetConfig,
     ExperimentConfig,
@@ -17,6 +18,8 @@ from multifair.experiment import (
     GridPoint,
     GridSearchConfig,
     ReportRow,
+    _load_split,
+    _run_condition,
     compute_training_weights,
     emit_report,
     format_report_table,
@@ -73,6 +76,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="not in sensitive_attributes"):
             ExperimentConfig(ds, ("a",), method="m3fair", level_weights={"b": 1})
 
+    def test_string_attribute_lists_rejected(self):
+        # tuple("ab") would silently be ("a", "b")
+        ds = self._dataset()
+        with pytest.raises(ConfigError, match=r"^'sensitive_attributes' must be a list, got 'ab'$"):
+            ExperimentConfig(ds, "ab")
+        with pytest.raises(ConfigError, match=r"^'attribute_order' must be a list, got 'ab'$"):
+            ExperimentConfig(ds, ("a", "b"), method="rw_sequential", attribute_order="ab")
+        config = ExperimentConfig(ds, ["a", "b"], method="rw_sequential", attribute_order=["b", "a"])
+        assert (config.sensitive_attributes, config.attribute_order) == (("a", "b"), ("b", "a"))
+        payload = {"dataset": {"path": "x.csv", "label_column": "y", "positive_label": "1"}}
+        with pytest.raises(ConfigError, match=r"^'sensitive_attributes' must be a list, got 'ab'$"):
+            ExperimentConfig.from_dict({**payload, "sensitive_attributes": "ab"})
+        with pytest.raises(ConfigError, match=r"^'attribute_order' must be a list, got 'ab'$"):
+            ExperimentConfig.from_dict({**payload, "sensitive_attributes": ["a", "b"],
+                                        "method": "rw_sequential", "attribute_order": "ab"})
+
     def test_dict_round_trip(self):
         config = ExperimentConfig(
             self._dataset(), ("a", "b"), method="m3fair", level_weights={"a": 1, "b": 2}
@@ -119,7 +138,9 @@ class TestRunExperiment:
         report = run_experiment(config_for(synth_csv))
         assert [row.evaluated_attribute for row in report.rows] == ["attr_a", "attr_b"]
         row_a, row_b = report.rows
-        assert row_a.acc == row_b.acc and row_a.auroc == row_b.auroc
+        assert row_a.acc == row_b.acc and row_a.auroc == row_b.auroc and row_a.auprc == row_b.auprc
+        for field in ("acc", "auroc", "auprc"):
+            assert 0.0 <= getattr(row_a, field) <= 1.0
         assert row_a.di < 0.8  # baseline is biased by construction
         assert report.converged
 
@@ -234,7 +255,8 @@ class TestReports:
 class TestPipelineMetamorphic:
     """Surrogate checks on the committed synthetic data, not paper
     reproduction: moving the label column first and reversing the feature
-    columns of the CSV changes no result."""
+    columns of the CSV changes no result, and neither does permuting the
+    train or the test rows handed to one condition."""
 
     @pytest.fixture(scope="class")
     def reordered_csv(self, tmp_path_factory):
@@ -259,6 +281,26 @@ class TestPipelineMetamorphic:
         original = run_experiment(self.committed(name, REPO_ROOT / "data" / "synthetic.csv"))
         reordered = run_experiment(self.committed(name, reordered_csv))
         assert [r.evaluated_attribute for r in reordered.rows] == ["attr_a", "attr_b"]
+        for before, after in zip(original.rows, reordered.rows, strict=True):
+            assert after.evaluated_attribute == before.evaluated_attribute
+            assert after.flags == before.flags
+            for metric in ("acc", "auroc", "auprc", "di", "spd", "aod", "eod"):
+                assert getattr(after, metric) == pytest.approx(getattr(before, metric), rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("permuted", ["train", "test"])
+    @pytest.mark.parametrize("method, fields", [
+        ("none", {}),
+        ("rw_sequential", {"attribute_order": ("attr_b", "attr_a")}),
+        ("m3fair", {"level_weights": {"attr_a": 1, "attr_b": 2}}),
+    ])
+    def test_stage_row_permutation_leaves_metrics(self, permuted, method, fields):
+        config = config_for(REPO_ROOT / "data" / "synthetic.csv", method, **fields)
+        splits = dict(zip(("train", "test"), _load_split(config)))
+        rows = splits[permuted]
+        order = np.random.default_rng(3).permutation(rows.n_rows)
+        shuffled = {**splits, permuted: Dataset(rows.features[order], rows.labels[order], rows.column_names)}
+        original = _run_condition(config, splits["train"], splits["test"])
+        reordered = _run_condition(config, shuffled["train"], shuffled["test"])
         for before, after in zip(original.rows, reordered.rows, strict=True):
             assert after.evaluated_attribute == before.evaluated_attribute
             assert after.flags == before.flags
@@ -363,6 +405,10 @@ class TestGridSearch:
         status = {tuple(p.level_weights.values()): p.status for p in result.points}
         assert status[(1, 2)] == "failed"
         assert status[(2, 1)] == "failed"
+        # each failed point names its own level for the A-only rows
+        reason = {tuple(p.level_weights.values()): p.reason for p in result.points}
+        assert reason[(1, 2)] == "unreachable cell: group 1 has no rows with label 0"
+        assert reason[(2, 1)] == "unreachable cell: group 2 has no rows with label 0"
         assert status[(1, 1)] == "ok"
         assert status[(2, 2)] == "ok"
         assert tuple(result.winner.entries.values()) in {(1, 1), (2, 2)}
@@ -373,3 +419,66 @@ class TestGridSearch:
         assert GridSearchConfig.from_dict({"selection_metric": "composite_unfairness"}) == GridSearchConfig()
         with pytest.raises(ConfigError, match="empty candidate set"):
             GridSearchConfig(candidates={"a": ()})
+        with pytest.raises(ConfigError, match=r"^candidate level weights must be positive integers, got 0$"):
+            GridSearchConfig(candidates={"a": [2, 0]})
+        assert GridSearchConfig(candidates={"a": [2, 1]}).candidates == {"a": (2, 1)}
+
+    @pytest.mark.parametrize("values, message", [
+        ([True], "'grid.candidates.a[0]' must be an integer, got True"),
+        ([1.5], "'grid.candidates.a[0]' must be an integer, got 1.5"),
+        ("12", "'grid.candidates.a' must be a list, got '12'"),
+        ([0], "candidate level weights must be positive integers, got 0"),
+        ([], "empty candidate set for attribute 'a'"),
+    ])
+    def test_grid_config_json_messages(self, values, message):
+        with pytest.raises(ConfigError) as err:
+            GridSearchConfig.from_dict({"candidates": {"a": values}})
+        assert str(err.value) == message
+
+
+class TestGridDeduplication:
+    """The committed {1, 2} x {1, 2} grid has two weight classes: (1, 1) and
+    (2, 2) share a partition, and so do (1, 2) and (2, 1)."""
+
+    @pytest.fixture
+    def committed_grid(self, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        payload = json.loads((REPO_ROOT / "configs" / "synthetic_m3fair.json").read_text())
+        grid = GridSearchConfig.from_dict(payload.pop("grid"))
+        return replace(ExperimentConfig.from_dict(payload), report_path=None), grid
+
+    @staticmethod
+    def by_levels(result):
+        return {tuple(p.level_weights.values()): p for p in result.points}
+
+    def test_one_fit_per_weight_class_plus_winner(self, committed_grid, monkeypatch):
+        real_fit, calls = multifair.experiment.fit, []
+
+        def counted_fit(*args, **kwargs):
+            calls.append(args)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(multifair.experiment, "fit", counted_fit)
+        points = self.by_levels(grid_search(*committed_grid))
+        assert len(calls) == 3
+        for first, second in (((1, 1), (2, 2)), ((1, 2), (2, 1))):
+            assert points[first].status == "ok"
+            assert replace(points[first], level_weights={}) == replace(points[second], level_weights={})
+        assert points[(1, 1)].score != points[(1, 2)].score
+
+    def test_undefined_metric_fails_the_whole_class(self, committed_grid, monkeypatch):
+        real_evaluate, calls = multifair.experiment.evaluate_fairness, []
+
+        def undefined_first(preds, group):
+            calls.append(group.attribute_name)
+            if len(calls) == 1:  # the first point's class, (1, 1) and (2, 2)
+                raise MetricUndefinedError("EOD undefined: stubbed")
+            return real_evaluate(preds, group)
+
+        monkeypatch.setattr(multifair.experiment, "evaluate_fairness", undefined_first)
+        result = grid_search(*committed_grid)
+        points = self.by_levels(result)
+        for levels in ((1, 1), (2, 2)):
+            assert (points[levels].status, points[levels].reason) == ("failed", "EOD undefined: stubbed")
+        assert points[(1, 2)].status == points[(2, 1)].status == "ok"
+        assert result.winner.entries == {"attr_a": 1, "attr_b": 2}

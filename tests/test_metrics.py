@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multifair.data import GroupAssignment
 from multifair.errors import DataError, MetricUndefinedError
 from multifair.metrics import (
+    FairnessReport,
     PredictionSet,
     _average_ranks,
     accuracy,
@@ -315,5 +316,56 @@ class TestEvaluateFairness:
     def test_report_fields_round(self):
         preds, membership = random_instance(5)
         report = evaluate_fairness(preds, group_of(membership))
-        for field in ("spd", "aod", "eod", "acc", "auroc", "auprc"):
+        for field in ("spd", "aod", "eod"):
             assert math.isfinite(getattr(report, field))
+
+    @staticmethod
+    def oracle(preds, group):
+        """evaluate_fairness assembled from the per-metric functions."""
+        di = disparate_impact(preds, group)
+        flags = []
+        if math.isinf(di):
+            flags.append("di_undefined")
+        if not odds_support_complete(preds, group):
+            flags.append("aod_partial_support")
+        return FairnessReport(
+            evaluated_attribute=group.attribute_name,
+            di=di,
+            spd=statistical_parity_difference(preds, group),
+            aod=average_odds_difference(preds, group),
+            eod=equal_opportunity_difference(preds, group),
+            flags=tuple(flags),
+        )
+
+    @staticmethod
+    def outcome(evaluate, rows, privileged):
+        """The report's name, flags and value bits, or the error's type and
+        message, for (label, prediction, membership) rows."""
+        labels, predictions, membership = (np.array(column) for column in zip(*rows))
+        preds = preds_from(predictions, labels)
+        try:
+            report = evaluate(preds, group_of(membership, privileged))
+        except (DataError, MetricUndefinedError) as exc:
+            return type(exc), str(exc)
+        values = [getattr(report, name).hex() for name in ("di", "spd", "aod", "eod")]
+        return report.evaluated_attribute, report.flags, values
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=40),
+        st.sampled_from((0, 1)),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(rows=[(0, 1, 0), (0, 0, 0), (1, 1, 1), (0, 0, 1)], privileged=1)  # a side with no positives
+    @example(rows=[(1, 1, 0), (1, 0, 0), (1, 1, 1), (0, 0, 1)], privileged=1)  # a side with no negatives
+    @example(rows=[(1, 1, 1), (0, 0, 1)], privileged=0)  # an empty side
+    @example(rows=[(1, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)], privileged=1)  # DI undefined
+    def test_bincount_matches_per_metric_oracles(self, rows, privileged):
+        assert self.outcome(evaluate_fairness, rows, privileged) == self.outcome(self.oracle, rows, privileged)
+
+    @pytest.mark.parametrize("rows, privileged, error, message", [
+        ([(0, 1, 0), (0, 0, 0), (1, 1, 1), (0, 0, 1)], 1, MetricUndefinedError, "EOD undefined"),
+        ([(1, 1, 1), (0, 0, 1)], 0, DataError, "empty group"),
+    ])
+    def test_undefined_cases_raise(self, rows, privileged, error, message):
+        kind, text = self.outcome(evaluate_fairness, rows, privileged)
+        assert kind is error and message in text

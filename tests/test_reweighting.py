@@ -205,13 +205,14 @@ class TestReweight:
             SampleWeights(np.array([1.0, np.nan]))
 
     def test_csv_export_round_trips_exactly(self, tmp_path):
-        from multifair.reweighting import load_weights_csv, save_weights_csv
+        from multifair.reweighting import save_weights_csv
 
         labels, partition, prior = random_partition_instance(3)
         out = reweight(labels, partition, prior)
         path = tmp_path / "weights.csv"
         save_weights_csv(out, path)
-        assert np.array_equal(load_weights_csv(path).values, out.values)
+        assert path.read_text().startswith("weight\n")
+        assert np.array_equal(np.loadtxt(path, skiprows=1), out.values)
 
 
 class TestSingleAttributeAndSequential:
@@ -311,10 +312,28 @@ class TestM3Fair:
 
     def test_level_relabeling_same_fibers_same_weights(self):
         labels, ga, gb = self._instance(9)
-        prior = SampleWeights.unit(len(labels))
-        w12 = m3fair(labels, [ga, gb], LevelWeightConfig({"a": 1, "b": 2}), prior)
-        w24 = m3fair(labels, [ga, gb], LevelWeightConfig({"a": 2, "b": 4}), prior)
-        assert np.array_equal(w12.values, w24.values)
+        rng = np.random.default_rng(9)
+        # bit-identical for any prior: the grid shares one fit between such maps
+        for prior in (SampleWeights.unit(len(labels)), SampleWeights(rng.uniform(0.5, 2.0, len(labels)))):
+            for first, second in (((1, 2), (2, 4)), ((1, 2), (2, 1)), ((1, 1), (2, 2))):
+                w1 = m3fair(labels, [ga, gb], LevelWeightConfig(dict(zip("ab", first))), prior)
+                w2 = m3fair(labels, [ga, gb], LevelWeightConfig(dict(zip("ab", second))), prior)
+                assert w1.values.tobytes() == w2.values.tobytes()
+
+    @pytest.mark.parametrize("level_weights", [(1, 2, 4), (4, 2, 1), (3, 5, 11)])
+    def test_injective_levels_equal_full_pattern_partition(self, level_weights):
+        # intersectional reference: when no two unprivileged-attribute
+        # patterns share a level, m3fair is reweighting over the pattern code
+        rng = np.random.default_rng(17)
+        n = 400
+        groups = [GroupAssignment(name, rng.binomial(1, 0.5, n), privileged_value=1) for name in "abc"]
+        labels = rng.binomial(1, 0.5, n)
+        prior = SampleWeights(rng.uniform(0.5, 2.0, n))
+        code = sum(2**j * g.unprivileged_indicator() for j, g in enumerate(groups))
+        assert len({(c, y) for c, y in zip(code.tolist(), labels.tolist())}) == 16
+        config = LevelWeightConfig(dict(zip("abc", level_weights)))
+        ours = m3fair(labels, groups, config, prior)
+        assert ours.values.tobytes() == reweight(labels, code, prior).values.tobytes()
 
     def test_unreachable_level_cell_names_level(self):
         # rows unprivileged on both attributes (level 3) all have favorable labels
