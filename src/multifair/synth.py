@@ -9,9 +9,9 @@ strengths to the outcome (for end-to-end mitigation tests).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset
+from .model import _sigmoid
 
 
 def planted_bias_dataset(
@@ -51,7 +51,7 @@ def write_census_like_csv(path, n_rows: int = 32561, seed: int = 0) -> None:
     age = np.clip(rng.normal(38.6, 13.6, n_rows), 17, 90).round()
     edu = np.clip(rng.normal(10.1, 2.6, n_rows), 1, 16).round()
     logits = -8.8 + 0.035 * age + 0.42 * edu + 1.55 * male + 0.85 * white
-    labels = rng.binomial(1, expit(logits))
+    labels = rng.binomial(1, _sigmoid(logits))
     other_races = ("Black", "Asian-Pac-Islander", "Amer-Indian-Eskimo", "Other")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("age,education-num,sex,race,income\n")
@@ -78,7 +78,7 @@ def two_attribute_biased_dataset(n_rows: int = 2000, seed: int = 0) -> Dataset:
     proxy_b = rng.standard_normal(n_rows) + 0.7 * b
     noise = rng.standard_normal((n_rows, 3))
     logits = -1.2 + 1.6 * a + 1.0 * b + 0.8 * proxy_a + 0.5 * proxy_b + 0.4 * noise[:, 0]
-    labels = rng.binomial(1, expit(logits))
+    labels = rng.binomial(1, _sigmoid(logits))
     features = np.column_stack(
         [a.astype(np.float64), b.astype(np.float64), proxy_a, proxy_b, noise]
     )

@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from multifair.data import Dataset
-from multifair.detection import METRIC_NAMES, DetectionConfig, detect
-from multifair.errors import DataError, DegenerateAttributeError
-from multifair.metrics import PredictionSet
+from multifair.data import Dataset, binarize_by_mean, set_privileged
+from multifair.detection import METRIC_NAMES, DetectionConfig, DetectionResult, detect
+from multifair.errors import DataError, DegenerateAttributeError, MetricUndefinedError
+from multifair.metrics import (
+    PredictionSet,
+    average_odds_difference,
+    disparate_impact,
+    equal_opportunity_difference,
+    statistical_parity_difference,
+)
 from multifair.model import fit, predict_scores
 from multifair.reweighting import SampleWeights
 from multifair.synth import planted_bias_dataset
@@ -144,3 +152,142 @@ class TestDetect:
         preds = PredictionSet(np.full(49, 0.4), np.zeros(49, dtype=int) + (np.arange(49) % 2))
         with pytest.raises(DataError, match="row-aligned"):
             detect(ds, preds)
+
+
+def loop_detect(dataset, preds, config=DetectionConfig()):
+    """Test oracle: detection as a per-column loop over binarize_by_mean,
+    set_privileged and the per-metric functions, with detect's checks,
+    ranking key, intersection and skip list."""
+    if len(preds) != dataset.n_rows:
+        raise DataError("baseline predictions not row-aligned with the dataset")
+    candidates = config.candidate_columns or dataset.column_names
+    for column in candidates:
+        if column not in dataset.column_names:
+            raise DataError(f"candidate column {column!r} not in dataset")
+    scored = {m: [] for m in METRIC_NAMES}
+    skipped = []
+    for column in candidates:
+        try:
+            group = set_privileged(binarize_by_mean(dataset, column), dataset)
+        except DegenerateAttributeError:
+            skipped.append((column, "degenerate attribute"))
+            continue
+        scored["di"].append((column, abs(1.0 - disparate_impact(preds, group))))
+        scored["spd"].append((column, abs(statistical_parity_difference(preds, group))))
+        scored["aod"].append((column, abs(average_odds_difference(preds, group))))
+        try:
+            eod = abs(equal_opportunity_difference(preds, group))
+        except MetricUndefinedError:
+            eod = math.inf
+        scored["eod"].append((column, eod))
+    if not scored["di"]:
+        raise DegenerateAttributeError("no detectable attributes: all candidates degenerate")
+    rankings = {m: tuple(sorted(pairs, key=lambda p: (-p[1], p[0]))) for m, pairs in scored.items()}
+    prefixes = [{c for c, _ in rankings[m][: config.top_n]} for m in METRIC_NAMES]
+    return DetectionResult(rankings, frozenset(set.intersection(*prefixes)), tuple(skipped))
+
+
+def outcome(run, dataset, preds, config):
+    """The result with every score as its exact bits, or the error's type
+    and message."""
+    try:
+        result = run(dataset, preds, config)
+    except (DataError, DegenerateAttributeError) as exc:
+        return type(exc), str(exc)
+    rankings = {
+        metric: [(column, score.hex()) for column, score in pairs]
+        for metric, pairs in result.per_metric_rankings.items()
+    }
+    return rankings, result.intersection, result.skipped
+
+
+@st.composite
+def detection_cases(draw):
+    """(columns, labels, scores, candidates, top_n).  Small-integer and
+    few-valued float columns put rows exactly on the mean, make constant
+    columns and tie label rates; short label lists leave sides without
+    positives or negatives."""
+    n = draw(st.integers(1, 24))
+    column = st.one_of(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+        st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.7]), min_size=n, max_size=n),
+        st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+    )
+    columns = draw(st.lists(column, min_size=1, max_size=6))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    scores = draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]), min_size=n, max_size=n))
+    names = [f"c{i}" for i in range(len(columns))]
+    order = draw(st.permutations(names))
+    candidates = draw(st.none() | st.integers(1, len(names)).map(lambda k: tuple(order[:k])))
+    return columns, labels, scores, candidates, draw(st.integers(1, 7))
+
+
+def case_outcomes(columns, labels, scores, candidates, top_n):
+    dataset = Dataset(np.array(columns, dtype=np.float64).T, labels, tuple(f"c{i}" for i in range(len(columns))))
+    preds = PredictionSet(scores, labels)
+    config = DetectionConfig(top_n=top_n, candidate_columns=candidates)
+    return outcome(detect, dataset, preds, config), outcome(loop_detect, dataset, preds, config)
+
+
+class TestVectorDetectMatchesLoop:
+    """detect scores every candidate in one matrix pass; its result equals
+    the per-column loop's, every score bit for bit."""
+
+    @given(detection_cases())
+    @settings(max_examples=300, deadline=None)
+    # integer and binary columns with rows exactly at the mean (c0 mean 1)
+    @example(([[0, 1, 2, 1], [0, 1, 0, 1]], [1, 0, 1, 0], [1.0, 1.0, 0.0, 0.0], None, 2))
+    # a constant column among split ones
+    @example(([[5, 5, 5, 5], [1, 2, 3, 4]], [1, 0, 1, 1], [0.9, 0.3, 0.9, 0.3], None, 1))
+    # tied label rates: the side above the mean is privileged
+    @example(([[0, 0, 1, 1]], [1, 0, 1, 0], [0.9, 0.0, 0.3, 0.9], None, 1))
+    # a side with no positives (EOD infinite, TPR 0 in AOD)
+    @example(([[0, 0, 1, 1], [0, 1, 0, 1]], [0, 0, 1, 1], [0.9, 0.3, 0.9, 0.3], None, 1))
+    # a side with no negatives (FPR 0 in AOD)
+    @example(([[0, 0, 1, 1], [0, 1, 1, 0]], [1, 1, 0, 1], [0.9, 0.3, 0.9, 0.3], None, 1))
+    # all-zero and all-one predictions
+    @example(([[0, 1, 2, 3], [3, 1, 2, 0]], [1, 0, 1, 0], [0.0] * 4, None, 1))
+    @example(([[0, 1, 2, 3], [3, 1, 2, 0]], [1, 0, 1, 0], [1.0] * 4, None, 1))
+    # a candidate subset in non-schema order
+    @example(([[0, 1, 2, 3], [1, 1, 0, 0], [3, 0, 2, 1]], [1, 0, 1, 0], [0.9, 0.3, 0.3, 0.9], ("c2", "c0"), 1))
+    # rows exactly at a mean that, summed in another order, is one ulp lower
+    @example((
+        [[0.3, 0.2, 0.1, 0.1, 0.1, 0.3, 0.2, 0.3, 0.2, 0.2], list(range(10))],
+        [1, 0, 0, 1, 0, 1, 1, 0, 1, 0], [0.9, 0.9, 0.3, 0.3, 0.9, 0.3, 0.9, 0.3, 0.3, 0.9], None, 1,
+    ))
+    # a constant column whose computed mean is below its value (all rows above)
+    @example(([[0.7, 0.7, 0.7], [0, 1, 2]], [1, 0, 1], [0.9, 0.3, 0.9], None, 1))
+    # every candidate degenerate
+    @example(([[2, 2, 2], [0.5, 0.5, 0.5], [0.7, 0.7, 0.7]], [1, 0, 1], [0.9, 0.3, 0.9], None, 1))
+    def test_equals_per_column_loop(self, case):
+        vector, loop = case_outcomes(*case)
+        assert vector == loop
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_datasets(self, seed):
+        ds = planted_bias_dataset(400 + 100 * seed, n_noise=12, rate_gap=0.3, seed=seed)
+        preds = baseline_predictions(ds)
+        config = DetectionConfig(top_n=5)
+        assert outcome(detect, ds, preds, config) == outcome(loop_detect, ds, preds, config)
+
+    def test_wide_planted_dataset(self):
+        # wide enough that a mean summed along the other axis differs in its
+        # last bit for most columns
+        ds = planted_bias_dataset(4000, n_noise=200, rate_gap=0.3, seed=1)
+        preds = baseline_predictions(ds)
+        config = DetectionConfig(top_n=10)
+        assert outcome(detect, ds, preds, config) == outcome(loop_detect, ds, preds, config)
+
+
+class TestDetectionConfig:
+    def test_duplicate_candidate_columns_rejected(self):
+        with pytest.raises(DataError, match=r"duplicate candidate columns: \['planted'\]"):
+            DetectionConfig(top_n=2, candidate_columns=("planted", "planted", "noise_00"))
+
+    def test_string_candidate_columns_rejected(self):
+        with pytest.raises(DataError, match="'candidate_columns' must be a list, got 'noise_00'"):
+            DetectionConfig(candidate_columns="noise_00")
+
+    def test_top_n_below_one_rejected(self):
+        with pytest.raises(DataError, match="top_n must be at least 1"):
+            DetectionConfig(top_n=0)

@@ -342,3 +342,42 @@ class TestM3Fair:
         labels = np.array([1, 1, 1, 0, 1, 0, 1, 0])
         with pytest.raises(UnreachableCellError, match="group 3"):
             m3fair(labels, [a, b], LevelWeightConfig({"a": 1, "b": 2}), SampleWeights.unit(8))
+
+
+class TestDuplicatedRowEqualsDoubledWeight:
+    """A training row duplicated gives the same total weight per original
+    row as that row once with twice its prior weight: every cell mass, and
+    so every multiplier, is the same either way."""
+
+    METHODS = {
+        "rw_single": lambda labels, groups, prior: reweight_single_attribute(labels, groups[0], prior),
+        "rw_sequential": lambda labels, groups, prior: reweight_sequential(labels, groups, prior),
+        "m3fair": lambda labels, groups, prior: m3fair(labels, groups, LevelWeightConfig({"a": 1, "b": 2}), prior),
+    }
+
+    @staticmethod
+    def instance(seed, n=30):
+        """Labels, two attributes and a prior with every (a, b, label)
+        cell occupied, so every method's cells are reachable."""
+        rng = np.random.default_rng(seed)
+        while True:
+            a, b, labels = rng.binomial(1, 0.5, (3, n))
+            if len(set(zip(a.tolist(), b.tolist(), labels.tolist()))) == 8:
+                groups = [GroupAssignment("a", a, privileged_value=1), GroupAssignment("b", b, privileged_value=0)]
+                return labels, groups, SampleWeights(rng.uniform(0.5, 2.0, n))
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    @given(seed=st.integers(0, 10**6), copies=st.lists(st.integers(0, 29), min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_duplicates_match_doubled_prior(self, method, seed, copies):
+        labels, groups, prior = self.instance(seed)
+        run = self.METHODS[method]
+        rows = np.concatenate([np.arange(len(labels)), copies])
+        duplicated = run(
+            labels[rows],
+            [GroupAssignment(g.attribute_name, g.membership[rows], g.privileged_value) for g in groups],
+            SampleWeights(prior.values[rows]),
+        )
+        heavier = run(labels, groups, SampleWeights(prior.values * (1 + np.bincount(copies, minlength=len(labels)))))
+        per_row = np.bincount(rows, weights=duplicated.values)
+        np.testing.assert_allclose(per_row, heavier.values, rtol=1e-12)
