@@ -43,7 +43,7 @@ class Dataset:
             raise DataError("features contain NaN or infinite values")
         if labels.ndim != 1 or labels.shape[0] != features.shape[0]:
             raise DataError("labels must be one value per row")
-        if not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise DataError("labels must be exactly 0 or 1")
         if len(names) != features.shape[1]:
             raise DataError("column_names must name every feature column")
@@ -97,7 +97,7 @@ class GroupAssignment:
         membership = np.asarray(self.membership)
         if membership.ndim != 1:
             raise DataError("membership must be a 1-D vector")
-        if not np.isin(membership, (0, 1)).all():
+        if not ((membership == 0) | (membership == 1)).all():
             raise DataError("membership values must be 0 or 1")
         if self.privileged_value not in (None, 0, 1):
             raise DataError("privileged_value must be 0, 1, or None")

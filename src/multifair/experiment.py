@@ -386,6 +386,9 @@ class GridSearchConfig:
                 for v in values:
                     if v < 1:
                         raise ConfigError(f"candidate level weights must be positive integers, got {v!r}")
+                if len(set(values)) != len(values):
+                    duplicates = sorted({v for v in values if values.count(v) > 1})
+                    raise ConfigError(f"duplicate candidate level weights for {name!r}: {duplicates}")
                 cleaned[name] = values
             object.__setattr__(self, "candidates", cleaned)
 
@@ -526,11 +529,10 @@ def _json_float(value: float):
 
 def _json_record(record) -> dict:
     """A report dataclass's fields, in order, as JSON values (a non-finite
-    float becomes null)."""
-    return {
-        key: _json_float(value) if isinstance(value, float) else value
-        for key, value in asdict(record).items()
-    }
+    float becomes null).  The fields are read, not copied: ``asdict`` would
+    deep-copy every nested dict and tuple only for ``json.dump`` to read."""
+    values = ((f.name, getattr(record, f.name)) for f in fields(record))
+    return {key: _json_float(value) if isinstance(value, float) else value for key, value in values}
 
 
 def _format_sa(row: ReportRow) -> str:
@@ -583,7 +585,7 @@ def format_report_table(report: ExperimentReport) -> str:
 def emit_report(report: ExperimentReport, path) -> None:
     """Write the structured JSON report and its aligned text table."""
     json_path, text_path = _report_paths(path)
-    metadata = asdict(report)
+    metadata = _json_record(report)
     del metadata["rows"]
     _write_json(json_path, {"rows": [_json_record(row) for row in report.rows], "metadata": metadata})
     Path(text_path).write_text(format_report_table(report), encoding="utf-8")

@@ -44,7 +44,7 @@ class PredictionSet:
             raise DataError("empty prediction set")
         if not ((scores >= 0.0) & (scores <= 1.0)).all():
             raise DataError("scores must lie in [0, 1]")
-        if not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise DataError("labels must be 0 or 1")
         predictions = (scores >= self.threshold).astype(np.int64)
         labels = labels.astype(np.int64)

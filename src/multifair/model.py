@@ -76,22 +76,25 @@ def _sigmoid(z):
     """Logistic function in the stable form: exp only ever sees -|z|, so no
     input overflows."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(z >= 0.0, 1.0 / d, e / d)
 
 
 def weighted_loss_and_gradient(coefficients, intercept, features, labels, weights, l2_penalty):
     """Weighted cross-entropy loss with L2 on the coefficients, and its
     analytic gradient (d/dcoefficients, d/dintercept).
 
-    Uses log1p/exp-free softplus via logaddexp for numerical stability.
+    ``labels`` must be exactly 0 or 1: the cross-entropy
+    y*softplus(-z) + (1-y)*softplus(z) is then one softplus, of -z where
+    y = 1 and of z where y = 0, bit for bit.  softplus is
+    ``logaddexp(0, .)``, which never overflows.
     """
     coefficients = np.asarray(coefficients, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     z = features @ coefficients + intercept
-    # CE_i = y*softplus(-z) + (1-y)*softplus(z)
-    ce = labels * np.logaddexp(0.0, -z) + (1.0 - labels) * np.logaddexp(0.0, z)
+    ce = np.logaddexp(0.0, np.where(labels == 1.0, -z, z))
     loss = float(weights @ ce + l2_penalty * (coefficients @ coefficients))
     residual = weights * (_sigmoid(z) - labels)
     grad_coef = features.T @ residual + 2.0 * l2_penalty * coefficients
@@ -99,19 +102,28 @@ def weighted_loss_and_gradient(coefficients, intercept, features, labels, weight
     return loss, grad_coef, grad_intercept
 
 
-def _standardization(features: np.ndarray, weights: np.ndarray):
+def _constant_columns(features: np.ndarray) -> np.ndarray:
+    """Mask of the exactly constant columns: every row equals the first.
+    For finite features this is ``np.ptp(features, axis=0) == 0`` (0.0 and
+    -0.0 are equal), without ptp's strided max and min passes."""
+    return (features == features[0]).all(axis=0)
+
+
+def _standardization(features: np.ndarray, weights: np.ndarray, constant=None):
     """Weighted per-column mean and scale.
 
-    Exactly constant columns get mean = the constant and scale 1, so the
-    standardized column is identically zero and its coefficient never
-    moves off 0.  Columns with no weighted variation likewise get scale 1.
+    Exactly constant columns (``constant``, computed when not given) get
+    mean = the constant and scale 1, so the standardized column is
+    identically zero and its coefficient never moves off 0.  Columns with
+    no weighted variation likewise get scale 1.
     """
+    if constant is None:
+        constant = _constant_columns(features)
     total = weights.sum()
     means = (weights @ features) / total
     centered = features - means
     variances = (weights @ (centered * centered)) / total
     scales = np.sqrt(variances)
-    constant = np.ptp(features, axis=0) == 0.0
     means[constant] = features[0, constant]
     scales[constant] = 1.0
     scales[scales <= 0.0] = 1.0
@@ -135,10 +147,11 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
     if w[train.labels == 1].sum() <= 0.0 or w[train.labels == 0].sum() <= 0.0:
         raise DataError("single-class training labels (one class has zero weight mass)")
 
-    means, scales = _standardization(train.features, w)
+    constant = _constant_columns(train.features)
+    means, scales = _standardization(train.features, w, constant)
     # Exactly constant columns standardize to 0; leaving them out of the
     # solve keeps their coefficients bit-exact 0.
-    active = np.flatnonzero(np.ptp(train.features, axis=0) > 0.0)
+    active = np.flatnonzero(~constant)
     z = (train.features[:, active] - means[active]) / scales[active]
     k = active.shape[0]
 

@@ -119,14 +119,16 @@ def reweight(labels, partition, prior: SampleWeights) -> SampleWeights:
     cell (groups in sorted order, label 0 first) that must carry mass but
     is empty or has zero prior weight.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     partition = np.asarray(partition, dtype=np.int64)
     weights = prior.values
     n = weights.shape[0]
     if labels.shape != (n,) or partition.shape != (n,):
         raise DataError("labels, partition, and weights must be row-aligned")
-    if not np.isin(labels, (0, 1)).all():
+    # Checked before the integer cast, which would read "1" as 1 and 0.5 as 0
+    if not ((labels == 0) | (labels == 1)).all():
         raise DataError("labels must be 0 or 1")
+    labels = labels.astype(np.int64, copy=False)
 
     # Cell c = 2 * group index + label, groups in sorted id order.
     ids, group = np.unique(partition, return_inverse=True)

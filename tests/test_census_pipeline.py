@@ -139,3 +139,61 @@ def test_committed_surrogate_fit_converges_quickly(method, level_weights):
     ))
     assert report.converged
     assert report.n_iter <= 20
+
+
+# ---------------------------------------------------------------------------
+# Surrogate checks of the census criteria (c7, c8).  These run the four
+# census conditions on the reduced view of the committed surrogate.  They
+# check the shape of the claims on generated data; they are not a
+# reproduction of the paper's census table (tests/test_acceptance.py holds
+# that, on the staged census file).  c7's post-mitigation band DI(sex) in
+# [0.9, 1.1] does not hold on the surrogate (m3fair reaches 0.607) and is
+# not checked here; see the README.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def surrogate_runs(tmp_path_factory):
+    reduced = reduced_census_view(
+        REPO_ROOT / "data" / "census_surrogate.csv",
+        tmp_path_factory.mktemp("surrogate") / "reduced.csv",
+    )
+
+    def run(**kw):
+        report = run_experiment(ExperimentConfig(
+            dataset=DatasetConfig(str(reduced), "income", ">50K"),
+            sensitive_attributes=SENSITIVE,
+            **kw,
+        ))
+        return {row.evaluated_attribute: row for row in report.rows}
+
+    return {
+        "baseline": run(),
+        "seq_sex_race": run(method="rw_sequential", attribute_order=SENSITIVE),
+        "seq_race_sex": run(method="rw_sequential", attribute_order=SENSITIVE[::-1]),
+        "m3fair": run(method="m3fair", level_weights={SENSITIVE[0]: 1, SENSITIVE[1]: 2}),
+    }
+
+
+def test_surrogate_c7_baseline_bands_and_accuracy_drop(surrogate_runs):
+    base = surrogate_runs["baseline"]
+    acc_base = base[SENSITIVE[0]].acc
+    acc_fair = surrogate_runs["m3fair"][SENSITIVE[0]].acc
+    assert 0.78 <= acc_base <= 0.82, f"baseline ACC {acc_base:.4f}"
+    assert base[SENSITIVE[0]].di < 0.55, f"baseline DI(sex) {base[SENSITIVE[0]].di:.4f}"
+    assert base[SENSITIVE[1]].di < 0.80, f"baseline DI(race) {base[SENSITIVE[1]].di:.4f}"
+    assert acc_base - acc_fair <= 0.03, f"ACC drop {acc_base - acc_fair:.4f} > 3 points"
+
+
+def test_surrogate_c8_m3fair_not_worse_than_worse_sequential_order(surrogate_runs):
+    slack = 0.02  # as in c8
+
+    def deviations(row):
+        return {"di": abs(1.0 - row.di), "spd": abs(row.spd), "aod": abs(row.aod), "eod": abs(row.eod)}
+
+    for attr in SENSITIVE:
+        ours = deviations(surrogate_runs["m3fair"][attr])
+        orders = [deviations(surrogate_runs[order][attr]) for order in ("seq_sex_race", "seq_race_sex")]
+        for key, value in ours.items():
+            worse = max(order[key] for order in orders)
+            assert value <= worse + slack, f"{attr}/{key}: m3fair {value:.4f} vs worse order {worse:.4f}"

@@ -165,6 +165,20 @@ class TestGrid:
         assert capsys.readouterr().err == "error [grid] weights not row-aligned with the training data\n"
         assert not (root / "fault.json").exists()
 
+    def test_duplicate_candidates_are_a_config_error(self, workspace, capsys):
+        # a repeated level weight would sweep, and print, the same point twice
+        root, csv_path = workspace
+        config = write_config(
+            root, csv_path, name="grid_dup.json",
+            method="m3fair", level_weights={"attr_a": 1, "attr_b": 1},
+            grid={"candidates": {"attr_a": [1, 1], "attr_b": [1, 2]}},
+        )
+        assert main(["grid", "--config", str(config), "--output", str(root / "dup")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error [config] duplicate candidate level weights for 'attr_a': [1]\n"
+        assert captured.out == ""
+        assert not (root / "dup.json").exists()
+
     def test_grid_section_in_config(self, workspace):
         root, csv_path = workspace
         config = write_config(

@@ -16,6 +16,8 @@ from multifair.data import (
     split,
 )
 from multifair.errors import DataError, DegenerateAttributeError
+from multifair.metrics import PredictionSet
+from multifair.reweighting import SampleWeights, reweight
 from multifair.synth import planted_bias_dataset
 
 
@@ -250,6 +252,40 @@ class TestDatasetInvariants:
             ds.features[0, 0] = 5.0
         with pytest.raises(ValueError):
             ds.labels[0] = 1
+
+
+BINARY_CHECKS = {
+    "Dataset": lambda values: Dataset(np.zeros((4, 1)), values, ("a",)),
+    "GroupAssignment": lambda values: GroupAssignment("a", values),
+    "reweight": lambda values: reweight(values, [0, 0, 1, 1], SampleWeights.unit(4)),
+    "PredictionSet": lambda values: PredictionSet(np.full(4, 0.5), values),
+}
+
+
+@pytest.mark.parametrize("check", BINARY_CHECKS)
+@pytest.mark.parametrize("values", [
+    [0, 1, 1, 0],
+    [0.0, 1.0, 1.0, 0.0],
+    [False, True, True, False],
+    np.array([0, 1, 1, 0], dtype=np.int8),
+    np.array([0, 1, 1, 0], dtype=object),
+    ["0", "1", "1", "0"],
+    np.array([b"0", b"1", b"1", b"0"]),
+    np.array([0, "1", 1, 0], dtype=object),
+    [0, 0.5, 1, 0],
+    [0, None, 1, 0],
+    [0, 2, 1, 0],
+    [0, -1, 1, 0],
+    [0, np.nan, 1, 0],
+], ids=repr)
+def test_binary_checks_accept_what_isin_accepts(check, values):
+    # the equality test ((x == 0) | (x == 1)).all() must keep the verdict of
+    # the sort-based np.isin(x, (0, 1)).all() that it replaced
+    if np.isin(np.asarray(values), (0, 1)).all():
+        BINARY_CHECKS[check](values)
+    else:
+        with pytest.raises(DataError, match="0 or 1$"):
+            BINARY_CHECKS[check](values)
 
 
 class TestBinarizeByMean:

@@ -422,6 +422,8 @@ class TestGridSearch:
         with pytest.raises(ConfigError, match=r"^candidate level weights must be positive integers, got 0$"):
             GridSearchConfig(candidates={"a": [2, 0]})
         assert GridSearchConfig(candidates={"a": [2, 1]}).candidates == {"a": (2, 1)}
+        with pytest.raises(ConfigError, match=r"^duplicate candidate level weights for 'b': \[2\]$"):
+            GridSearchConfig(candidates={"a": [1, 2], "b": (2, 1, 2)})
 
     @pytest.mark.parametrize("values, message", [
         ([True], "'grid.candidates.a[0]' must be an integer, got True"),
@@ -429,6 +431,8 @@ class TestGridSearch:
         ("12", "'grid.candidates.a' must be a list, got '12'"),
         ([0], "candidate level weights must be positive integers, got 0"),
         ([], "empty candidate set for attribute 'a'"),
+        ([1, 1], "duplicate candidate level weights for 'a': [1]"),
+        ([3, 1, 3, 2, 1], "duplicate candidate level weights for 'a': [1, 3]"),
     ])
     def test_grid_config_json_messages(self, values, message):
         with pytest.raises(ConfigError) as err:

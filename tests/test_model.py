@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from multifair.data import Dataset
+import multifair.model
+from conftest import REPO_ROOT
+from multifair.data import Dataset, load_csv
 from multifair.errors import DataError
 from multifair.model import (
     ModelParams,
     TrainConfig,
+    _constant_columns,
     _sigmoid,
     _standardization,
     fit,
@@ -329,3 +335,132 @@ class TestPredict:
         with pytest.raises(DataError, match="column count mismatch"):
             predict_scores(model, narrow)
 
+
+
+# ---------------------------------------------------------------------------
+# Bit identity with the first-written forms of the loss, the sigmoid and the
+# constant-column mask
+# ---------------------------------------------------------------------------
+
+
+def two_term_sigmoid(z):
+    """Test-only copy of the stable sigmoid with ``1 + e`` formed twice."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def two_term_loss_and_gradient(coefficients, intercept, features, labels, weights, l2_penalty):
+    """Test-only copy of the loss with the cross-entropy in its two-term
+    form y*softplus(-z) + (1-y)*softplus(z)."""
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    z = features @ coefficients + intercept
+    ce = labels * np.logaddexp(0.0, -z) + (1.0 - labels) * np.logaddexp(0.0, z)
+    loss = float(weights @ ce + l2_penalty * (coefficients @ coefficients))
+    residual = weights * (two_term_sigmoid(z) - labels)
+    grad_coef = features.T @ residual + 2.0 * l2_penalty * coefficients
+    grad_intercept = float(residual.sum())
+    return loss, grad_coef, grad_intercept
+
+
+def ptp_constant_columns(features):
+    return np.ptp(features, axis=0) == 0.0
+
+
+EDGE_MARGINS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+                -2.2250738585072014e-308, 36.7, -36.7, 745.2, -745.2, 800.0, -800.0)
+margins = st.one_of(st.sampled_from(EDGE_MARGINS), st.floats(-800.0, 800.0, allow_nan=False))
+
+
+def loss_bits(loss_fn, z, labels, weights, l2):
+    # z passes through the margin exactly: z * 1.0 + (-0.0) is z, signed zeros included
+    loss, grad_coef, grad_b = loss_fn(np.ones(1), -0.0, z[:, None], labels, weights, l2)
+    return float.hex(loss), grad_coef.tobytes(), float.hex(grad_b)
+
+
+class TestBitIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1), margins), min_size=1, max_size=30),
+           st.sampled_from([0.0, 1e-4, 0.5]))
+    @example([(1, 800.0), (0, -800.0), (1, -800.0), (0, 800.0)], 0.0)
+    @example([(1, 0.0), (1, -0.0), (0, 0.0), (0, -0.0)], 0.0)
+    @example([(1, 5e-324), (0, -5e-324), (1, -1e-310), (0, 1e-310)], 1e-4)
+    def test_one_softplus_equals_two_term_form(self, rows, l2):
+        labels = np.array([y for y, _ in rows], dtype=np.float64)
+        z = np.array([margin for _, margin in rows])
+        weights = 0.37 * np.arange(1, len(rows) + 1)
+        assert (loss_bits(weighted_loss_and_gradient, z, labels, weights, l2)
+                == loss_bits(two_term_loss_and_gradient, z, labels, weights, l2))
+        # row by row, so that no row's difference can cancel in the sum
+        for i in range(len(rows)):
+            one = slice(i, i + 1)
+            assert (loss_bits(weighted_loss_and_gradient, z[one], labels[one], np.ones(1), 0.0)
+                    == loss_bits(two_term_loss_and_gradient, z[one], labels[one], np.ones(1), 0.0))
+
+    def test_sigmoid_equals_two_term_form(self):
+        z = np.concatenate([EDGE_MARGINS, np.random.default_rng(40).uniform(-800.0, 800.0, 2000)])
+        assert _sigmoid(z).tobytes() == two_term_sigmoid(z).tobytes()
+
+    @pytest.mark.parametrize("features", [
+        np.array([[1.5, -2.0, 0.0]]),  # one row: every column is constant
+        np.full((5, 3), 7.0),
+        np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]),  # 0.0 and -0.0 are one value
+        np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.5]]),  # only the last row differs
+        np.array([[5e-324, 3.0], [0.0, 3.0], [5e-324, 3.0]]),
+    ])
+    def test_constant_mask_equals_zero_range(self, features):
+        assert np.array_equal(_constant_columns(features), ptp_constant_columns(features))
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+                  elements=st.sampled_from([0.0, -0.0, 1.0, -1.5, 5e-324, 1e300])))
+    def test_constant_mask_equals_zero_range_on_few_values(self, features):
+        assert np.array_equal(_constant_columns(features), ptp_constant_columns(features))
+
+    @staticmethod
+    def assert_same_fit(ds, weights, config, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return two_term_loss_and_gradient(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(multifair.model, "weighted_loss_and_gradient", counted)
+            patch.setattr(multifair.model, "_sigmoid", two_term_sigmoid)
+            patch.setattr(multifair.model, "_constant_columns", ptp_constant_columns)
+            reference = fit(ds, weights, config)
+        assert calls  # the reference forms were the ones that ran
+        model = fit(ds, weights, config)
+        assert model.coefficients.tobytes() == reference.coefficients.tobytes()
+        assert float.hex(model.intercept) == float.hex(reference.intercept)
+        assert model.means.tobytes() == reference.means.tobytes()
+        assert model.scales.tobytes() == reference.scales.tobytes()
+        assert (model.n_iter, model.converged) == (reference.n_iter, reference.converged)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fit_equals_two_term_fit_on_random_problems(self, seed, monkeypatch):
+        rng = np.random.default_rng(50 + seed)
+        n = int(rng.integers(20, 400))
+        ds, weights = random_problem(rng, n, int(rng.integers(1, 8)))
+        last_differs = np.full(n, 2.0)
+        last_differs[-1] = 2.5
+        features = np.column_stack([
+            ds.features,
+            np.full(n, 7.0),
+            np.where(rng.uniform(size=n) < 0.5, 0.0, -0.0),
+            last_differs,
+        ])
+        ds = Dataset(features, ds.labels, tuple(f"c{i}" for i in range(features.shape[1])))
+        config = TrainConfig(l2_penalty=(0.0, 1e-4, 1e-2)[seed % 3],
+                             gradient_tolerance=(1e-6, 1e-10)[seed % 2])
+        self.assert_same_fit(ds, weights, config, monkeypatch)
+
+    @pytest.mark.parametrize("unit", [True, False])
+    def test_fit_equals_two_term_fit_on_committed_data(self, unit, monkeypatch):
+        ds = load_csv(REPO_ROOT / "data" / "synthetic.csv", "outcome", "yes")
+        weights = (SampleWeights.unit(ds.n_rows) if unit
+                   else SampleWeights(np.random.default_rng(60).uniform(0.2, 3.0, ds.n_rows)))
+        self.assert_same_fit(ds, weights, TrainConfig(), monkeypatch)
