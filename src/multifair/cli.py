@@ -111,11 +111,14 @@ def main(argv=None) -> int:
     except MultifairError as exc:
         print(f"error [config] {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error [io] {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:
         print(f"error [config] invalid JSON: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"error [config] invalid UTF-8: {exc}", file=sys.stderr)
         return 1
 
 

@@ -10,7 +10,9 @@ imputing them.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -188,9 +190,13 @@ def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | Non
 
     The csv module reads the header and the first data row, which decides
     the column kinds: a feature column is text when its first cell is
-    non-empty and not a number.  Text and label cells are coded by
-    converters in first-appearance order (loadtxt converts row by row).
-    Numeric cells go through numpy's C float parser, which rounds as
+    non-empty and not a number.  Each text or label column's converter is
+    the bound ``__getitem__`` of a ``defaultdict`` over a float counter, a
+    builtin that codes each distinct raw cell by first appearance inside
+    loadtxt's C loop, with no Python frame per cell.  Raw spellings that
+    strip to one category are then merged, walking the raw codes in order,
+    which keeps the stripped categories in first-appearance order.  Numeric
+    cells go through numpy's C float parser, which rounds as
     ``float()`` does; the few spellings only ``float()`` reads make
     loadtxt raise, and so take the csv-module path.
     """
@@ -208,7 +214,7 @@ def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | Non
             return None
         label_idx = header.index(label_column)
         tables = {
-            j: {} for j, cell in enumerate(first)
+            j: defaultdict(itertools.count(0.0).__next__) for j, cell in enumerate(first)
             if j == label_idx or (cell.strip() != "" and _parse_float(cell) is None)
         }
         handle.seek(0)
@@ -216,13 +222,18 @@ def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | Non
             values = np.loadtxt(
                 handle, delimiter=",", quotechar='"', comments=None, encoding="utf-8",
                 ndmin=2, skiprows=header_lines,
-                converters={
-                    j: lambda cell, table=table: table.setdefault(cell.strip(), len(table))
-                    for j, table in tables.items()
-                },
+                converters={j: table.__getitem__ for j, table in tables.items()},
             )
         except ValueError:
             return None
+
+    for j, raw_codes in tables.items():
+        categories: dict[str, int] = {}
+        remap = np.array([categories.setdefault(raw.strip(), len(categories)) for raw in raw_codes],
+                         dtype=np.float64)
+        if len(categories) < len(raw_codes):
+            values[:, j] = remap[values[:, j].astype(np.intp)]
+        tables[j] = categories
 
     labels_seen = tables[label_idx]
     if len(labels_seen.keys() - {positive_label}) > 1 or not np.isfinite(values).all():

@@ -81,8 +81,9 @@ def _sigmoid(z):
 
 
 def weighted_loss_and_gradient(coefficients, intercept, features, labels, weights, l2_penalty):
-    """Weighted cross-entropy loss with L2 on the coefficients, and its
-    analytic gradient (d/dcoefficients, d/dintercept).
+    """Weighted cross-entropy loss with L2 on the coefficients, its
+    analytic gradient (d/dcoefficients, d/dintercept), and the predicted
+    probabilities sigmoid(features @ coefficients + intercept).
 
     ``labels`` must be exactly 0 or 1: the cross-entropy
     y*softplus(-z) + (1-y)*softplus(z) is then one softplus, of -z where
@@ -96,10 +97,11 @@ def weighted_loss_and_gradient(coefficients, intercept, features, labels, weight
     z = features @ coefficients + intercept
     ce = np.logaddexp(0.0, np.where(labels == 1.0, -z, z))
     loss = float(weights @ ce + l2_penalty * (coefficients @ coefficients))
-    residual = weights * (_sigmoid(z) - labels)
+    p = _sigmoid(z)
+    residual = weights * (p - labels)
     grad_coef = features.T @ residual + 2.0 * l2_penalty * coefficients
     grad_intercept = float(residual.sum())
-    return loss, grad_coef, grad_intercept
+    return loss, grad_coef, grad_intercept, p
 
 
 def _constant_columns(features: np.ndarray) -> np.ndarray:
@@ -156,18 +158,17 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
     k = active.shape[0]
 
     def loss_grad(params):
-        loss, grad_coef, grad_b = weighted_loss_and_gradient(
+        loss, grad_coef, grad_b, p = weighted_loss_and_gradient(
             params[:k], params[k], z, y, w, config.l2_penalty
         )
-        return loss, np.append(grad_coef, grad_b)
+        return loss, np.append(grad_coef, grad_b), p
 
     x = np.zeros(k + 1)
-    loss, grad = loss_grad(x)
+    loss, grad, p = loss_grad(x)  # p: the probabilities at x, reused by the Hessian
     for n_iter in range(config.max_iterations + 1):
         converged = bool(np.abs(grad).max() < config.gradient_tolerance * w.sum())
         if converged or n_iter == config.max_iterations:
             break
-        p = _sigmoid(z @ x[:k] + x[k])
         s = w * p * (1.0 - p)
         r = np.sqrt(s)[:, None] * z
         hessian = np.empty((k + 1, k + 1))
@@ -185,13 +186,13 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
         t = 1.0
         while decrease > 0.0 and t >= 1e-10:
             candidate = x - t * step
-            cand_loss, cand_grad = loss_grad(candidate)
+            cand_loss, cand_grad, cand_p = loss_grad(candidate)
             if cand_loss <= loss - t * decrease:
                 break
             t *= 0.5
         else:
             break  # numerically flat: no step along the Newton direction lowers the loss
-        x, loss, grad = candidate, cand_loss, cand_grad
+        x, loss, grad, p = candidate, cand_loss, cand_grad, cand_p
     coefficients = np.zeros(train.n_cols)
     coefficients[active] = x[:k]
     return ModelParams(

@@ -113,14 +113,19 @@ def compute_sensitivity_levels(
 def reweight(labels, partition, prior: SampleWeights) -> SampleWeights:
     """Rescale weights so labels are independent of the partition groups.
 
-    ``partition`` is a vector of integer group ids.  The module docstring's
-    formula gives one multiplier per (group, label) cell, from two
-    bincounts over the cells.  Raises UnreachableCellError for the first
-    cell (groups in sorted order, label 0 first) that must carry mass but
-    is empty or has zero prior weight.
+    ``partition`` is a vector of integer (or bool) group ids; any other
+    dtype is a DataError.  The module docstring's formula gives one
+    multiplier per (group, label) cell, from two bincounts over the
+    cells.  Raises UnreachableCellError for the first cell (groups in
+    sorted order, label 0 first) that must carry mass but is empty or has
+    zero prior weight.
     """
     labels = np.asarray(labels)
-    partition = np.asarray(partition, dtype=np.int64)
+    partition = np.asarray(partition)
+    # Checked before the integer cast, which would truncate 0.5 and parse "1"
+    if partition.dtype.kind not in "biu":
+        raise DataError(f"partition must hold integer group ids, got dtype {partition.dtype}")
+    partition = partition.astype(np.int64, copy=False)
     weights = prior.values
     n = weights.shape[0]
     if labels.shape != (n,) or partition.shape != (n,):

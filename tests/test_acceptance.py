@@ -171,7 +171,7 @@ def test_c6_gradient_check():
         coef = rng.standard_normal(d)
         intercept = float(rng.standard_normal())
         l2 = float(rng.uniform(0.0, 1e-3))
-        _, grad_coef, grad_b = weighted_loss_and_gradient(
+        _, grad_coef, grad_b, _ = weighted_loss_and_gradient(
             coef, intercept, features, labels, weights, l2
         )
         analytic = np.append(grad_coef, grad_b)
@@ -182,8 +182,8 @@ def test_c6_gradient_check():
             minus = plus.copy()
             plus[k] += step
             minus[k] -= step
-            lp, _, _ = weighted_loss_and_gradient(plus[:d], plus[d], features, labels, weights, l2)
-            lm, _, _ = weighted_loss_and_gradient(minus[:d], minus[d], features, labels, weights, l2)
+            lp = weighted_loss_and_gradient(plus[:d], plus[d], features, labels, weights, l2)[0]
+            lm = weighted_loss_and_gradient(minus[:d], minus[d], features, labels, weights, l2)[0]
             numeric[k] = (lp - lm) / (2 * step)
         rel = np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(analytic))
         worst = max(worst, rel)

@@ -103,6 +103,31 @@ class TestConfigTypes:
         assert capsys.readouterr().err.startswith("error [config] 'config' must be an object")
 
 
+class TestUnreadableConfig:
+    """A config that cannot be read ends in a one-line error, never a
+    traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "detect", "grid", "weights"])
+    def test_directory_is_an_io_error(self, tmp_path, capsys, command):
+        assert main([command, "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [io] ") and "Is a directory" in err
+        assert "Traceback" not in err
+
+    def test_missing_file_is_an_io_error(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path / "gone.json")]) == 1
+        assert capsys.readouterr().err.startswith("error [io] ")
+
+    @pytest.mark.parametrize("raw", [b"\xff{}", b'{"method": "caf\xe9"}'])
+    def test_invalid_utf8_is_a_config_error(self, tmp_path, capsys, raw):
+        config = tmp_path / "latin1.json"
+        config.write_bytes(raw)
+        assert main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [config] invalid UTF-8: ")
+        assert "Traceback" not in err
+
+
 class TestDetect:
     def test_detect_emits_structured_report(self, tmp_path, capsys):
         csv_path = tmp_path / "planted.csv"

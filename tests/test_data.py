@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -166,6 +168,14 @@ ADVERSARIAL_FILES = [
     "x,y\n1,p,\n2,q\n",  # trailing comma on a data row
     "c,y\né,p\nü,q\n",  # non-ASCII text
     "x , y \n 1 , p \n 2 ,q\n",  # padding
+    # raw spellings that differ only by padding merge into one category,
+    # which keeps the row of its earliest spelling
+    "x,c,y\n1, b ,p\n2,a, q\n3,b,p \n4, a,q\n",
+    "c,y\nb,p\n a,q\na,p\n b,q\n",  # stripped order differs from raw code order
+    "c,d,y\n a,x ,p\nb,x,q\na, y,p\n b ,y,q\nb,x ,p\n",
+    "x,y\n1, q\n2,p\n3,q\n4, p\n",  # label spellings, negative first
+    "x,y\n1,p \n2, p\n3,q\n4, p \n",  # three raw label spellings, two labels
+    "x,y\n1,p \n2, p\n3,q\n4, r\n",  # ... and a third label after the merge
     "x,y\n1,p\n2,q,3\n",  # ragged row
     "x,y\n1,p,3\n2,q,4\n",  # every row wider than the header
     "x,x,y\n1,2,p\n",  # duplicate header names
@@ -231,6 +241,24 @@ def test_fast_path_reads_the_repository_inputs(tmp_path, monkeypatch):
         assert got.column_names == want.column_names
         assert got.features.tobytes() == want.features.tobytes()
         assert np.array_equal(got.labels, want.labels)
+
+
+def test_fast_path_codes_text_cells_without_a_python_call_per_cell():
+    path = REPO_ROOT / "data" / "census_surrogate.csv"
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        ds = load_csv(path, "income", ">50K")
+    finally:
+        sys.setprofile(previous)
+    # three text or label cells per row: one Python call per cell would be ~98k
+    assert calls < ds.n_rows // 100
 
 
 class TestDatasetInvariants:

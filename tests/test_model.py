@@ -152,7 +152,7 @@ class TestGradient:
             coef = rng.standard_normal(d)
             intercept = float(rng.standard_normal())
             l2 = float(rng.uniform(0, 1e-2))
-            _, grad_coef, grad_b = weighted_loss_and_gradient(
+            _, grad_coef, grad_b, _ = weighted_loss_and_gradient(
                 coef, intercept, features, labels, weights, l2
             )
             analytic = np.append(grad_coef, grad_b)
@@ -163,8 +163,8 @@ class TestGradient:
                 minus = plus.copy()
                 plus[k] += step
                 minus[k] -= step
-                lp, _, _ = weighted_loss_and_gradient(plus[:d], plus[d], features, labels, weights, l2)
-                lm, _, _ = weighted_loss_and_gradient(minus[:d], minus[d], features, labels, weights, l2)
+                lp = weighted_loss_and_gradient(plus[:d], plus[d], features, labels, weights, l2)[0]
+                lm = weighted_loss_and_gradient(minus[:d], minus[d], features, labels, weights, l2)[0]
                 numeric[k] = (lp - lm) / (2 * step)
             denom = max(1.0, float(np.linalg.norm(analytic)))
             assert np.linalg.norm(analytic - numeric) / denom < 1e-5
@@ -180,7 +180,7 @@ class TestGradient:
         z = features @ coef + intercept
         p = 1.0 / (1.0 + np.exp(-z))
         plain_grad = features.T @ (p - labels)
-        _, grad_coef, grad_b = weighted_loss_and_gradient(
+        _, grad_coef, grad_b, _ = weighted_loss_and_gradient(
             coef, intercept, features, labels, np.ones(n), 0.0
         )
         np.testing.assert_allclose(grad_coef, plain_grad, rtol=1e-12)
@@ -191,10 +191,9 @@ def objective(model, ds, weights, l2_penalty):
     """The fit's objective at ``model``'s parameters, in its standardized
     coordinates."""
     z = (ds.features - model.means) / model.scales
-    loss, _, _ = weighted_loss_and_gradient(
+    return weighted_loss_and_gradient(
         model.coefficients, model.intercept, z, ds.labels, weights.values, l2_penalty
-    )
-    return loss
+    )[0]
 
 
 def lbfgs_scores(ds, weights, l2_penalty):
@@ -351,7 +350,8 @@ def two_term_sigmoid(z):
 
 def two_term_loss_and_gradient(coefficients, intercept, features, labels, weights, l2_penalty):
     """Test-only copy of the loss with the cross-entropy in its two-term
-    form y*softplus(-z) + (1-y)*softplus(z)."""
+    form y*softplus(-z) + (1-y)*softplus(z), returning the probabilities
+    too."""
     coefficients = np.asarray(coefficients, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -359,10 +359,11 @@ def two_term_loss_and_gradient(coefficients, intercept, features, labels, weight
     z = features @ coefficients + intercept
     ce = labels * np.logaddexp(0.0, -z) + (1.0 - labels) * np.logaddexp(0.0, z)
     loss = float(weights @ ce + l2_penalty * (coefficients @ coefficients))
-    residual = weights * (two_term_sigmoid(z) - labels)
+    p = two_term_sigmoid(z)
+    residual = weights * (p - labels)
     grad_coef = features.T @ residual + 2.0 * l2_penalty * coefficients
     grad_intercept = float(residual.sum())
-    return loss, grad_coef, grad_intercept
+    return loss, grad_coef, grad_intercept, p
 
 
 def ptp_constant_columns(features):
@@ -376,8 +377,8 @@ margins = st.one_of(st.sampled_from(EDGE_MARGINS), st.floats(-800.0, 800.0, allo
 
 def loss_bits(loss_fn, z, labels, weights, l2):
     # z passes through the margin exactly: z * 1.0 + (-0.0) is z, signed zeros included
-    loss, grad_coef, grad_b = loss_fn(np.ones(1), -0.0, z[:, None], labels, weights, l2)
-    return float.hex(loss), grad_coef.tobytes(), float.hex(grad_b)
+    loss, grad_coef, grad_b, p = loss_fn(np.ones(1), -0.0, z[:, None], labels, weights, l2)
+    return float.hex(loss), grad_coef.tobytes(), float.hex(grad_b), p.tobytes()
 
 
 class TestBitIdentity:

@@ -188,6 +188,25 @@ class TestReweight:
             reweight(np.array(labels), np.array(partition), SampleWeights(np.array(prior)))
         assert str(info.value) == f"unreachable cell: {message}"
 
+    @pytest.mark.parametrize("partition", [
+        [0.5, 0.9, 1.7, 1.2],  # an int64 cast would truncate to [0, 0, 1, 1]
+        [0.0, 0.0, 1.0, 1.0],  # whole floats are still not group ids
+        ["0", "0", "1", "1"],  # an int64 cast would parse the strings
+        np.array([0, 0, 1, 1], dtype=object),
+    ])
+    def test_rejects_non_integer_partition(self, partition):
+        with pytest.raises(DataError, match="partition must hold integer group ids"):
+            reweight([0, 1, 0, 1], partition, SampleWeights.unit(4))
+
+    @pytest.mark.parametrize("partition", [
+        np.array([0, 0, 1, 1], dtype=np.uint8),
+        np.array([False, False, True, True]),
+    ])
+    def test_accepts_unsigned_and_bool_partitions(self, partition):
+        want = reweight([0, 1, 0, 1], [0, 0, 1, 1], SampleWeights.unit(4))
+        got = reweight([0, 1, 0, 1], partition, SampleWeights.unit(4))
+        assert got.values.tobytes() == want.values.tobytes()
+
     def test_single_class_labels_keep_weights(self):
         # no label-0 mass anywhere: every cell already balanced
         labels = np.array([1, 1, 1, 1])
