@@ -7,13 +7,11 @@ unfairness (|1 - DI| for DI, absolute value otherwise; an undefined value
 ranks as maximally unfair), and the columns appearing in all four top-N
 prefixes form the detection intersection.
 
-All candidates are scored in one pass: a boolean membership matrix (one
-row per column, true above the column's mean) times the four indicator
-vectors 1, y, pred and pred*y gives each column's above-mean side its row,
-positive, selected and true-positive counts, and the below-mean side's are
-the totals minus these.  Every rate is an exact count over an exact count,
-so the scores equal those of the per-column functions in :mod:`.data` and
-:mod:`.metrics` bit for bit.
+All candidates are scored in one pass: one bincount over a membership
+matrix (one row per column, true above its mean) counts every column's
+(side, label, prediction) cells, and the kernel that scores ``run``'s
+groups turns them into metrics, bit for bit those of the per-column
+functions in :mod:`.data` and :mod:`.metrics`.
 """
 
 from __future__ import annotations
@@ -22,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# binarize_by_mean, set_privileged and the four metric functions are no
-# longer called here; they stay imported because the benchmark's traced
-# mode (perfbench/spans.py) still binds them in this module.
+# binarize_by_mean, set_privileged and the four metric functions are not
+# called here; the benchmark's traced mode (perfbench/spans.py) binds them.
 from .data import Dataset, binarize_by_mean, set_privileged  # noqa: F401
 from .errors import DataError, DegenerateAttributeError
 from .metrics import (  # noqa: F401
@@ -32,7 +29,10 @@ from .metrics import (  # noqa: F401
     average_odds_difference,
     disparate_impact,
     equal_opportunity_difference,
+    group_fairness,
+    side_cells,
     statistical_parity_difference,
+    unfairness,
 )
 
 METRIC_NAMES = ("di", "spd", "aod", "eod")
@@ -66,11 +66,6 @@ class DetectionResult:
     skipped: tuple[tuple[str, str], ...] = ()
 
 
-def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
-    """numerator / denominator, 0 where the denominator is 0."""
-    return np.divide(numerator, denominator, out=np.zeros(len(numerator)), where=denominator > 0)
-
-
 def _unfairness_scores(dataset: Dataset, preds: PredictionSet, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """For each of ``columns``, whether it is degenerate (all rows on one
     side of its mean), and its four unfairness scores over the others."""
@@ -78,37 +73,20 @@ def _unfairness_scores(dataset: Dataset, preds: PredictionSet, columns) -> tuple
     # same order as the mean of the column alone
     values = dataset.features.T[[dataset.column_names.index(c) for c in columns]]
     above = values > values.mean(axis=1, keepdims=True)
-    del values  # one float matrix at a time: the product below casts `above`
-    y, pred = preds.labels, preds.predictions
-    indicators = np.column_stack([np.ones_like(y), y, pred, pred * y]).astype(np.float64)
-    # counts[side, column, (rows, positives, selected, true positives)], side
-    # 1 above the mean; float64 sums of 0/1 products are exact integers
-    counts = np.empty((2, len(columns), 4))
-    counts[1] = above.astype(np.float64) @ indicators
-    counts[0] = indicators.sum(axis=0) - counts[1]
-    rows = counts[1, :, 0]
-    degenerate = (rows == 0) | (rows == len(y))
-    counts = counts[:, ~degenerate]
+    del values  # one k x n matrix at a time: side_cells copies `above`
+    # cells[column, side, label, prediction], side 1 above the mean
+    cells = side_cells(above, preds.labels, preds.predictions)
+    degenerate = ~cells.any(axis=(2, 3)).all(axis=1)
+    cells = cells[~degenerate]
 
     # Privileged: the side with the higher label base rate, ties to side 1
-    base_rate = counts[:, :, 1] / counts[:, :, 0]
-    privileged_is_above = base_rate[1] >= base_rate[0]
-    (n_u, pos_u, sel_u, tp_u), (n_p, pos_p, sel_p, tp_p) = (
-        np.where(privileged_is_above[:, None], counts[side], counts[1 - side]).T for side in (0, 1)
-    )
-    rate_u, rate_p = sel_u / n_u, sel_p / n_p
-    di = np.where(rate_u == 0.0, 1.0, np.inf)
-    np.divide(rate_u, rate_p, out=di, where=rate_p != 0.0)
-    # A side with no positives (negatives) counts TPR (FPR) 0 in AOD
-    tpr_u, tpr_p = _ratio(tp_u, pos_u), _ratio(tp_p, pos_p)
-    fpr_u, fpr_p = _ratio(sel_u - tp_u, n_u - pos_u), _ratio(sel_p - tp_p, n_p - pos_p)
-    eod = np.where((pos_u > 0) & (pos_p > 0), np.abs(tpr_u - tpr_p), np.inf)
-    return degenerate, {
-        "di": np.abs(1.0 - di),
-        "spd": np.abs(rate_u - rate_p),
-        "aod": np.abs(0.5 * ((fpr_u - fpr_p) + (tpr_u - tpr_p))),
-        "eod": eod,  # no positive support: maximally unfair, like DI
-    }
+    by_label = cells.sum(axis=3)
+    base_rate = by_label[:, :, 1] / by_label.sum(axis=2)
+    privileged_is_above = base_rate[:, 1] >= base_rate[:, 0]
+    cells = np.where(privileged_is_above[:, None, None, None], cells, cells[:, ::-1])
+    di, spd, aod, eod, positives, _ = group_fairness(cells)
+    eod = np.where(positives, eod, np.inf)  # no positive support: maximally unfair, like DI
+    return degenerate, dict(zip(METRIC_NAMES, unfairness(di, spd, aod, eod)))
 
 
 def detect(dataset: Dataset, baseline_preds: PredictionSet, config: DetectionConfig = DetectionConfig()) -> DetectionResult:

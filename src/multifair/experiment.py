@@ -37,7 +37,7 @@ from .errors import (
     PipelineError,
     UnreachableCellError,
 )
-from .metrics import PredictionSet, accuracy, auprc, auroc, evaluate_fairness
+from .metrics import PredictionSet, accuracy, auprc, auroc, evaluate_fairness, unfairness
 from .model import TrainConfig, fit, predict_scores
 from .reweighting import (
     LevelWeightConfig,
@@ -132,32 +132,28 @@ class ExperimentConfig:
             if isinstance(names, str):
                 raise ConfigError(f"{key!r} must be a list, got {names!r}")
             if names is not None:
-                object.__setattr__(self, key, tuple(names))
+                names = tuple(names)
+                duplicates = sorted({name for name in names if names.count(name) > 1})
+                if duplicates:
+                    raise ConfigError(f"duplicate names in {key!r}: {duplicates}")
+                object.__setattr__(self, key, names)
         attrs = self.sensitive_attributes
         if not attrs:
             raise ConfigError("sensitive_attributes must not be empty")
-        if len(set(attrs)) != len(attrs):
-            raise ConfigError("duplicate sensitive attribute names")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {METHODS}")
         # Method-specific fields must be present exactly when required.
-        if self.method == "rw_sequential":
-            if not self.attribute_order:
-                raise ConfigError("rw_sequential requires attribute_order")
-            unknown = set(self.attribute_order) - set(attrs)
+        for key, method in (("attribute_order", "rw_sequential"), ("level_weights", "m3fair")):
+            names = getattr(self, key)
+            if self.method == method and not names:
+                raise ConfigError(f"{method} requires {key}")
+            if self.method != method and names is not None:
+                raise ConfigError(f"{key} is only valid for {method}, not {self.method!r}")
+            unknown = set(names or ()) - set(attrs)
             if unknown:
-                raise ConfigError(f"attribute_order names not in sensitive_attributes: {sorted(unknown)}")
-        elif self.attribute_order is not None:
-            raise ConfigError(f"attribute_order is only valid for rw_sequential, not {self.method!r}")
+                raise ConfigError(f"{key} names not in sensitive_attributes: {sorted(unknown)}")
         if self.method == "m3fair":
-            if not self.level_weights:
-                raise ConfigError("m3fair requires level_weights")
             LevelWeightConfig(self.level_weights)  # value validation
-            unknown = set(self.level_weights) - set(attrs)
-            if unknown:
-                raise ConfigError(f"level_weights names not in sensitive_attributes: {sorted(unknown)}")
-        elif self.level_weights is not None:
-            raise ConfigError(f"level_weights is only valid for m3fair, not {self.method!r}")
         if self.method == "rw_single" and len(attrs) != 1:
             raise ConfigError("rw_single requires exactly one sensitive attribute")
 
@@ -287,7 +283,7 @@ def _weigh(config: ExperimentConfig, train: Dataset, other: Dataset) -> tuple[Sa
 def _evaluate(model, data: Dataset, groups: dict) -> tuple[PredictionSet, list]:
     """Score ``data`` and evaluate every group's fairness on the scores."""
     preds = PredictionSet(predict_scores(model, data), data.labels)
-    return preds, [evaluate_fairness(preds, group) for group in groups.values()]
+    return preds, evaluate_fairness(preds, groups.values())
 
 
 def _run_condition(config: ExperimentConfig, train: Dataset, test: Dataset) -> ExperimentReport:
@@ -472,7 +468,7 @@ def grid_search(
             val_auroc = auroc(preds.scores, preds.labels)
         except MetricUndefinedError as exc:
             return {"status": "failed", "reason": str(exc)}
-        composite = sum(abs(1.0 - f.di) + abs(f.spd) + abs(f.aod) + abs(f.eod) for f in fairness)
+        composite = sum(sum(unfairness(f.di, f.spd, f.aod, f.eod)) for f in fairness)
         return {"status": "ok", "score": composite, "val_auroc": val_auroc}
 
     def sweep():
@@ -511,9 +507,7 @@ def _report_paths(path) -> tuple[str, str]:
     base = str(path)
     if base.endswith(".json"):
         base = base[: -len(".json")]
-    parent = Path(base).parent
-    if parent and not parent.exists():
-        parent.mkdir(parents=True, exist_ok=True)
+    Path(base).parent.mkdir(parents=True, exist_ok=True)
     return base + ".json", base + ".txt"
 
 

@@ -32,7 +32,6 @@ class PredictionSet:
 
     scores: np.ndarray
     labels: np.ndarray
-    threshold: float = DECISION_THRESHOLD
     predictions: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -46,7 +45,7 @@ class PredictionSet:
             raise DataError("scores must lie in [0, 1]")
         if not ((labels == 0) | (labels == 1)).all():
             raise DataError("labels must be 0 or 1")
-        predictions = (scores >= self.threshold).astype(np.int64)
+        predictions = (scores >= DECISION_THRESHOLD).astype(np.int64)
         labels = labels.astype(np.int64)
         for arr in (scores, predictions, labels):
             arr.setflags(write=False)
@@ -207,44 +206,66 @@ def accuracy(preds: PredictionSet) -> float:
     return float((preds.predictions == preds.labels).mean())
 
 
-def evaluate_fairness(preds: PredictionSet, group: GroupAssignment) -> FairnessReport:
-    """DI, SPD, AOD and EOD for one attribute, with support flags.
+def side_cells(sides, labels, predictions) -> np.ndarray:
+    """counts[k, side, label, prediction] of the rows, for each row ``k`` of
+    the 0/1 membership matrix ``sides``, from one bincount."""
+    index = sides.astype(np.intp)  # a k x n copy, coded in place
+    index *= 4
+    index += 2 * labels + predictions
+    index += 8 * np.arange(len(index))[:, None]
+    return np.bincount(index.ravel(), minlength=8 * len(index)).reshape(-1, 2, 2, 2)
 
-    One bincount over the (side, label, prediction) cells gives every rate;
-    the values, flags and errors are those of :func:`disparate_impact`,
-    :func:`statistical_parity_difference`, :func:`average_odds_difference`,
-    :func:`equal_opportunity_difference` and :func:`odds_support_complete`.
-    """
-    unpriv, _ = _group_masks(preds, group)
-    # cells[side, label, prediction], side 0 unprivileged and 1 privileged
-    cells = np.bincount(
-        4 * ~unpriv + 2 * preds.labels + preds.predictions, minlength=8
-    ).reshape(2, 2, 2)
-    by_label = cells.sum(axis=2)
-    if not by_label[:, 1].all():
-        raise MetricUndefinedError(
-            f"EOD undefined: attribute {group.attribute_name!r} has a group with no positive labels"
-        )
-    # A side without negatives gets FPR 0 (flagged as partial support).
-    fp, negatives = cells[:, 0, 1], by_label[:, 0]
-    fpr = np.divide(fp, negatives, out=np.zeros(2), where=negatives > 0)
-    tpr = cells[:, 1, 1] / by_label[:, 1]
-    rate = cells[:, :, 1].sum(axis=1) / by_label.sum(axis=1)
-    (rate_u, rate_p), (fpr_u, fpr_p), (tpr_u, tpr_p) = rate.tolist(), fpr.tolist(), tpr.tolist()
-    if rate_p == 0.0:
-        di = 1.0 if rate_u == 0.0 else math.inf
-    else:
-        di = rate_u / rate_p
-    flags = []
-    if math.isinf(di):
-        flags.append("di_undefined")
-    if not negatives.all():
-        flags.append("aod_partial_support")
-    return FairnessReport(
-        evaluated_attribute=group.attribute_name,
-        di=di,
-        spd=rate_u - rate_p,
-        aod=0.5 * ((fpr_u - fpr_p) + (tpr_u - tpr_p)),
-        eod=tpr_u - tpr_p,
-        flags=tuple(flags),
-    )
+
+def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """numerator / denominator, 0 where the denominator is 0."""
+    return np.divide(numerator, denominator, out=np.zeros(numerator.shape), where=denominator > 0)
+
+
+def group_fairness(cells: np.ndarray):
+    """DI, SPD, AOD, EOD and the masks "both sides have a positive" and "both
+    sides have a negative", as arrays over the groups k of cells[k, side,
+    label, prediction] (side 0 unprivileged).  The per-metric functions'
+    edge-case rules apply, and exact counts over exact counts give their
+    values bit for bit."""
+    by_label = cells.sum(axis=3)  # [k, side, label]
+    selected = cells[..., 1]
+    rate_u, rate_p = _ratio(selected.sum(axis=2), by_label.sum(axis=2)).T
+    (fpr_u, tpr_u), (fpr_p, tpr_p) = _ratio(selected, by_label).transpose(1, 2, 0)
+    di = np.where(rate_u == 0.0, 1.0, np.inf)
+    np.divide(rate_u, rate_p, out=di, where=rate_p != 0.0)
+    support = (by_label > 0).all(axis=1)  # [k, label]
+    aod = 0.5 * ((fpr_u - fpr_p) + (tpr_u - tpr_p))
+    return di, rate_u - rate_p, aod, tpr_u - tpr_p, support[:, 1], support[:, 0]
+
+
+def unfairness(di, spd, aod, eod):
+    """|1 - DI|, |SPD|, |AOD| and |EOD|, for floats or arrays."""
+    return abs(1.0 - di), abs(spd), abs(aod), abs(eod)
+
+
+def evaluate_fairness(preds: PredictionSet, groups) -> list[FairnessReport]:
+    """One report per group from one kernel call.  The values, flags and
+    errors are the per-metric functions'; the first failing group, checked
+    for an empty side and then for a side with no positives, raises."""
+    groups = list(groups)
+    if any(len(group) != len(preds) for group in groups):
+        raise DataError("group assignment not row-aligned with predictions")
+    sides = np.array([group.privileged_mask for group in groups]).reshape(len(groups), len(preds))
+    cells = side_cells(sides, preds.labels, preds.predictions)
+    nonempty = cells.any(axis=(2, 3)).all(axis=1).tolist()
+    di, spd, aod, eod, positives, negatives = (values.tolist() for values in group_fairness(cells))
+    reports = []
+    for i, group in enumerate(groups):
+        if not nonempty[i]:
+            raise DataError(f"attribute {group.attribute_name!r}: empty group")
+        if not positives[i]:
+            raise MetricUndefinedError(
+                f"EOD undefined: attribute {group.attribute_name!r} has a group with no positive labels"
+            )
+        flags = []
+        if math.isinf(di[i]):
+            flags.append("di_undefined")
+        if not negatives[i]:
+            flags.append("aod_partial_support")
+        reports.append(FairnessReport(group.attribute_name, di[i], spd[i], aod[i], eod[i], tuple(flags)))
+    return reports

@@ -39,12 +39,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.l2_penalty < 0:
-            raise DataError("l2_penalty must be non-negative")
+        # json reads NaN and Infinity; NaN fails every comparison
+        if not 0.0 <= self.l2_penalty < np.inf:
+            raise DataError(f"l2_penalty must be finite and non-negative, got {self.l2_penalty!r}")
         if self.max_iterations < 1:
             raise DataError("max_iterations must be positive")
-        if self.gradient_tolerance <= 0:
-            raise DataError("gradient_tolerance must be positive")
+        if not 0.0 < self.gradient_tolerance < np.inf:
+            raise DataError(f"gradient_tolerance must be finite and positive, got {self.gradient_tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -111,16 +112,14 @@ def _constant_columns(features: np.ndarray) -> np.ndarray:
     return (features == features[0]).all(axis=0)
 
 
-def _standardization(features: np.ndarray, weights: np.ndarray, constant=None):
+def _standardization(features: np.ndarray, weights: np.ndarray, constant: np.ndarray):
     """Weighted per-column mean and scale.
 
-    Exactly constant columns (``constant``, computed when not given) get
-    mean = the constant and scale 1, so the standardized column is
-    identically zero and its coefficient never moves off 0.  Columns with
-    no weighted variation likewise get scale 1.
+    Exactly constant columns (the mask ``constant``, see
+    :func:`_constant_columns`) get mean = the constant and scale 1, so the
+    standardized column is identically zero and its coefficient never moves
+    off 0.  Columns with no weighted variation likewise get scale 1.
     """
-    if constant is None:
-        constant = _constant_columns(features)
     total = weights.sum()
     means = (weights @ features) / total
     centered = features - means

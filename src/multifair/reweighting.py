@@ -20,6 +20,7 @@ attributes on whose unprivileged side it falls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -187,9 +188,10 @@ def m3fair(
 
 
 def save_weights_csv(weights: SampleWeights, path) -> None:
-    """Single-column CSV, one weight per training row (header ``weight``)."""
+    """Single-column CSV, one weight per training row (header ``weight``),
+    in a directory made if missing."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("weight\n")
-        for value in weights.values:
-            handle.write(f"{float(value)!r}\n")
+        handle.writelines(f"{value!r}\n" for value in weights.values.tolist())
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -94,6 +95,16 @@ class TestConfigTypes:
         err = capsys.readouterr().err
         assert err.startswith("error [config] ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["l2_penalty", "gradient_tolerance"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_train_setting(self, workspace, capsys, key, value):
+        # json reads NaN and Infinity; either once gave an all-zero model
+        root, csv_path = workspace
+        config = write_config(root, csv_path, name="nonfinite.json", train={key: value})
+        assert ("NaN" if math.isnan(value) else "Infinity") in config.read_text()
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(f"error [config] {key} must be finite")
 
     @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"config"'])
     def test_top_level_must_be_an_object(self, tmp_path, capsys, text):
@@ -291,6 +302,13 @@ class TestWeights:
         assert weights.shape == (960,)  # 1200 rows, 20% test split
         assert weights.sum() == pytest.approx(960, rel=1e-9)
         assert "wrote 960 training weights" in capsys.readouterr().out
+
+    def test_output_directory_is_created(self, workspace):
+        root, csv_path = workspace
+        config = write_config(root, csv_path, name="w2.json")
+        out = root / "new" / "dir" / "weights.csv"
+        assert main(["weights", "--config", str(config), "--output", str(out)]) == 0
+        assert np.loadtxt(out, skiprows=1).shape == (960,)
 
 
 class TestEntryPoint:

@@ -76,6 +76,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="not in sensitive_attributes"):
             ExperimentConfig(ds, ("a",), method="m3fair", level_weights={"b": 1})
 
+    def test_repeated_names_rejected(self):
+        ds = self._dataset()
+        with pytest.raises(ConfigError, match=r"^duplicate names in 'attribute_order': \['a'\]$"):
+            ExperimentConfig(ds, ("a", "b"), method="rw_sequential", attribute_order=("a", "a", "b"))
+        with pytest.raises(ConfigError, match=r"^duplicate names in 'sensitive_attributes': \['a', 'b'\]$"):
+            ExperimentConfig(ds, ("b", "a", "b", "a"))
+
     def test_string_attribute_lists_rejected(self):
         # tuple("ab") would silently be ("a", "b")
         ds = self._dataset()
@@ -473,11 +480,11 @@ class TestGridDeduplication:
     def test_undefined_metric_fails_the_whole_class(self, committed_grid, monkeypatch):
         real_evaluate, calls = multifair.experiment.evaluate_fairness, []
 
-        def undefined_first(preds, group):
-            calls.append(group.attribute_name)
+        def undefined_first(preds, groups):
+            calls.append(groups)
             if len(calls) == 1:  # the first point's class, (1, 1) and (2, 2)
                 raise MetricUndefinedError("EOD undefined: stubbed")
-            return real_evaluate(preds, group)
+            return real_evaluate(preds, groups)
 
         monkeypatch.setattr(multifair.experiment, "evaluate_fairness", undefined_first)
         result = grid_search(*committed_grid)

@@ -32,6 +32,11 @@ def group_of(membership, privileged=1):
     return GroupAssignment("g", np.asarray(membership), privileged_value=privileged)
 
 
+def zero_ones(k):
+    """Lists of k values, each 0 or 1."""
+    return st.lists(st.integers(0, 1), min_size=k, max_size=k)
+
+
 def auroc_bruteforce(scores, labels):
     """Independent pairwise-enumeration oracle (ties count one half)."""
     pos = [s for s, y in zip(scores, labels) if y == 1]
@@ -48,9 +53,9 @@ def auroc_bruteforce(scores, labels):
 
 class TestPredictionSet:
     def test_predictions_are_scores_at_or_above_the_threshold(self):
-        scores, labels = np.array([0.2, 0.5, 0.7]), np.array([0, 1, 1])
-        assert PredictionSet(scores, labels).predictions.tolist() == [0, 1, 1]
-        assert PredictionSet(scores, labels, threshold=0.6).predictions.tolist() == [0, 0, 1]
+        below = np.nextafter(0.5, 0.0)  # the largest float below 0.5
+        scores, labels = np.array([0.2, below, 0.5, 0.7]), np.array([0, 1, 1, 1])
+        assert PredictionSet(scores, labels).predictions.tolist() == [0, 0, 1, 1]
 
     @pytest.mark.parametrize("scores, labels", [([0.2, 0.7], [1]), (0.7, 1), ([[0.7]], [[1]])])
     def test_non_vector_or_misaligned_input_rejected(self, scores, labels):
@@ -309,13 +314,13 @@ class TestEvaluateFairness:
     def test_flags_undefined_di(self):
         # privileged group (code 1) selected nobody, unprivileged selected one
         preds = preds_from([1, 0, 0, 0], [1, 0, 1, 0])
-        report = evaluate_fairness(preds, group_of([0, 0, 1, 1], privileged=1))
+        (report,) = evaluate_fairness(preds, [group_of([0, 0, 1, 1], privileged=1)])
         assert math.isinf(report.di)
         assert "di_undefined" in report.flags
 
     def test_report_fields_round(self):
         preds, membership = random_instance(5)
-        report = evaluate_fairness(preds, group_of(membership))
+        (report,) = evaluate_fairness(preds, [group_of(membership)])
         for field in ("spd", "aod", "eod"):
             assert math.isfinite(getattr(report, field))
 
@@ -336,6 +341,11 @@ class TestEvaluateFairness:
             eod=equal_opportunity_difference(preds, group),
             flags=tuple(flags),
         )
+
+    @staticmethod
+    def evaluate_one(preds, group):
+        (report,) = evaluate_fairness(preds, [group])
+        return report
 
     @staticmethod
     def outcome(evaluate, rows, privileged):
@@ -360,12 +370,50 @@ class TestEvaluateFairness:
     @example(rows=[(1, 1, 1), (0, 0, 1)], privileged=0)  # an empty side
     @example(rows=[(1, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)], privileged=1)  # DI undefined
     def test_bincount_matches_per_metric_oracles(self, rows, privileged):
-        assert self.outcome(evaluate_fairness, rows, privileged) == self.outcome(self.oracle, rows, privileged)
+        assert self.outcome(self.evaluate_one, rows, privileged) == self.outcome(self.oracle, rows, privileged)
 
     @pytest.mark.parametrize("rows, privileged, error, message", [
         ([(0, 1, 0), (0, 0, 0), (1, 1, 1), (0, 0, 1)], 1, MetricUndefinedError, "EOD undefined"),
         ([(1, 1, 1), (0, 0, 1)], 0, DataError, "empty group"),
     ])
     def test_undefined_cases_raise(self, rows, privileged, error, message):
-        kind, text = self.outcome(evaluate_fairness, rows, privileged)
+        kind, text = self.outcome(self.evaluate_one, rows, privileged)
         assert kind is error and message in text
+
+    @given(
+        st.integers(1, 4).flatmap(lambda k: st.tuples(
+            # (label, prediction, each group's membership) rows, and each group's privileged code
+            st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), zero_ones(k)),
+                     min_size=1, max_size=40),
+            zero_ones(k),
+        ))
+    )
+    @settings(max_examples=300, deadline=None)
+    # the second of three groups fails EOD, the third has an empty side
+    @example(([(1, 1, [0, 1, 1]), (0, 0, [1, 0, 1]), (1, 0, [0, 1, 1]), (1, 1, [1, 1, 1])], [1, 1, 1]))
+    # every group defined
+    @example(([(1, 1, [0, 0]), (0, 0, [0, 1]), (1, 0, [1, 1]), (0, 1, [1, 0])], [1, 0]))
+    def test_many_groups_match_per_group_oracles(self, case):
+        """One call over k groups of the same rows gives each group's oracle
+        report bit for bit, or the first failing group's error."""
+        rows, privileged = case
+        labels, predictions, memberships = zip(*rows)
+        preds = preds_from(predictions, labels)
+        groups = [
+            GroupAssignment(f"g{i}", np.array(membership), privileged_value=side)
+            for i, (membership, side) in enumerate(zip(zip(*memberships), privileged))
+        ]
+
+        def bits(report):
+            values = [getattr(report, name).hex() for name in ("di", "spd", "aod", "eod")]
+            return report.evaluated_attribute, report.flags, values
+
+        try:
+            expected = [bits(self.oracle(preds, group)) for group in groups]
+        except (DataError, MetricUndefinedError) as exc:
+            expected = (type(exc), str(exc))
+        try:
+            actual = [bits(report) for report in evaluate_fairness(preds, groups)]
+        except (DataError, MetricUndefinedError) as exc:
+            actual = (type(exc), str(exc))
+        assert actual == expected

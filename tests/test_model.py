@@ -199,7 +199,7 @@ def objective(model, ds, weights, l2_penalty):
 def lbfgs_scores(ds, weights, l2_penalty):
     """Test oracle: scipy's L-BFGS-B on the same objective and coordinates,
     scored on the training rows."""
-    means, scales = _standardization(ds.features, weights.values)
+    means, scales = _standardization(ds.features, weights.values, _constant_columns(ds.features))
     z = (ds.features - means) / scales
     y = ds.labels.astype(np.float64)
     w = weights.values
