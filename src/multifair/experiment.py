@@ -21,6 +21,8 @@ from pathlib import Path
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .data import (
     Dataset,
     GroupAssignment,
@@ -37,7 +39,9 @@ from .errors import (
     PipelineError,
     UnreachableCellError,
 )
-from .metrics import PredictionSet, accuracy, auprc, auroc, evaluate_fairness, unfairness
+from .metrics import (
+    PredictionSet, accuracy, auprc, auroc, evaluate_fairness, group_fairness, side_cells, unfairness
+)
 from .model import TrainConfig, fit, predict_scores
 from .reweighting import (
     LevelWeightConfig,
@@ -380,7 +384,8 @@ class GridSearchConfig:
                 if not values:
                     raise ConfigError(f"empty candidate set for attribute {name!r}")
                 for v in values:
-                    if v < 1:
+                    # bool is an int to Python but never a level weight
+                    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                         raise ConfigError(f"candidate level weights must be positive integers, got {v!r}")
                 if len(set(values)) != len(values):
                     duplicates = sorted({v for v in values if values.count(v) > 1})
@@ -435,11 +440,16 @@ def grid_search(
     validation split; points whose level partition has an unreachable
     (level, label) cell, or whose validation metrics are undefined, are
     recorded as failed and excluded from selection.  Any other error aborts
-    the sweep.  Points whose training weights are bit-identical (level maps
-    with the same fibers) share one fit and one outcome: the fit is
-    deterministic, so each would give the same model.  The winning level
-    weights are then re-run as a full condition on the already loaded split
-    (training on the whole training split, metrics on test).
+    the sweep.  A row's atom is the set of level attributes it is
+    unprivileged on; points whose atom -> level maps have the same fibers
+    get bit-identical weights (the unit prior makes every cell mass an
+    exact integer), so points are keyed on those fibers before reweighting
+    and each class is reweighted, fit and counted once.  Metric
+    definedness hangs on the validation groups and labels alone and is
+    checked on the first class; all classes are scored in one kernel pass.
+    The winning level weights are re-run as a full condition on the
+    already loaded split (training on the whole training split, metrics on
+    test).
     """
     if config.method != "m3fair":
         raise ConfigError("grid search requires method 'm3fair'")
@@ -460,33 +470,49 @@ def grid_search(
         "binarize", _binarize_on_train, subtrain, validation, config.sensitive_attributes
     )
 
-    def score(weights: SampleWeights) -> dict:
-        """The outcome fields of a GridPoint trained with ``weights``."""
-        try:
-            model = fit(subtrain, weights, config.train)
-            preds, fairness = _evaluate(model, validation, val_groups)
-            val_auroc = auroc(preds.scores, preds.labels)
-        except MetricUndefinedError as exc:
-            return {"status": "failed", "reason": str(exc)}
-        composite = sum(sum(unfairness(f.di, f.spd, f.aod, f.eod)) for f in fairness)
-        return {"status": "ok", "score": composite, "val_auroc": val_auroc}
-
     def sweep():
-        points: list[GridPoint] = []
-        outcomes: dict[bytes, dict] = {}  # training-weight bytes -> outcome
-        for combo in itertools.product(*(candidates[name] for name in attrs)):
-            level_weights = dict(zip(attrs, combo))
-            point_config = replace(config, level_weights=level_weights)
-            try:
-                weights = _training_weights(point_config, subtrain, sub_groups)
-            except UnreachableCellError as exc:
-                points.append(GridPoint(level_weights=level_weights, status="failed", reason=str(exc)))
-                continue
-            key = weights.values.tobytes()
-            if key not in outcomes:
-                outcomes[key] = score(weights)
-            points.append(GridPoint(level_weights=level_weights, **outcomes[key]))
-        return points
+        combos = list(itertools.product(*(candidates[name] for name in attrs)))
+        unprivileged = np.array([sub_groups[name].unprivileged_indicator() for name in attrs])
+        atoms = np.unique((1 << np.arange(len(attrs))) @ unprivileged)
+        atom_levels = np.array(combos) @ ((atoms[:, None] >> np.arange(len(attrs))) & 1).T
+        groups, unit = list(sub_groups.values()), SampleWeights.unit(subtrain.n_rows)
+        sides = np.array([group.privileged_mask for group in val_groups.values()])
+        classes: dict[tuple, int] = {}  # fibers of the atom -> level map -> class
+        outcomes: list = []  # per point: its class, or its failed GridPoint fields
+        cells, aurocs, undefined = [], [], None
+        for combo, levels in zip(combos, atom_levels.tolist()):
+            first: dict[int, int] = {}
+            key = tuple(first.setdefault(level, len(first)) for level in levels)
+            if key not in classes:
+                level_weights = LevelWeightConfig(dict(zip(attrs, combo)))
+                try:
+                    weights = m3fair(subtrain.labels, groups, level_weights, unit)
+                except UnreachableCellError as exc:
+                    outcomes.append({"status": "failed", "reason": str(exc)})
+                    continue
+                classes[key] = len(classes)
+                if undefined is None:
+                    model = fit(subtrain, weights, config.train)
+                    preds = PredictionSet(predict_scores(model, validation), validation.labels)
+                    try:
+                        if not aurocs:
+                            evaluate_fairness(preds, val_groups.values())
+                        aurocs.append(auroc(preds.scores, preds.labels))
+                    except MetricUndefinedError as exc:
+                        undefined = {"status": "failed", "reason": str(exc)}
+                    else:
+                        cells.append(side_cells(sides, preds.labels, preds.predictions))
+            outcomes.append(classes[key])
+        scored = [undefined] * len(classes)
+        if cells:
+            # |1 - DI| + |SPD| + |AOD| + |EOD| per attribute, then attributes, left to right
+            per_attribute = sum(unfairness(*group_fairness(np.concatenate(cells))[:4]))
+            composite = sum(per_attribute.reshape(len(cells), -1).T).tolist()
+            scored = [{"status": "ok", "score": s, "val_auroc": a} for s, a in zip(composite, aurocs)]
+        return [
+            GridPoint(dict(zip(attrs, combo)), **(scored[o] if isinstance(o, int) else o))
+            for combo, o in zip(combos, outcomes)
+        ]
 
     points = _stage("grid", sweep)
     winner = select_grid_winner(points)
@@ -507,11 +533,12 @@ def _report_paths(path) -> tuple[str, str]:
     base = str(path)
     if base.endswith(".json"):
         base = base[: -len(".json")]
-    Path(base).parent.mkdir(parents=True, exist_ok=True)
     return base + ".json", base + ".txt"
 
 
 def _write_json(path, payload) -> None:
+    """Write ``payload`` to ``path``, in a directory made if missing."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -8,9 +9,9 @@ import pytest
 
 import multifair.experiment
 from conftest import REPO_ROOT
-from multifair.data import Dataset, SplitSpec, save_csv
+from multifair.data import Dataset, SplitSpec, save_csv, split
 from multifair.detection import DetectionConfig
-from multifair.errors import ConfigError, MetricUndefinedError, PipelineError
+from multifair.errors import ConfigError, MetricUndefinedError, PipelineError, UnreachableCellError
 from multifair.experiment import (
     DatasetConfig,
     ExperimentConfig,
@@ -18,8 +19,11 @@ from multifair.experiment import (
     GridPoint,
     GridSearchConfig,
     ReportRow,
+    _binarize_on_train,
+    _evaluate,
     _load_split,
     _run_condition,
+    _training_weights,
     compute_training_weights,
     emit_report,
     format_report_table,
@@ -29,6 +33,8 @@ from multifair.experiment import (
     run_experiment,
     select_grid_winner,
 )
+from multifair.metrics import auroc, unfairness
+from multifair.model import fit
 from multifair.synth import planted_bias_dataset, two_attribute_biased_dataset
 
 
@@ -207,6 +213,14 @@ class TestRunExperiment:
             run_experiment(config)
         assert err.value.stage == "load"
 
+    @pytest.mark.parametrize("relabelled", [{"attr_a": 2, "attr_b": 4}, {"attr_a": 2, "attr_b": 1}])
+    def test_relabelled_levels_keep_weights_and_report(self, synth_csv, relabelled):
+        # same level fibers, and the unit prior makes every cell mass exact
+        config = config_for(synth_csv, method="m3fair", level_weights={"attr_a": 1, "attr_b": 2})
+        other = replace(config, level_weights=relabelled)
+        assert compute_training_weights(other).values.tobytes() == compute_training_weights(config).values.tobytes()
+        assert run_experiment(other).rows == run_experiment(config).rows
+
     def test_training_weights_balance_each_level(self, synth_csv):
         config = config_for(synth_csv, method="m3fair", level_weights={"attr_a": 1, "attr_b": 2})
         weights = compute_training_weights(config)
@@ -250,6 +264,12 @@ class TestReports:
         assert payload["rows"][0]["di"] is None
         assert "undefined" in (tmp_path / "u.txt").read_text()
         assert load_report(tmp_path / "u.json") == report
+
+    def test_failed_read_makes_no_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError):
+            load_report("made/by/read/r.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_performance_columns_span_condition_rows(self, synth_csv):
         report = run_experiment(config_for(synth_csv))
@@ -432,6 +452,11 @@ class TestGridSearch:
         with pytest.raises(ConfigError, match=r"^duplicate candidate level weights for 'b': \[2\]$"):
             GridSearchConfig(candidates={"a": [1, 2], "b": (2, 1, 2)})
 
+    @pytest.mark.parametrize("value", [True, 1.5, 2.0, "2"])
+    def test_grid_candidates_must_be_integers(self, value):
+        with pytest.raises(ConfigError, match=rf"^candidate level weights must be positive integers, got {value!r}$"):
+            GridSearchConfig(candidates={"a": (value, 3)})
+
     @pytest.mark.parametrize("values, message", [
         ([True], "'grid.candidates.a[0]' must be an integer, got True"),
         ([1.5], "'grid.candidates.a[0]' must be an integer, got 1.5"),
@@ -477,19 +502,94 @@ class TestGridDeduplication:
             assert replace(points[first], level_weights={}) == replace(points[second], level_weights={})
         assert points[(1, 1)].score != points[(1, 2)].score
 
-    def test_undefined_metric_fails_the_whole_class(self, committed_grid, monkeypatch):
-        real_evaluate, calls = multifair.experiment.evaluate_fairness, []
+    def test_undefined_metric_fails_every_reachable_point(self, tmp_path, monkeypatch):
+        # the validation rows with attr_b = 1 are all unfavorable, so EOD on
+        # attr_b is undefined whatever the model predicts
+        config = config_for(tmp_path / "no_positives.csv", method="m3fair",
+                            level_weights={"attr_a": 1, "attr_b": 2})
+        data = two_attribute_biased_dataset(1500, seed=11)
+        row_ids = Dataset(np.arange(data.n_rows, dtype=float)[:, None], data.labels, ("id",))
+        train, _ = split(row_ids, config.split)
+        _, validation = split(train, SplitSpec(GridSearchConfig().validation_fraction, config.split.seed))
+        rows = validation.column("id").astype(int)
+        labels = data.labels.copy()
+        labels[rows[data.column("attr_b")[rows] == 1]] = 0
+        save_csv(Dataset(data.features, labels, data.column_names), config.dataset.path,
+                 label_column="outcome", positive_label="yes", negative_label="no")
+        real_select, swept = multifair.experiment.select_grid_winner, []
+        real_fit, fits = multifair.experiment.fit, []
+        monkeypatch.setattr(multifair.experiment, "select_grid_winner",
+                            lambda points: swept.append(points) or real_select(points))
+        monkeypatch.setattr(multifair.experiment, "fit", lambda *args: fits.append(args) or real_fit(*args))
+        with pytest.raises(PipelineError, match=r"^\[grid\] all grid points failed$"):
+            grid_search(config)
+        (points,) = swept
+        assert len(points) == 4 and len(fits) == 1  # definedness is checked on the first class only
+        for point in points:
+            assert (point.status, point.reason) == (
+                "failed", "EOD undefined: attribute 'attr_b' has a group with no positive labels"
+            )
 
-        def undefined_first(preds, groups):
-            calls.append(groups)
-            if len(calls) == 1:  # the first point's class, (1, 1) and (2, 2)
-                raise MetricUndefinedError("EOD undefined: stubbed")
-            return real_evaluate(preds, groups)
 
-        monkeypatch.setattr(multifair.experiment, "evaluate_fairness", undefined_first)
-        result = grid_search(*committed_grid)
-        points = self.by_levels(result)
-        for levels in ((1, 1), (2, 2)):
-            assert (points[levels].status, points[levels].reason) == ("failed", "EOD undefined: stubbed")
-        assert points[(1, 2)].status == points[(2, 1)].status == "ok"
-        assert result.winner.entries == {"attr_a": 1, "attr_b": 2}
+def per_point_oracle(config, grid):
+    """Every point scored on its own, without keying points on their level
+    fibers: its own config, weights, fit, fairness reports, Python-sum
+    composite and AUROC.  Also returns the number of distinct weight vectors."""
+    train, _ = _load_split(config)
+    subtrain, validation = split(train, SplitSpec(grid.validation_fraction, config.split.seed))
+    sub_groups, val_groups = _binarize_on_train(subtrain, validation, config.sensitive_attributes)
+    attrs = tuple(config.level_weights)
+    points, distinct = [], set()
+    for combo in itertools.product(*(grid.candidates[name] for name in attrs)):
+        level_weights = dict(zip(attrs, combo))
+        try:
+            weights = _training_weights(replace(config, level_weights=level_weights), subtrain, sub_groups)
+            distinct.add(weights.values.tobytes())
+            preds, fairness = _evaluate(fit(subtrain, weights, config.train), validation, val_groups)
+            val_auroc = auroc(preds.scores, preds.labels)
+        except (UnreachableCellError, MetricUndefinedError) as exc:
+            points.append(GridPoint(level_weights, "failed", reason=str(exc)))
+            continue
+        score = sum(sum(unfairness(f.di, f.spd, f.aod, f.eod)) for f in fairness)
+        points.append(GridPoint(level_weights, "ok", score=score, val_auroc=val_auroc))
+    return points, len(distinct)
+
+
+class TestSweepOracle:
+    """The keyed, batch-scored sweep gives every point the outcome it gets
+    when scored on its own, with one reweight per weight class."""
+
+    @staticmethod
+    def committed_cube():
+        attrs = ("attr_a", "attr_b", "proxy_a")
+        config = config_for(REPO_ROOT / "data" / "synthetic.csv", method="m3fair",
+                            sensitive_attributes=attrs, level_weights=dict.fromkeys(attrs, 1))
+        return config, GridSearchConfig(candidates=dict.fromkeys(attrs, (1, 2, 3)))
+
+    @staticmethod
+    def unreachable_square(tmp_path):
+        # rows unprivileged on attr_a only are all favorable: a level map
+        # that gives them a level of their own leaves its unfavorable cell empty
+        blocks = [(1, 0, 1)] * 3 + [(0, 1, 1)] * 2 + [(0, 1, 0)] * 2 + [(1, 1, 1)] * 1 \
+            + [(1, 1, 0)] * 5 + [(0, 0, 1)] * 4 + [(0, 0, 0)] * 2
+        rows = np.array(blocks * 12, dtype=float)
+        noise = np.random.default_rng(0).standard_normal(len(rows))
+        path = tmp_path / "crafted.csv"
+        save_csv(Dataset(np.column_stack([rows[:, :2], noise]), rows[:, 2].astype(int),
+                         ("attr_a", "attr_b", "x")), path)
+        config = ExperimentConfig(DatasetConfig(str(path), "label", "1"), ("attr_a", "attr_b"),
+                                  method="m3fair", level_weights={"attr_a": 1, "attr_b": 1})
+        return config, GridSearchConfig(candidates={"attr_a": (1, 2, 3), "attr_b": (1, 2, 3)})
+
+    @pytest.mark.parametrize("case", ["committed_cube", "unreachable_square"])
+    def test_sweep_equals_per_point_oracle(self, case, tmp_path, monkeypatch):
+        config, grid = self.committed_cube() if case == "committed_cube" else self.unreachable_square(tmp_path)
+        expected, distinct = per_point_oracle(config, grid)
+        unreachable = sum((p.reason or "").startswith("unreachable cell") for p in expected)
+        assert distinct < len(expected) - unreachable  # some points share a class
+        assert (unreachable > 0) == (case == "unreachable_square")
+        real_m3fair, calls = multifair.experiment.m3fair, []
+        monkeypatch.setattr(multifair.experiment, "m3fair", lambda *args: calls.append(args) or real_m3fair(*args))
+        assert grid_search(config, grid).points == tuple(expected)
+        # one reweight per weight class, one per unreachable point, one for the winner
+        assert len(calls) == distinct + unreachable + 1
