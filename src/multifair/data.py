@@ -14,10 +14,23 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError, DegenerateAttributeError
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _constant_columns(features: np.ndarray) -> np.ndarray:
+    """Mask of the exactly constant columns: every row equals the first.
+    For finite features this is ``np.ptp(features, axis=0) == 0`` (0.0 and
+    -0.0 are equal), without ptp's strided max and min passes."""
+    return (features == features[0]).all(axis=0)
 
 
 @dataclass(frozen=True)
@@ -53,11 +66,8 @@ class Dataset:
             raise DataError("column names must be non-empty strings")
         if len(set(names)) != len(names):
             raise DataError("duplicate column names")
-        labels = labels.astype(np.int64)
-        features.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "features", _read_only(features))
+        object.__setattr__(self, "labels", _read_only(labels.astype(np.int64)))
         object.__setattr__(self, "column_names", names)
 
     @property
@@ -67,6 +77,22 @@ class Dataset:
     @property
     def n_cols(self) -> int:
         return self.features.shape[1]
+
+    # Computed once per dataset, where every fit on it would recompute them
+    @cached_property
+    def constant_columns(self) -> np.ndarray:
+        """Read-only mask of the exactly constant feature columns."""
+        return _read_only(_constant_columns(self.features))
+
+    @cached_property
+    def float_labels(self) -> np.ndarray:
+        """Read-only labels as float64 0.0 and 1.0."""
+        return _read_only(self.labels.astype(np.float64))
+
+    @cached_property
+    def class_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only row masks of label 0 and of label 1."""
+        return _read_only(self.labels == 0), _read_only(self.labels == 1)
 
     def column(self, name: str) -> np.ndarray:
         """Read-only view of one feature column."""

@@ -23,7 +23,7 @@ import numpy as np
 # binarize_by_mean, set_privileged and the four metric functions are not
 # called here; the benchmark's traced mode (perfbench/spans.py) binds them.
 from .data import Dataset, binarize_by_mean, set_privileged  # noqa: F401
-from .errors import DataError, DegenerateAttributeError
+from .errors import DataError, DegenerateAttributeError, expect
 from .metrics import (  # noqa: F401
     PredictionSet,
     average_odds_difference,
@@ -44,7 +44,7 @@ class DetectionConfig:
     candidate_columns: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.top_n < 1:
+        if expect(self.top_n, "top_n", int, "an integer") < 1:
             raise DataError("top_n must be at least 1")
         if isinstance(self.candidate_columns, str):  # tuple("ab") would be ("a", "b")
             raise DataError(f"'candidate_columns' must be a list, got {self.candidate_columns!r}")

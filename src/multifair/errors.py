@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config type check."""
 
 
 class MultifairError(Exception):
@@ -31,3 +31,12 @@ class PipelineError(MultifairError, RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+def expect(value, key: str, kinds, noun: str):
+    """``value``, if it is an instance of ``kinds``; otherwise a ConfigError
+    naming the config key ``key`` and the ``noun`` it must be."""
+    # bool is an int to Python but never a number in a config
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
+    return value

@@ -38,6 +38,7 @@ from .errors import (
     MetricUndefinedError,
     PipelineError,
     UnreachableCellError,
+    expect,
 )
 from .metrics import (
     PredictionSet, accuracy, auprc, auroc, evaluate_fairness, group_fairness, side_cells, unfairness
@@ -46,6 +47,8 @@ from .model import TrainConfig, fit, predict_scores
 from .reweighting import (
     LevelWeightConfig,
     SampleWeights,
+    cell_multipliers,
+    check_level_sum,
     m3fair,
     reweight_sequential,
     reweight_single_attribute,
@@ -55,13 +58,6 @@ from .reweighting import (
 METHODS = ("none", "rw_single", "rw_sequential", "m3fair")
 
 _SCALARS = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
-
-
-def _expect(value, key: str, kinds, noun: str):
-    # bool is an int to Python but never a number in a config
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
-    return value
 
 
 def _typed(hint, value, key: str):
@@ -77,12 +73,12 @@ def _typed(hint, value, key: str):
     if is_dataclass(hint):
         return _parse(hint, value, key)
     if origin is tuple:
-        items = _expect(value, key, (list, tuple), "a list")
+        items = expect(value, key, (list, tuple), "a list")
         return tuple(_typed(args[0], item, f"{key}[{i}]") for i, item in enumerate(items))
     if origin is dict:
-        items = _expect(value, key, dict, "an object")
+        items = expect(value, key, dict, "an object")
         return {name: _typed(args[1], item, f"{key}.{name}") for name, item in items.items()}
-    return _expect(value, key, *_SCALARS[hint])
+    return expect(value, key, *_SCALARS[hint])
 
 
 def _parse(cls, payload, key: str = ""):
@@ -90,7 +86,7 @@ def _parse(cls, payload, key: str = ""):
     (the section ``key``; empty at the top level).  Its fields are the
     allowed keys, those without a default are required, and each value must
     have its field's type."""
-    _expect(payload, key or "config", dict, "an object")
+    expect(payload, key or "config", dict, "an object")
     keys = f"keys in {key!r}" if key else "config keys"
     declared = fields(cls)
     unknown = set(payload) - {f.name for f in declared}
@@ -391,13 +387,14 @@ class GridSearchConfig:
                     duplicates = sorted({v for v in values if values.count(v) > 1})
                     raise ConfigError(f"duplicate candidate level weights for {name!r}: {duplicates}")
                 cleaned[name] = values
+            check_level_sum(sum(max(values) for values in cleaned.values()))
             object.__setattr__(self, "candidates", cleaned)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GridSearchConfig":
         """Parse the config's ``grid`` section.  It may also name the
         selection metric, which must be ``composite_unfairness``."""
-        payload = dict(_expect(payload, "grid", dict, "an object"))
+        payload = dict(expect(payload, "grid", dict, "an object"))
         metric = payload.pop("selection_metric", "composite_unfairness")
         if metric != "composite_unfairness":
             raise ConfigError(f"unsupported selection metric {metric!r}")
@@ -444,12 +441,14 @@ def grid_search(
     unprivileged on; points whose atom -> level maps have the same fibers
     get bit-identical weights (the unit prior makes every cell mass an
     exact integer), so points are keyed on those fibers before reweighting
-    and each class is reweighted, fit and counted once.  Metric
-    definedness hangs on the validation groups and labels alone and is
-    checked on the first class; all classes are scored in one kernel pass.
-    The winning level weights are re-run as a full condition on the
-    already loaded split (training on the whole training split, metrics on
-    test).
+    and each class is reweighted, fit and counted once.  A class is
+    reweighted on the (atom, label) cells, counted once per sweep, with
+    :func:`cell_multipliers`; each row takes its cell's multiplier, bit
+    for bit m3fair's weight for the row.  Metric definedness hangs on the
+    validation groups and labels alone and is checked on the first class;
+    all classes are scored in one kernel pass.  The winning level weights
+    are re-run as a full condition on the already loaded split (training
+    on the whole training split, metrics on test).
     """
     if config.method != "m3fair":
         raise ConfigError("grid search requires method 'm3fair'")
@@ -473,26 +472,28 @@ def grid_search(
     def sweep():
         combos = list(itertools.product(*(candidates[name] for name in attrs)))
         unprivileged = np.array([sub_groups[name].unprivileged_indicator() for name in attrs])
-        atoms = np.unique((1 << np.arange(len(attrs))) @ unprivileged)
+        atoms, row_atom = np.unique((1 << np.arange(len(attrs))) @ unprivileged, return_inverse=True)
         atom_levels = np.array(combos) @ ((atoms[:, None] >> np.arange(len(attrs))) & 1).T
-        groups, unit = list(sub_groups.values()), SampleWeights.unit(subtrain.n_rows)
+        # Under the unit prior an (atom, label) cell's mass is its row count
+        cell_ids, row_cell = np.unique(2 * row_atom + subtrain.labels, return_inverse=True)
+        cell_atom, cell_label = np.divmod(cell_ids, 2)
+        cell_rows = np.bincount(row_cell).astype(np.float64)
         sides = np.array([group.privileged_mask for group in val_groups.values()])
         classes: dict[tuple, int] = {}  # fibers of the atom -> level map -> class
         outcomes: list = []  # per point: its class, or its failed GridPoint fields
         cells, aurocs, undefined = [], [], None
-        for combo, levels in zip(combos, atom_levels.tolist()):
+        for levels, cell_levels in zip(atom_levels.tolist(), atom_levels[:, cell_atom]):
             first: dict[int, int] = {}
             key = tuple(first.setdefault(level, len(first)) for level in levels)
             if key not in classes:
-                level_weights = LevelWeightConfig(dict(zip(attrs, combo)))
                 try:
-                    weights = m3fair(subtrain.labels, groups, level_weights, unit)
+                    multipliers = cell_multipliers(cell_label, cell_levels, cell_rows)
                 except UnreachableCellError as exc:
                     outcomes.append({"status": "failed", "reason": str(exc)})
                     continue
                 classes[key] = len(classes)
                 if undefined is None:
-                    model = fit(subtrain, weights, config.train)
+                    model = fit(subtrain, SampleWeights(multipliers[row_cell]), config.train)
                     preds = PredictionSet(predict_scores(model, validation), validation.labels)
                     try:
                         if not aurocs:

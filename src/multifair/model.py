@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError
+from .errors import DataError, expect
 from .reweighting import SampleWeights
 
 
@@ -39,6 +39,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("l2_penalty", "gradient_tolerance"):
+            expect(getattr(self, key), key, (int, float), "a number")
+        for key in ("max_iterations", "seed"):
+            expect(getattr(self, key), key, int, "an integer")
         # json reads NaN and Infinity; NaN fails every comparison
         if not 0.0 <= self.l2_penalty < np.inf:
             raise DataError(f"l2_penalty must be finite and non-negative, got {self.l2_penalty!r}")
@@ -97,28 +101,37 @@ def weighted_loss_and_gradient(coefficients, intercept, features, labels, weight
     weights = np.asarray(weights, dtype=np.float64)
     z = features @ coefficients + intercept
     ce = np.logaddexp(0.0, np.where(labels == 1.0, -z, z))
+    return _loss_and_gradient(coefficients, features, labels, weights, l2_penalty, ce, _sigmoid(z))
+
+
+def _loss_and_gradient(coefficients, features, labels, weights, l2_penalty, ce, p):
+    """weighted_loss_and_gradient from each row's cross-entropy ``ce`` and
+    probability ``p``."""
     loss = float(weights @ ce + l2_penalty * (coefficients @ coefficients))
-    p = _sigmoid(z)
     residual = weights * (p - labels)
     grad_coef = features.T @ residual + 2.0 * l2_penalty * coefficients
     grad_intercept = float(residual.sum())
     return loss, grad_coef, grad_intercept, p
 
 
-def _constant_columns(features: np.ndarray) -> np.ndarray:
-    """Mask of the exactly constant columns: every row equals the first.
-    For finite features this is ``np.ptp(features, axis=0) == 0`` (0.0 and
-    -0.0 are equal), without ptp's strided max and min passes."""
-    return (features == features[0]).all(axis=0)
+def _loss_and_gradient_at_zero(features, labels, weights, l2_penalty):
+    """weighted_loss_and_gradient at zero coefficients and intercept, bit
+    for bit, with no margins formed: every margin ``features @ 0 + 0.0`` is
+    +0, so each row's cross-entropy is exactly log 2 and its probability
+    exactly 1/2.  The arguments are float64 arrays."""
+    n = labels.shape[0]
+    ce, p = np.full(n, np.logaddexp(0.0, 0.0)), np.full(n, 0.5)
+    return _loss_and_gradient(np.zeros(features.shape[1]), features, labels, weights, l2_penalty, ce, p)
 
 
 def _standardization(features: np.ndarray, weights: np.ndarray, constant: np.ndarray):
     """Weighted per-column mean and scale.
 
     Exactly constant columns (the mask ``constant``, see
-    :func:`_constant_columns`) get mean = the constant and scale 1, so the
-    standardized column is identically zero and its coefficient never moves
-    off 0.  Columns with no weighted variation likewise get scale 1.
+    :attr:`Dataset.constant_columns`) get mean = the constant and scale 1,
+    so the standardized column is identically zero and its coefficient
+    never moves off 0.  Columns with no weighted variation likewise get
+    scale 1.
     """
     total = weights.sum()
     means = (weights @ features) / total
@@ -144,11 +157,12 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
     if train.n_rows < 2:
         raise DataError("need at least 2 training rows")
     w = weights.values
-    y = train.labels.astype(np.float64)
-    if w[train.labels == 1].sum() <= 0.0 or w[train.labels == 0].sum() <= 0.0:
+    y = train.float_labels
+    negative, positive = train.class_masks
+    if w[positive].sum() <= 0.0 or w[negative].sum() <= 0.0:
         raise DataError("single-class training labels (one class has zero weight mass)")
 
-    constant = _constant_columns(train.features)
+    constant = train.constant_columns
     means, scales = _standardization(train.features, w, constant)
     # Exactly constant columns standardize to 0; leaving them out of the
     # solve keeps their coefficients bit-exact 0.
@@ -163,7 +177,9 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
         return loss, np.append(grad_coef, grad_b), p
 
     x = np.zeros(k + 1)
-    loss, grad, p = loss_grad(x)  # p: the probabilities at x, reused by the Hessian
+    # p: the probabilities at x, reused by the Hessian
+    loss, grad_coef, grad_b, p = _loss_and_gradient_at_zero(z, y, w, config.l2_penalty)
+    grad = np.append(grad_coef, grad_b)
     for n_iter in range(config.max_iterations + 1):
         converged = bool(np.abs(grad).max() < config.gradient_tolerance * w.sum())
         if converged or n_iter == config.max_iterations:

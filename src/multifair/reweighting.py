@@ -61,6 +61,13 @@ class SampleWeights:
         return float(self.values.sum())
 
 
+def check_level_sum(largest: int) -> None:
+    """Levels are summed in int64, which wraps without an error: a row on
+    the unprivileged side of every attribute must still get its own level."""
+    if largest > np.iinfo(np.int64).max:
+        raise ConfigError(f"level weights can sum to {largest}, above the int64 maximum {np.iinfo(np.int64).max}")
+
+
 @dataclass(frozen=True)
 class LevelWeightConfig:
     """Ordered map from attribute name to its positive integer level weight."""
@@ -76,6 +83,7 @@ class LevelWeightConfig:
                 raise ConfigError(
                     f"level weight for {name!r} must be a positive integer, got {weight!r}"
                 )
+        check_level_sum(sum(entries.values()))
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -115,11 +123,8 @@ def reweight(labels, partition, prior: SampleWeights) -> SampleWeights:
     """Rescale weights so labels are independent of the partition groups.
 
     ``partition`` is a vector of integer (or bool) group ids; any other
-    dtype is a DataError.  The module docstring's formula gives one
-    multiplier per (group, label) cell, from two bincounts over the
-    cells.  Raises UnreachableCellError for the first cell (groups in
-    sorted order, label 0 first) that must carry mass but is empty or has
-    zero prior weight.
+    dtype is a DataError.  Each row's multiplier comes from
+    :func:`cell_multipliers`, with the rows as its items.
     """
     labels = np.asarray(labels)
     partition = np.asarray(partition)
@@ -135,7 +140,22 @@ def reweight(labels, partition, prior: SampleWeights) -> SampleWeights:
     if not ((labels == 0) | (labels == 1)).all():
         raise DataError("labels must be 0 or 1")
     labels = labels.astype(np.int64, copy=False)
+    return SampleWeights(weights * cell_multipliers(labels, partition, weights))
 
+
+def cell_multipliers(labels, partition, weights) -> np.ndarray:
+    """Each item's multiplier under the module docstring's formula.
+
+    Item i has int64 label ``labels[i]`` (0 or 1), int64 group id
+    ``partition[i]`` and prior mass ``weights[i]``.  Two bincounts give
+    every (group, label) cell's item count and mass, and the formula one
+    multiplier per cell.  Items are training rows, or cells of rows sharing
+    a group and a label with their row count as mass: under the unit prior
+    every mass is an integer-valued double, which sums exactly in any
+    grouping, so cells get their rows' multipliers bit for bit.  Raises
+    UnreachableCellError for the first cell (groups in sorted order, label
+    0 first) that must carry mass but has no items or zero prior weight.
+    """
     # Cell c = 2 * group index + label, groups in sorted id order.
     ids, group = np.unique(partition, return_inverse=True)
     cell = 2 * group + labels
@@ -150,7 +170,7 @@ def reweight(labels, partition, prior: SampleWeights) -> SampleWeights:
             raise UnreachableCellError(f"unreachable cell: group {ids[g]} has no rows with label {d}")
         raise UnreachableCellError(f"unreachable cell: group {ids[g]}, label {d} has zero prior weight")
     multiplier = np.divide(demand, weights.sum() * mass, out=np.zeros_like(mass), where=~empty)
-    return SampleWeights(weights * multiplier[group, labels])
+    return multiplier[group, labels]
 
 
 def reweight_single_attribute(

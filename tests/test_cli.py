@@ -96,6 +96,19 @@ class TestConfigTypes:
         assert err.startswith("error [config] ") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("run", {"method": "m3fair", "level_weights": {"attr_a": 2**63 - 1, "attr_b": 2}}),
+        ("grid", {"method": "m3fair", "level_weights": {"attr_a": 1, "attr_b": 1},
+                  "grid": {"candidates": {"attr_a": [1, 2**63 - 2], "attr_b": [3]}}}),
+    ])
+    def test_level_sum_beyond_int64(self, workspace, capsys, command, extra):
+        root, csv_path = workspace
+        config = write_config(root, csv_path, name="wrap.json", **extra)
+        assert main([command, "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error [config] level weights can sum to {2**63 + 1}, above the int64 maximum {2**63 - 1}\n"
+        )
+
     @pytest.mark.parametrize("key", ["l2_penalty", "gradient_tolerance"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_train_setting(self, workspace, capsys, key, value):

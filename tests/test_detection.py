@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from multifair.data import Dataset, binarize_by_mean, set_privileged
 from multifair.detection import METRIC_NAMES, DetectionConfig, DetectionResult, detect
-from multifair.errors import DataError, DegenerateAttributeError, MetricUndefinedError
+from multifair.errors import ConfigError, DataError, DegenerateAttributeError, MetricUndefinedError
 from multifair.metrics import (
     PredictionSet,
     average_odds_difference,
@@ -291,3 +291,8 @@ class TestDetectionConfig:
     def test_top_n_below_one_rejected(self):
         with pytest.raises(DataError, match="top_n must be at least 1"):
             DetectionConfig(top_n=0)
+
+    @pytest.mark.parametrize("value", [True, 2.5, 2.0, "2"])
+    def test_top_n_must_be_an_integer(self, value):
+        with pytest.raises(ConfigError, match=rf"^'top_n' must be an integer, got {value!r}$"):
+            DetectionConfig(top_n=value)

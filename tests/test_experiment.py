@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import multifair.experiment
+import multifair.reweighting
 from conftest import REPO_ROOT
 from multifair.data import Dataset, SplitSpec, save_csv, split
 from multifair.detection import DetectionConfig
@@ -451,6 +452,10 @@ class TestGridSearch:
         assert GridSearchConfig(candidates={"a": [2, 1]}).candidates == {"a": (2, 1)}
         with pytest.raises(ConfigError, match=r"^duplicate candidate level weights for 'b': \[2\]$"):
             GridSearchConfig(candidates={"a": [1, 2], "b": (2, 1, 2)})
+        # the largest point's levels would wrap in int64
+        with pytest.raises(ConfigError, match=rf"^level weights can sum to {2**63}, above the int64 maximum {2**63 - 1}$"):
+            GridSearchConfig(candidates={"a": (1, 2**62), "b": (2**62, 3)})
+        assert GridSearchConfig(candidates={"a": (1, 2**62), "b": (2**62 - 1, 3)}).candidates["a"] == (1, 2**62)
 
     @pytest.mark.parametrize("value", [True, 1.5, 2.0, "2"])
     def test_grid_candidates_must_be_integers(self, value):
@@ -588,8 +593,10 @@ class TestSweepOracle:
         unreachable = sum((p.reason or "").startswith("unreachable cell") for p in expected)
         assert distinct < len(expected) - unreachable  # some points share a class
         assert (unreachable > 0) == (case == "unreachable_square")
-        real_m3fair, calls = multifair.experiment.m3fair, []
-        monkeypatch.setattr(multifair.experiment, "m3fair", lambda *args: calls.append(args) or real_m3fair(*args))
+        # the multiplier kernel, as the sweep calls it and as m3fair's reweight does
+        real_kernel, calls = multifair.reweighting.cell_multipliers, []
+        for module in (multifair.experiment, multifair.reweighting):
+            monkeypatch.setattr(module, "cell_multipliers", lambda *args: calls.append(args) or real_kernel(*args))
         assert grid_search(config, grid).points == tuple(expected)
         # one reweight per weight class, one per unreachable point, one for the winner
         assert len(calls) == distinct + unreachable + 1

@@ -6,14 +6,15 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.optimize import minimize
 from scipy.special import expit
 
+import multifair.data
 import multifair.model
 from conftest import REPO_ROOT
-from multifair.data import Dataset, load_csv
-from multifair.errors import DataError
+from multifair.data import Dataset, _constant_columns, load_csv
+from multifair.errors import ConfigError, DataError
 from multifair.model import (
     ModelParams,
     TrainConfig,
-    _constant_columns,
+    _loss_and_gradient_at_zero,
     _sigmoid,
     _standardization,
     fit,
@@ -288,6 +289,23 @@ class TestDescent:
                                    atol=1e-5)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("key, value, noun", [
+        ("max_iterations", 2.5, "an integer"),
+        ("max_iterations", True, "an integer"),
+        ("seed", 1.0, "an integer"),
+        ("l2_penalty", True, "a number"),
+        ("gradient_tolerance", "1e-6", "a number"),
+    ])
+    def test_bad_python_values_rejected_at_construction(self, key, value, noun):
+        # a float max_iterations used to fail later, inside the fit
+        with pytest.raises(ConfigError, match=rf"^'{key}' must be {noun}, got {value!r}$"):
+            TrainConfig(**{key: value})
+
+    def test_integer_penalty_is_a_number(self):
+        assert TrainConfig(l2_penalty=0).l2_penalty == 0
+
+
 class TestPredict:
     def test_sigmoid_matches_expit_without_overflow(self):
         z = np.array([-800.0, -745.5, -40.0, -1.0, -1e-300, 0.0, 1e-300, 1.0, 40.0, 800.0])
@@ -375,10 +393,32 @@ EDGE_MARGINS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e
 margins = st.one_of(st.sampled_from(EDGE_MARGINS), st.floats(-800.0, 800.0, allow_nan=False))
 
 
+def result_bits(loss, grad_coef, grad_b, p):
+    return float.hex(loss), grad_coef.tobytes(), float.hex(grad_b), p.tobytes()
+
+
 def loss_bits(loss_fn, z, labels, weights, l2):
     # z passes through the margin exactly: z * 1.0 + (-0.0) is z, signed zeros included
-    loss, grad_coef, grad_b, p = loss_fn(np.ones(1), -0.0, z[:, None], labels, weights, l2)
-    return float.hex(loss), grad_coef.tobytes(), float.hex(grad_b), p.tobytes()
+    return result_bits(*loss_fn(np.ones(1), -0.0, z[:, None], labels, weights, l2))
+
+
+START_FEATURES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.0, -1.5, 7.0]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def zero_start_problems(draw):
+    """(features, labels, weights) with negative, signed-zero and subnormal
+    features, constant columns (few distinct values make them common) and
+    zero weights."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(0, 5))
+    features = draw(arrays(np.float64, (n, d), elements=START_FEATURES))
+    labels = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
+    weights = draw(arrays(np.float64, n, elements=st.one_of(
+        st.sampled_from([0.0, 5e-324, 0.37, 1.0]), st.floats(0.0, 1e3))))
+    return features, labels, weights
 
 
 class TestBitIdentity:
@@ -420,21 +460,39 @@ class TestBitIdentity:
     def test_constant_mask_equals_zero_range_on_few_values(self, features):
         assert np.array_equal(_constant_columns(features), ptp_constant_columns(features))
 
+    @settings(max_examples=300, deadline=None)
+    @given(zero_start_problems(), st.sampled_from([0.0, 1e-4, 0.5]))
+    @example((np.array([[-1.0, 7.0, -0.0], [-2.5, 7.0, -0.0], [-5e-324, 7.0, -0.0]]),
+              np.array([1.0, 0.0, 1.0]), np.array([0.0, 2.5, 0.0])), 1e-4)
+    @example((np.zeros((4, 0)), np.array([0.0, 1.0, 1.0, 0.0]), np.array([1.0, 0.0, 5e-324, 3.0])), 0.5)
+    def test_filled_start_equals_loss_at_zero(self, problem, l2):
+        features, labels, weights = problem
+        zero = weighted_loss_and_gradient(np.zeros(features.shape[1]), 0.0, features, labels, weights, l2)
+        start = _loss_and_gradient_at_zero(features, labels, weights, l2)
+        assert result_bits(*start) == result_bits(*zero)
+
     @staticmethod
     def assert_same_fit(ds, weights, config, monkeypatch):
         calls = []
 
         def counted(*args):
-            calls.append(1)
+            calls.append("loss")
             return two_term_loss_and_gradient(*args)
+
+        def counted_mask(features):
+            calls.append("mask")
+            return ptp_constant_columns(features)
+
+        def fresh():  # a dataset computes its constant-column mask once
+            return Dataset(ds.features, ds.labels, ds.column_names)
 
         with monkeypatch.context() as patch:
             patch.setattr(multifair.model, "weighted_loss_and_gradient", counted)
             patch.setattr(multifair.model, "_sigmoid", two_term_sigmoid)
-            patch.setattr(multifair.model, "_constant_columns", ptp_constant_columns)
-            reference = fit(ds, weights, config)
-        assert calls  # the reference forms were the ones that ran
-        model = fit(ds, weights, config)
+            patch.setattr(multifair.data, "_constant_columns", counted_mask)
+            reference = fit(fresh(), weights, config)
+        assert set(calls) == {"loss", "mask"}  # the reference forms were the ones that ran
+        model = fit(fresh(), weights, config)
         assert model.coefficients.tobytes() == reference.coefficients.tobytes()
         assert float.hex(model.intercept) == float.hex(reference.intercept)
         assert model.means.tobytes() == reference.means.tobytes()

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from multifair.errors import ConfigError, DataError, UnreachableCellError
 from multifair.reweighting import (
     LevelWeightConfig,
     SampleWeights,
+    cell_multipliers,
     compute_sensitivity_levels,
     m3fair,
     reweight,
@@ -95,6 +98,17 @@ class TestSensitivityLevels:
             LevelWeightConfig({"a": 1.5})
         with pytest.raises(ConfigError):
             LevelWeightConfig({})
+
+    def test_level_sum_beyond_int64_rejected(self):
+        # summed in int64 this would wrap to level 0, merging the rows
+        # unprivileged on every attribute with the fully privileged ones
+        top = 2**63 - 1
+        with pytest.raises(ConfigError, match=rf"^level weights can sum to {2 * top + 2}, above the int64 maximum {top}$"):
+            LevelWeightConfig({"a": top, "b": top, "c": 2})
+        a = GroupAssignment("a", np.array([0, 1, 0, 1]), privileged_value=0)
+        b = GroupAssignment("b", np.array([0, 0, 1, 1]), privileged_value=0)
+        levels = compute_sensitivity_levels([a, b], LevelWeightConfig({"a": 2**62, "b": 2**62 - 1}))
+        assert levels.tolist() == [0, 2**62, 2**62 - 1, top]
 
 
 class TestReweight:
@@ -361,6 +375,50 @@ class TestM3Fair:
         labels = np.array([1, 1, 1, 0, 1, 0, 1, 0])
         with pytest.raises(UnreachableCellError, match="group 3"):
             m3fair(labels, [a, b], LevelWeightConfig({"a": 1, "b": 2}), SampleWeights.unit(8))
+
+
+def cell_count_weights(labels, groups, config, rng):
+    """m3fair's unit-prior weights from (atom, label) cells: a row's atom is
+    the tuple of its unprivileged indicators.  The cells go to the kernel in
+    a shuffled order, with their row counts as prior mass, and each row
+    takes its cell's multiplier."""
+    atoms = np.array([g.unprivileged_indicator() for g in groups]).T.tolist()
+    counts = Counter(zip(map(tuple, atoms), labels.tolist()))
+    cells = list(counts)
+    rng.shuffle(cells)
+    weights = list(config.entries.values())
+    levels = np.array([sum(w for w, u in zip(weights, atom) if u) for atom, _ in cells], dtype=np.int64)
+    rows = np.array([counts[cell] for cell in cells], dtype=np.float64)
+    multipliers = cell_multipliers(np.array([y for _, y in cells], dtype=np.int64), levels, rows)
+    by_cell = dict(zip(cells, multipliers.tolist()))
+    return np.array([by_cell[(tuple(atom), y)] for atom, y in zip(atoms, labels.tolist())])
+
+
+class TestCellCountKernel:
+    """The grid sweep reweights from (atom, label) cell counts; with the
+    unit prior that must give m3fair's per-row weights bit for bit, and the
+    same UnreachableCellError."""
+
+    def test_cell_counts_equal_m3fair_rows(self):
+        outcomes = Counter()
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n, k = int(rng.integers(2, 60)), int(rng.integers(1, 5))
+            groups = [GroupAssignment(f"g{j}", rng.binomial(1, rng.uniform(0.1, 0.9), n),
+                                      privileged_value=int(rng.integers(0, 2))) for j in range(k)]
+            labels = rng.binomial(1, rng.uniform(0.05, 0.95), n)
+            config = LevelWeightConfig({g.attribute_name: int(rng.integers(1, 6)) for g in groups})
+            try:
+                expected = m3fair(labels, groups, config, SampleWeights.unit(n)).values
+            except UnreachableCellError as exc:
+                with pytest.raises(UnreachableCellError) as raised:
+                    cell_count_weights(labels, groups, config, rng)
+                assert str(raised.value) == str(exc)
+                outcomes["unreachable"] += 1
+                continue
+            assert cell_count_weights(labels, groups, config, rng).tobytes() == expected.tobytes()
+            outcomes["weights"] += 1
+        assert min(outcomes["unreachable"], outcomes["weights"]) >= 30  # both paths are exercised
 
 
 class TestDuplicatedRowEqualsDoubledWeight:
