@@ -29,6 +29,7 @@ from .experiment import (
     GridPoint,
     GridSearchConfig,
     GridSearchResult,
+    GridWinnerError,
     ReportRow,
     compute_training_weights,
     emit_detection,

@@ -15,6 +15,7 @@ from .errors import MultifairError, PipelineError
 from .experiment import (
     ExperimentConfig,
     GridSearchConfig,
+    GridWinnerError,
     emit_grid,
     export_training_weights,
     format_grid_table,
@@ -56,7 +57,13 @@ def _cmd_detect(args) -> int:
 
 def _cmd_grid(args) -> int:
     config, grid = _load_config(args.config)
-    result = grid_search(config, grid)
+    try:
+        result = grid_search(config, grid)
+    except GridWinnerError as exc:
+        # the sweep table stands without the winner's report
+        if args.output:
+            emit_grid(exc.result, args.output)
+        raise
     if args.output:
         emit_grid(result, args.output)
     print(format_grid_table(result), end="")

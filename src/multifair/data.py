@@ -33,6 +33,58 @@ def _constant_columns(features: np.ndarray) -> np.ndarray:
     return (features == features[0]).all(axis=0)
 
 
+def _row_cells(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:attr:`Dataset.cells` for a C-contiguous float64 ``features`` and
+    int64 ``labels``.
+
+    Rows are sorted on a float key, a fixed linear form of the row and its
+    label, and each row is compared byte for byte with the next one.  Any
+    key that gives equal rows equal keys yields the exact partition; a key
+    that separates more rows only leaves fewer ties.  So the key is built
+    elementwise, one column at a time (a BLAS product can round the same
+    row differently at different positions), and stops after 16 columns
+    when those already tell every row apart; the multipliers' scale keeps
+    it finite for any finite row.  When tied keys hold different rows (0.0
+    and -0.0 tie, and so can colliding keys), the rows are sorted on the
+    key and then their bytes, a slower sort that puts equal rows next to
+    each other.
+    """
+    n, d = features.shape
+    r = np.random.default_rng(0).uniform(1.0, 2.0, d + 1) * 2.0 ** -((d + 1).bit_length() + 2)
+    key = labels * r[d]
+    for j in range(d):
+        key += features[:, j] * r[j]
+        if j == 15 and np.unique(key).shape[0] == n:
+            break  # rows that differ in their first 16 columns are all distinct
+    order = np.argsort(key)
+    sorted_key = np.take(key, order)
+    tie = sorted_key[1:] == sorted_key[:-1]
+    if not tie.any():
+        rows = np.arange(n)
+        return rows, rows
+    bits = features.view(np.uint64)
+
+    def equal_to_next(order):
+        rows, row_labels = np.take(bits, order, axis=0), np.take(labels, order)
+        same = row_labels[1:] == row_labels[:-1]
+        for j in range(d):
+            same &= rows[1:, j] == rows[:-1, j]
+        return same
+
+    same = equal_to_next(order)
+    if (tie & ~same).any():
+        order = np.lexsort((*bits.T, labels, key))  # key first, then the bytes
+        same = equal_to_next(order)
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    lowest = np.minimum.reduceat(order, starts)  # each cell's first row
+    rank = np.argsort(lowest)
+    cell_of_rank = np.empty_like(rank)
+    cell_of_rank[rank] = np.arange(rank.shape[0])
+    cell = np.empty(n, dtype=np.intp)
+    cell[order] = np.repeat(cell_of_rank, np.diff(np.append(starts, n)))
+    return np.take(lowest, rank), cell
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable numeric feature matrix with binary labels.
@@ -90,9 +142,12 @@ class Dataset:
         return _read_only(self.labels.astype(np.float64))
 
     @cached_property
-    def class_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only row masks of label 0 and of label 1."""
-        return _read_only(self.labels == 0), _read_only(self.labels == 1)
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows grouped by exact (feature bytes, label) equality, as
+        read-only ``(first, cell)``: ``first`` holds each cell's first row,
+        ascending, and ``cell`` each row's index into ``first``."""
+        first, cell = _row_cells(self.features, self.labels)
+        return _read_only(first), _read_only(cell)
 
     def column(self, name: str) -> np.ndarray:
         """Read-only view of one feature column."""

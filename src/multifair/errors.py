@@ -30,7 +30,7 @@ class PipelineError(MultifairError, RuntimeError):
 
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
-        self.stage = stage
+        self.stage, self.message = stage, message
 
 
 def expect(value, key: str, kinds, noun: str):

@@ -415,8 +415,17 @@ class GridPoint:
 @dataclass(frozen=True)
 class GridSearchResult:
     winner: LevelWeightConfig
-    report: ExperimentReport
+    report: ExperimentReport | None  # None when the winner's re-run failed
     points: tuple[GridPoint, ...]
+
+
+class GridWinnerError(PipelineError):
+    """The winner's re-run on the full training split failed; ``result``
+    holds the sweep, with no report."""
+
+    def __init__(self, stage: str, message: str, result: GridSearchResult):
+        super().__init__(stage, message)
+        self.result = result
 
 
 def select_grid_winner(points) -> GridPoint:
@@ -448,7 +457,10 @@ def grid_search(
     validation groups and labels alone and is checked on the first class;
     all classes are scored in one kernel pass.  The winning level weights
     are re-run as a full condition on the already loaded split (training
-    on the whole training split, metrics on test).
+    on the whole training split, metrics on test).  The full split has its
+    own thresholds, so that re-run can meet an unreachable cell the sweep
+    did not; it then raises :class:`GridWinnerError`, which carries the
+    sweep.
     """
     if config.method != "m3fair":
         raise ConfigError("grid search requires method 'm3fair'")
@@ -517,12 +529,13 @@ def grid_search(
 
     points = _stage("grid", sweep)
     winner = select_grid_winner(points)
-    report = _run_condition(replace(config, level_weights=winner.level_weights), train, test)
-    return GridSearchResult(
-        winner=LevelWeightConfig(winner.level_weights),
-        report=report,
-        points=tuple(points),
-    )
+    result = GridSearchResult(LevelWeightConfig(winner.level_weights), None, tuple(points))
+    try:
+        report = _run_condition(replace(config, level_weights=winner.level_weights), train, test)
+    except PipelineError as exc:
+        levels = ", ".join(f"{k}={v}" for k, v in winner.level_weights.items())
+        raise GridWinnerError(exc.stage, f"winning level weights {levels}: {exc.message}", result) from exc
+    return replace(result, report=report)
 
 
 # ---------------------------------------------------------------------------

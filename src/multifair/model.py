@@ -12,6 +12,13 @@ no randomness, and is bit-reproducible on a fixed platform.  The fit
 converges when max|dL| / sum_i w_i < gradient_tolerance: the tolerance is
 per unit of weight mass, so it does not depend on the row count or on the
 scale of the weights.
+
+Every term of L, its derivatives and the standardization is a sum over
+rows of a function of the row's (features, label), so the fit runs on the
+distinct (feature row, label) cells of :attr:`Dataset.cells`, each weighted
+by the sum of its rows' weights.  The objective is the same; only the order
+of summation differs.  A dataset without repeated rows is its own cells
+and fits bit for bit as a row-level fit.
 """
 
 from __future__ import annotations
@@ -131,13 +138,25 @@ def _standardization(features: np.ndarray, weights: np.ndarray, constant: np.nda
     :attr:`Dataset.constant_columns`) get mean = the constant and scale 1,
     so the standardized column is identically zero and its coefficient
     never moves off 0.  Columns with no weighted variation likewise get
-    scale 1.
+    scale 1.  A column whose sums overflow (finite values beyond about
+    1e154) gets its mean and scale in scaled form; every other column's
+    are unchanged, bit for bit.
     """
     total = weights.sum()
-    means = (weights @ features) / total
-    centered = features - means
-    variances = (weights @ (centered * centered)) / total
-    scales = np.sqrt(variances)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = (weights @ features) / total
+        centered = features - means
+        scales = np.sqrt((weights @ (centered * centered)) / total)
+    huge = ~np.isfinite(scales)
+    if huge.any():
+        # The same moments of x / m, m = max |x|, scaled back by m: both lie
+        # within [-m, m], so neither overflows
+        m = np.abs(features[:, huge]).max(axis=0)
+        scaled = features[:, huge] / m
+        mean = (weights @ scaled) / total
+        centered = scaled - mean
+        means[huge] = m * mean
+        scales[huge] = m * np.sqrt((weights @ (centered * centered)) / total)
     means[constant] = features[0, constant]
     scales[constant] = 1.0
     scales[scales <= 0.0] = 1.0
@@ -156,18 +175,25 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
         raise DataError("weights not row-aligned with the training data")
     if train.n_rows < 2:
         raise DataError("need at least 2 training rows")
-    w = weights.values
-    y = train.float_labels
-    negative, positive = train.class_masks
-    if w[positive].sum() <= 0.0 or w[negative].sum() <= 0.0:
+    # The fit runs on the distinct (feature row, label) cells, each carrying
+    # its rows' summed weight (see the module docstring)
+    first, cell = train.cells
+    if first.shape[0] == train.n_rows:  # every row is its own cell
+        features, y, w = train.features, train.float_labels, weights.values
+    else:
+        features = np.take(train.features, first, axis=0)
+        y = np.take(train.float_labels, first)
+        w = np.bincount(cell, weights=weights.values, minlength=first.shape[0])
+    positive = y == 1.0
+    if w[positive].sum() <= 0.0 or w[~positive].sum() <= 0.0:
         raise DataError("single-class training labels (one class has zero weight mass)")
 
     constant = train.constant_columns
-    means, scales = _standardization(train.features, w, constant)
+    means, scales = _standardization(features, w, constant)
     # Exactly constant columns standardize to 0; leaving them out of the
     # solve keeps their coefficients bit-exact 0.
     active = np.flatnonzero(~constant)
-    z = (train.features[:, active] - means[active]) / scales[active]
+    z = (features[:, active] - means[active]) / scales[active]
     k = active.shape[0]
 
     def loss_grad(params):

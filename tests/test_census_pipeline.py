@@ -10,6 +10,7 @@ bands.
 import pytest
 from conftest import REPO_ROOT
 
+import multifair.model
 from multifair.census import (
     CENSUS_COLUMNS,
     reduced_census_view,
@@ -139,6 +140,28 @@ def test_committed_surrogate_fit_converges_quickly(method, level_weights):
     ))
     assert report.converged
     assert report.n_iter <= 20
+
+
+def test_surrogate_fit_runs_on_distinct_cells(monkeypatch):
+    # A structural guard with no timing: the census fit works on the 5051
+    # distinct (feature row, label) cells of its 26049 training rows, so a
+    # fall back to row-level fitting fails here.
+    real, rows_seen = multifair.model.weighted_loss_and_gradient, []
+
+    def counted(coefficients, intercept, features, *args):
+        rows_seen.append(features.shape[0])
+        return real(coefficients, intercept, features, *args)
+
+    monkeypatch.setattr(multifair.model, "weighted_loss_and_gradient", counted)
+    report = run_experiment(ExperimentConfig(
+        dataset=DatasetConfig(str(REPO_ROOT / "data" / "census_surrogate.csv"), "income", ">50K"),
+        sensitive_attributes=SENSITIVE,
+        method="m3fair",
+        level_weights={SENSITIVE[0]: 1, SENSITIVE[1]: 2},
+    ))
+    assert report.converged
+    assert len(rows_seen) >= report.n_iter > 0
+    assert set(rows_seen) == {5051}
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,33 @@ class TestGrid:
         sweep = json.loads((root / "sweep2.json").read_text())
         assert len(sweep["points"]) == 2
 
+    def test_winner_unreachable_on_the_full_split_keeps_the_sweep(self, tmp_path, capsys):
+        # The winner is picked on the sub-training split's thresholds; on the
+        # full training split's, its level partition leaves a cell empty.
+        attrs = ("attr_a", "attr_b", "proxy_a", "proxy_b")
+        csv_path = tmp_path / "small.csv"
+        save_csv(two_attribute_biased_dataset(120, seed=1), csv_path,
+                 label_column="outcome", positive_label="yes", negative_label="no")
+        config = write_config(
+            tmp_path, csv_path, sensitive_attributes=list(attrs),
+            method="m3fair", level_weights={a: 1 for a in attrs},
+            grid={"candidates": {a: [1, 2, 3] for a in attrs}},
+            report_path=str(tmp_path / "winner"),
+        )
+        assert main(["grid", "--config", str(config), "--output", str(tmp_path / "sweep")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error [reweight] winning level weights attr_a=2, attr_b=1, proxy_a=3, proxy_b=1: "
+            "unreachable cell: group 1 has no rows with label 0\n"
+        )
+        assert captured.out == ""
+        sweep = json.loads((tmp_path / "sweep.json").read_text())
+        assert sweep["winner_level_weights"] == {"attr_a": 2, "attr_b": 1, "proxy_a": 3, "proxy_b": 1}
+        assert sum(point["status"] == "ok" for point in sweep["points"]) == 48
+        assert (tmp_path / "sweep.txt").read_text().endswith(
+            "selected level weights: attr_a=2, attr_b=1, proxy_a=3, proxy_b=1\n")
+        assert not (tmp_path / "winner.json").exists()
+
 
 class TestConvergenceWarning:
     """A fit that stops short of convergence is reported on stderr alone:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import REPO_ROOT
 from multifair import data
@@ -280,6 +281,71 @@ class TestDatasetInvariants:
             ds.features[0, 0] = 5.0
         with pytest.raises(ValueError):
             ds.labels[0] = 1
+
+
+def byte_cells(features, labels):
+    """Test oracle: the rows grouped by exact (feature bytes, label)
+    equality, one Python dict lookup per row, cells in first-appearance
+    order."""
+    index, first, cell = {}, [], []
+    for i, (row, label) in enumerate(zip(features, labels)):
+        key = (row.tobytes(), int(label))
+        if key not in index:
+            index[key] = len(first)
+            first.append(i)
+        cell.append(index[key])
+    return first, cell
+
+
+CELL_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308]
+
+
+@st.composite
+def cell_problems(draw):
+    """Small matrices of a few values, so rows repeat, keys tie (0.0 and
+    -0.0) and the key's terms are huge or subnormal."""
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    values = draw(st.lists(st.sampled_from(CELL_VALUES), min_size=1, max_size=4, unique_by=float.hex))
+    features = draw(arrays(np.float64, (n, d), elements=st.sampled_from(values)))
+    labels = draw(arrays(np.int64, n, elements=st.sampled_from([0, 1])))
+    return features, labels
+
+
+class TestCells:
+    @settings(max_examples=300, deadline=None)
+    @given(cell_problems())
+    @example((np.array([[0.0], [-0.0], [0.0], [-0.0]]), np.array([1, 1, 1, 1])))
+    @example((np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, -1e308]]), np.array([0, 0, 0])))
+    @example((np.array([[5e-324], [0.0], [-5e-324], [5e-324], [0.0]]), np.array([1, 0, 1, 1, 0])))
+    def test_cells_are_the_exact_byte_partition(self, problem):
+        # RuntimeWarnings are errors in this suite, so an overflowing key fails here
+        features, labels = problem
+        first, cell = Dataset(features, labels, tuple(f"c{j}" for j in range(features.shape[1]))).cells
+        assert (first.tolist(), cell.tolist()) == byte_cells(features, labels)
+        assert (np.diff(first) > 0).all()
+        assert (first[cell] <= np.arange(labels.shape[0])).all()
+
+    def test_census_surrogate_training_split_has_5051_cells(self):
+        ds = load_csv(REPO_ROOT / "data" / "census_surrogate.csv", "income", ">50K")
+        train, _ = split(ds, SplitSpec())
+        first, cell = train.cells
+        assert (train.n_rows, first.shape[0]) == (26049, 5051)
+        assert (first.tolist(), cell.tolist()) == byte_cells(train.features, train.labels)
+
+    @pytest.mark.parametrize("n_noise", [3, 30])  # 30: the key stops after 16 columns
+    def test_distinct_rows_are_their_own_cells(self, n_noise):
+        ds = planted_bias_dataset(300, n_noise=n_noise, seed=1)
+        first, cell = ds.cells
+        assert first.tolist() == cell.tolist() == list(range(300))
+        assert not first.flags.writeable and not cell.flags.writeable
+
+    def test_rows_equal_on_their_first_16_columns(self):
+        rng = np.random.default_rng(3)
+        features = np.column_stack([np.zeros((60, 16)), rng.choice([0.0, -0.0, 1.0], (60, 3))])
+        labels = rng.integers(0, 2, 60)
+        first, cell = Dataset(features, labels, tuple(f"c{j}" for j in range(19))).cells
+        assert (first.tolist(), cell.tolist()) == byte_cells(features, labels)
+        assert first.shape[0] < 60
 
 
 BINARY_CHECKS = {

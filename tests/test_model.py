@@ -9,8 +9,12 @@ from scipy.special import expit
 import multifair.data
 import multifair.model
 from conftest import REPO_ROOT
-from multifair.data import Dataset, _constant_columns, load_csv
+from multifair.data import (
+    Dataset, SplitSpec, _constant_columns, binarize_by_mean, binarize_by_threshold, load_csv,
+    set_privileged, split,
+)
 from multifair.errors import ConfigError, DataError
+from multifair.metrics import PredictionSet, auroc, evaluate_fairness
 from multifair.model import (
     ModelParams,
     TrainConfig,
@@ -523,3 +527,106 @@ class TestBitIdentity:
         weights = (SampleWeights.unit(ds.n_rows) if unit
                    else SampleWeights(np.random.default_rng(60).uniform(0.2, 3.0, ds.n_rows)))
         self.assert_same_fit(ds, weights, TrainConfig(), monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# The fit on distinct (feature row, label) cells against the row-level fit
+# ---------------------------------------------------------------------------
+
+
+def census_train():
+    ds = load_csv(REPO_ROOT / "data" / "census_surrogate.csv", "income", ">50K")
+    return split(ds, SplitSpec())
+
+
+def assert_same_model_bytes(a, b):
+    assert a.coefficients.tobytes() == b.coefficients.tobytes()
+    assert float.hex(a.intercept) == float.hex(b.intercept)
+    assert a.means.tobytes() == b.means.tobytes()
+    assert a.scales.tobytes() == b.scales.tobytes()
+    assert (a.n_iter, a.converged) == (b.n_iter, b.converged)
+
+
+class TestCellFit:
+    @staticmethod
+    def row_level_fit(ds, weights, config, monkeypatch):
+        """Test-only reference: the same fit with the identity partition
+        patched in, so that every row is its own cell."""
+        with monkeypatch.context() as patch:
+            patch.setattr(multifair.data, "_row_cells", lambda features, labels: (np.arange(labels.shape[0]),) * 2)
+            return fit(Dataset(ds.features, ds.labels, ds.column_names), weights, config)
+
+    def assert_matches_row_level_fit(self, ds, weights, config, monkeypatch):
+        assert ds.cells[0].shape[0] < ds.n_rows  # some rows do merge
+        reference = self.row_level_fit(ds, weights, config, monkeypatch)
+        model = fit(ds, weights, config)
+        assert (model.n_iter, model.converged) == (reference.n_iter, reference.converged)
+        np.testing.assert_allclose(predict_scores(model, ds), predict_scores(reference, ds), rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    def test_census_surrogate(self, zeros, monkeypatch):
+        train, _ = census_train()
+        rng = np.random.default_rng(70)
+        w = rng.uniform(0.2, 3.0, train.n_rows)
+        if zeros:
+            w[rng.uniform(size=train.n_rows) < 0.3] = 0.0
+        self.assert_matches_row_level_fit(train, SampleWeights(w), TrainConfig(), monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_problems_with_planted_duplicates(self, seed, monkeypatch):
+        rng = np.random.default_rng(80 + seed)
+        n = int(rng.integers(20, 200))
+        ds, _ = random_problem(rng, n, int(rng.integers(1, 6)))
+        ds = ds.take(rng.integers(0, n, 3 * n))
+        w = rng.uniform(0.1, 3.0, ds.n_rows)
+        w[rng.uniform(size=ds.n_rows) < (0.0, 0.3)[seed % 2]] = 0.0
+        # At 1e-10 the Armijo test near the optimum is decided by the loss's
+        # rounding, so either fit can crawl to max_iterations (seed 5's
+        # row-level fit does), and the two stop at different points
+        config = TrainConfig(l2_penalty=(0.0, 1e-4, 1e-2)[seed % 3], gradient_tolerance=(1e-6, 1e-8)[seed % 2])
+        self.assert_matches_row_level_fit(ds, SampleWeights(w), config, monkeypatch)
+
+    @pytest.mark.parametrize("source", ["census", "distinct"])
+    def test_duplicated_rows_equal_weight_two_bit_for_bit(self, source):
+        # The doubled rows merge into the cells of the original rows, each
+        # cell weighing twice its row count in both fits
+        if source == "census":
+            train, test = census_train()
+        else:
+            train, _ = random_problem(np.random.default_rng(90), 300, 4)
+            test, _ = random_problem(np.random.default_rng(91), 100, 4)
+        n = train.n_rows
+        doubled = fit(train.take(np.tile(np.arange(n), 2)), SampleWeights.unit(2 * n))
+        heavier = fit(train, SampleWeights(np.full(n, 2.0)))
+        assert_same_model_bytes(doubled, heavier)
+        groups = [set_privileged(binarize_by_mean(train, name), train) for name in train.column_names[:2]]
+        on_test = [binarize_by_threshold(test, g.attribute_name, float(train.column(g.attribute_name).mean()))
+                   .with_privileged(g.privileged_value) for g in groups]
+        outcomes = []
+        for model in (doubled, heavier):
+            preds = PredictionSet(predict_scores(model, test), test.labels)
+            outcomes.append((evaluate_fairness(preds, on_test), float.hex(auroc(preds.scores, preds.labels))))
+        assert outcomes[0] == outcomes[1]
+
+
+class TestHugeFeatures:
+    def test_overflowing_column_fits_in_scaled_form(self):
+        # RuntimeWarnings are errors in this suite, so an overflowing square fails here
+        features = np.array([[1.0, 0.0], [2.0, 1e300], [0.5, 0.0], [3.0, 0.0]])
+        labels = np.array([0, 1, 0, 1])
+        shrunk = features.copy()
+        shrunk[:, 1] /= 1e290
+        huge, small = Dataset(features, labels, ("a", "b")), Dataset(shrunk, labels, ("a", "b"))
+        model = fit(huge, SampleWeights.unit(4))
+        reference = fit(small, SampleWeights.unit(4))
+        assert model.scales[0] == reference.scales[0]  # the column that does not overflow keeps its bits
+        np.testing.assert_allclose(predict_scores(model, huge), predict_scores(reference, small),
+                                   rtol=0.0, atol=1e-9)
+
+    def test_column_near_the_largest_double_fits(self):
+        # the weighted sum itself overflows here, not only the squares
+        features = np.array([[1.0, 1e308], [2.0, 1e308], [0.5, -1e308], [3.0, 0.0]])
+        ds = Dataset(features, np.array([0, 1, 0, 1]), ("a", "b"))
+        model = fit(ds, SampleWeights(np.full(4, 2.0)))
+        assert model.converged
+        assert model.means[1] == pytest.approx(2.5e307) and model.scales[1] == pytest.approx(np.sqrt(0.6875) * 1e308)
