@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, DegenerateAttributeError
+from .errors import DataError, DegenerateAttributeError, expect
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -184,15 +184,10 @@ class GroupAssignment:
             raise DataError("membership values must be 0 or 1")
         if self.privileged_value not in (None, 0, 1):
             raise DataError("privileged_value must be 0, 1, or None")
-        membership = membership.astype(np.int8)
-        membership.setflags(write=False)
-        object.__setattr__(self, "membership", membership)
+        object.__setattr__(self, "membership", _read_only(membership.astype(np.int8)))
 
     def __len__(self) -> int:
         return self.membership.shape[0]
-
-    def group_mask(self, code: int) -> np.ndarray:
-        return self.membership == code
 
     def _require_privileged(self) -> int:
         if self.privileged_value is None:
@@ -225,7 +220,7 @@ class SplitSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
+        if not 0.0 < expect(self.test_fraction, "test_fraction", (int, float), "a number") < 1.0:
             raise DataError("test_fraction must lie strictly between 0 and 1")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise DataError("seed must be a non-negative integer")
@@ -252,8 +247,9 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     Files are read by one C-parsed ``np.loadtxt`` pass.  Files it cannot
     read exactly as the csv module does (ragged rows, empty or non-finite
     numeric cells, spellings only Python's ``float()`` accepts such as
-    ``1_000``, a stray label value) take the slower csv-module path, which
-    gives the same result and is the one source of the errors below.
+    ``1_000``, a stray label value, two spellings of one category that
+    differ only by padding) take the slower csv-module path, which gives
+    the same result and is the one source of the errors below.
 
     Raises DataError for: duplicate or missing header names, row arity
     mismatches, empty or non-finite numeric cells, or a label value
@@ -274,12 +270,12 @@ def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | Non
     non-empty and not a number.  Each text or label column's converter is
     the bound ``__getitem__`` of a ``defaultdict`` over a float counter, a
     builtin that codes each distinct raw cell by first appearance inside
-    loadtxt's C loop, with no Python frame per cell.  Raw spellings that
-    strip to one category are then merged, walking the raw codes in order,
-    which keeps the stripped categories in first-appearance order.  Numeric
-    cells go through numpy's C float parser, which rounds as
-    ``float()`` does; the few spellings only ``float()`` reads make
-    loadtxt raise, and so take the csv-module path.
+    loadtxt's C loop, with no Python frame per cell.  When two raw
+    spellings strip to one category the file takes the csv-module path,
+    which merges them; otherwise each stripped category keeps its raw
+    code, in first-appearance order.  Numeric cells go through numpy's C
+    float parser, which rounds as ``float()`` does; the few spellings only
+    ``float()`` reads make loadtxt raise, and so take the csv-module path.
     """
     # newline="" keeps line endings inside quoted cells as the csv module does
     with open(path, newline="", encoding="utf-8") as handle:
@@ -309,12 +305,9 @@ def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | Non
             return None
 
     for j, raw_codes in tables.items():
-        categories: dict[str, int] = {}
-        remap = np.array([categories.setdefault(raw.strip(), len(categories)) for raw in raw_codes],
-                         dtype=np.float64)
-        if len(categories) < len(raw_codes):
-            values[:, j] = remap[values[:, j].astype(np.intp)]
-        tables[j] = categories
+        tables[j] = {raw.strip(): code for raw, code in raw_codes.items()}
+        if len(tables[j]) < len(raw_codes):
+            return None  # two spellings of one category, which the csv-module path merges
 
     labels_seen = tables[label_idx]
     if len(labels_seen.keys() - {positive_label}) > 1 or not np.isfinite(values).all():
@@ -446,7 +439,7 @@ def binarize_by_mean(dataset: Dataset, column: str) -> GroupAssignment:
 def set_privileged(group: GroupAssignment, dataset: Dataset) -> GroupAssignment:
     """Mark as privileged the group code with the higher favorable-label
     base rate, breaking ties toward code 1."""
-    mask1 = group.group_mask(1)
+    mask1 = group.membership == 1
     if not mask1.any() or mask1.all():
         raise DataError(
             f"attribute {group.attribute_name!r}: both groups must be non-empty"

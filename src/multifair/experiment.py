@@ -109,6 +109,10 @@ class DatasetConfig:
     label_column: str
     positive_label: str
 
+    def __post_init__(self):
+        for key in ("path", "label_column", "positive_label"):
+            expect(getattr(self, key), key, str, "a string")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -126,6 +130,9 @@ class ExperimentConfig:
     report_path: str | None = None
 
     def __post_init__(self):
+        sections = {"dataset": DatasetConfig, "split": SplitSpec, "detection": DetectionConfig, "train": TrainConfig}
+        for key, section in sections.items():
+            expect(getattr(self, key), key, section, f"a {section.__name__}")
         for key in ("sensitive_attributes", "attribute_order"):
             names = getattr(self, key)
             # tuple("ab") would be ("a", "b"); the JSON path rejects it too
@@ -240,19 +247,14 @@ def _binarize_on_train(train: Dataset, other: Dataset, names) -> tuple[dict, dic
 
 def _training_weights(config: ExperimentConfig, train: Dataset, groups: dict) -> SampleWeights:
     unit = SampleWeights.unit(train.n_rows)
+    ordered = [groups[name] for name in _method_attributes(config)]
     if config.method == "none":
         return unit
     if config.method == "rw_single":
-        return reweight_single_attribute(train.labels, groups[config.sensitive_attributes[0]], unit)
+        return reweight_single_attribute(train.labels, ordered[0], unit)
     if config.method == "rw_sequential":
-        ordered = [groups[name] for name in config.attribute_order]
         return reweight_sequential(train.labels, ordered, unit)
-    return m3fair(
-        train.labels,
-        list(groups.values()),
-        LevelWeightConfig(config.level_weights),
-        unit,
-    )
+    return m3fair(train.labels, ordered, LevelWeightConfig(config.level_weights), unit)
 
 
 def _method_attributes(config: ExperimentConfig) -> tuple[str, ...]:
@@ -371,12 +373,12 @@ class GridSearchConfig:
     validation_fraction: float = 0.2
 
     def __post_init__(self):
-        if not 0.0 < self.validation_fraction < 1.0:
+        if not 0.0 < expect(self.validation_fraction, "validation_fraction", (int, float), "a number") < 1.0:
             raise ConfigError("validation_fraction must lie strictly between 0 and 1")
         if self.candidates is not None:
             cleaned = {}
-            for name, values in self.candidates.items():
-                values = tuple(values)
+            for name, values in expect(self.candidates, "candidates", dict, "an object").items():
+                values = tuple(expect(values, f"candidates.{name}", (list, tuple), "a list"))
                 if not values:
                     raise ConfigError(f"empty candidate set for attribute {name!r}")
                 for v in values:
@@ -426,6 +428,10 @@ class GridWinnerError(PipelineError):
     def __init__(self, stage: str, message: str, result: GridSearchResult):
         super().__init__(stage, message)
         self.result = result
+
+
+def _levels_text(level_weights: dict[str, int]) -> str:
+    return ", ".join(f"{name}={weight}" for name, weight in level_weights.items())
 
 
 def select_grid_winner(points) -> GridPoint:
@@ -533,7 +539,7 @@ def grid_search(
     try:
         report = _run_condition(replace(config, level_weights=winner.level_weights), train, test)
     except PipelineError as exc:
-        levels = ", ".join(f"{k}={v}" for k, v in winner.level_weights.items())
+        levels = _levels_text(winner.level_weights)
         raise GridWinnerError(exc.stage, f"winning level weights {levels}: {exc.message}", result) from exc
     return replace(result, report=report)
 
@@ -550,12 +556,16 @@ def _report_paths(path) -> tuple[str, str]:
     return base + ".json", base + ".txt"
 
 
-def _write_json(path, payload) -> None:
-    """Write ``payload`` to ``path``, in a directory made if missing."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
+def _emit(path, payload, table: str | None = None) -> None:
+    """Write ``payload`` to ``<base>.json`` and, when given, ``table`` to
+    ``<base>.txt``, in a directory made if missing."""
+    json_path, text_path = _report_paths(path)
+    Path(json_path).parent.mkdir(parents=True, exist_ok=True)
+    with open(json_path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
+    if table is not None:
+        Path(text_path).write_text(table, encoding="utf-8")
 
 
 def _json_float(value: float):
@@ -619,11 +629,10 @@ def format_report_table(report: ExperimentReport) -> str:
 
 def emit_report(report: ExperimentReport, path) -> None:
     """Write the structured JSON report and its aligned text table."""
-    json_path, text_path = _report_paths(path)
     metadata = _json_record(report)
     del metadata["rows"]
-    _write_json(json_path, {"rows": [_json_record(row) for row in report.rows], "metadata": metadata})
-    Path(text_path).write_text(format_report_table(report), encoding="utf-8")
+    payload = {"rows": [_json_record(row) for row in report.rows], "metadata": metadata}
+    _emit(path, payload, format_report_table(report))
 
 
 def load_report(path) -> ExperimentReport:
@@ -643,7 +652,6 @@ def load_report(path) -> ExperimentReport:
 
 def emit_detection(result: DetectionResult, path) -> None:
     """Structured JSON for a detection run (rankings, intersection, skips)."""
-    json_path, _ = _report_paths(path)
     payload = {
         "intersection": sorted(result.intersection),
         "skipped": [[column, reason] for column, reason in result.skipped],
@@ -652,34 +660,31 @@ def emit_detection(result: DetectionResult, path) -> None:
             for metric, ranking in result.per_metric_rankings.items()
         },
     }
-    _write_json(json_path, payload)
+    _emit(path, payload)
 
 
 def format_grid_table(result: GridSearchResult) -> str:
     headers = ["Levels", "Status", "Score", "ValAUROC", "Reason"]
     body = []
     for point in result.points:
-        levels = ", ".join(f"{k}={v}" for k, v in point.level_weights.items())
         body.append(
             [
-                levels,
+                _levels_text(point.level_weights),
                 point.status,
                 "" if point.score is None or not math.isfinite(point.score) else f"{point.score:.4f}",
                 "" if point.val_auroc is None else f"{point.val_auroc:.4f}",
                 point.reason or "",
             ]
         )
-    winner = ", ".join(f"{k}={v}" for k, v in result.winner.entries.items())
+    winner = _levels_text(result.winner.entries)
     return "\n".join(_aligned(headers, body) + ["", f"selected level weights: {winner}"]) + "\n"
 
 
 def emit_grid(result: GridSearchResult, path) -> None:
     """Write the sweep table (JSON + text); the winner's experiment report
     is emitted separately via the experiment config's report_path."""
-    json_path, text_path = _report_paths(path)
     payload = {
         "winner_level_weights": dict(result.winner.entries),
         "points": [_json_record(point) for point in result.points],
     }
-    _write_json(json_path, payload)
-    Path(text_path).write_text(format_grid_table(result), encoding="utf-8")
+    _emit(path, payload, format_grid_table(result))

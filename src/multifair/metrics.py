@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import GroupAssignment
+from .data import GroupAssignment, _read_only
 from .errors import DataError, MetricUndefinedError
 
 DECISION_THRESHOLD = 0.5
@@ -46,12 +46,9 @@ class PredictionSet:
         if not ((labels == 0) | (labels == 1)).all():
             raise DataError("labels must be 0 or 1")
         predictions = (scores >= DECISION_THRESHOLD).astype(np.int64)
-        labels = labels.astype(np.int64)
-        for arr in (scores, predictions, labels):
-            arr.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "predictions", predictions)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "scores", _read_only(scores))
+        object.__setattr__(self, "predictions", _read_only(predictions))
+        object.__setattr__(self, "labels", _read_only(labels.astype(np.int64)))
 
     def __len__(self) -> int:
         return self.scores.shape[0]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _read_only
 from .errors import DataError, expect
 from .reweighting import SampleWeights
 
@@ -76,8 +76,7 @@ class ModelParams:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if not np.isfinite(arr).all():
                 raise DataError(f"{name} must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(arr))
 
     @property
     def n_cols(self) -> int:
@@ -163,6 +162,36 @@ def _standardization(features: np.ndarray, weights: np.ndarray, constant: np.nda
     return means, scales
 
 
+def _standardized(features: np.ndarray, columns, means: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """``(features[:, columns] - means) / scales`` in one new array, for an
+    index array or a slice ``columns`` and the columns' ``means`` and
+    ``scales``.
+
+    The difference and the quotient are taken in place, the same IEEE
+    operations as the formula, so every entry that does not overflow keeps
+    its bits; the array also has the formula's memory layout (column-major
+    for an index array, row-major for a slice), so products with it keep
+    theirs.  A column with an entry that does overflow (its values lie
+    further apart than the largest double) is computed as ``x / scale -
+    mean / scale`` instead.
+    """
+    z = features[:, columns]
+    if np.may_share_memory(z, features):  # a slice is a view, an index array a copy
+        z = z.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        z -= means
+        z /= scales
+        # An overflowed entry makes the sum inf or nan (a sum of finite
+        # entries may overflow too, and then no column is redone); unlike
+        # np.isfinite(z) it makes no mask as large as z
+        overflowed = not np.isfinite(z.sum())
+    if overflowed:
+        overflow = ~np.isfinite(z).all(axis=0)
+        x = features[:, columns][:, overflow]
+        z[:, overflow] = x / scales[overflow] - means[overflow] / scales[overflow]
+    return z
+
+
 def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfig()) -> ModelParams:
     """Train weighted logistic regression on ``train`` by damped Newton
     from zero parameters.
@@ -193,7 +222,7 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
     # Exactly constant columns standardize to 0; leaving them out of the
     # solve keeps their coefficients bit-exact 0.
     active = np.flatnonzero(~constant)
-    z = (features[:, active] - means[active]) / scales[active]
+    z = _standardized(features, active, means[active], scales[active])
     k = active.shape[0]
 
     def loss_grad(params):
@@ -254,6 +283,6 @@ def predict_scores(model: ModelParams, data: Dataset) -> np.ndarray:
         raise DataError(
             f"column count mismatch: model fit on {model.n_cols}, data has {data.n_cols}"
         )
-    z = ((data.features - model.means) / model.scales) @ model.coefficients + model.intercept
-    return np.clip(_sigmoid(z), 1e-12, 1.0 - 1e-12)
+    z = _standardized(data.features, slice(None), model.means, model.scales)
+    return np.clip(_sigmoid(z @ model.coefficients + model.intercept), 1e-12, 1.0 - 1e-12)
 

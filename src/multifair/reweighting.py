@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import GroupAssignment
+from .data import GroupAssignment, _read_only
 from .errors import ConfigError, DataError, UnreachableCellError
 
 
@@ -45,9 +45,7 @@ class SampleWeights:
             raise DataError("weights must be non-negative")
         if values.sum() <= 0.0:
             raise DataError("zero total weight")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only(values.copy()))
 
     @classmethod
     def unit(cls, n_rows: int) -> "SampleWeights":
@@ -90,9 +88,6 @@ class LevelWeightConfig:
     def attributes(self) -> tuple[str, ...]:
         return tuple(self.entries)
 
-    def items(self):
-        return self.entries.items()
-
 
 def compute_sensitivity_levels(
     groups: Sequence[GroupAssignment], config: LevelWeightConfig
@@ -113,10 +108,9 @@ def compute_sensitivity_levels(
     n = len(selected[0])
     if any(len(g) != n for g in selected):
         raise DataError("group assignments are not row-aligned")
-    levels = np.zeros(n, dtype=np.int64)
-    for assignment, (name, weight) in zip(selected, config.items()):
-        levels += weight * assignment.unprivileged_indicator()
-    return levels
+    # Exact: check_level_sum keeps every row's sum within int64
+    weights = np.array(list(config.entries.values()), dtype=np.int64)
+    return weights @ np.array([assignment.unprivileged_indicator() for assignment in selected])
 
 
 def reweight(labels, partition, prior: SampleWeights) -> SampleWeights:

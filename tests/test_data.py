@@ -244,6 +244,21 @@ def test_fast_path_reads_the_repository_inputs(tmp_path, monkeypatch):
         assert np.array_equal(got.labels, want.labels)
 
 
+def test_two_spellings_of_one_category_take_the_csv_module_path(tmp_path, monkeypatch):
+    path = write(tmp_path / "t.csv", "t,x,y\na,1,p\n a,2,q\nb,3,p\n")
+    expected = load_outcome(data._load_rows, path)
+    real, calls = data._load_rows, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(data, "_load_rows", counted)
+    assert load_outcome(load_csv, path) == expected
+    assert expected[0] == ("t=a", "t=b", "x")
+    assert len(calls) == 1
+
+
 def test_fast_path_codes_text_cells_without_a_python_call_per_cell():
     path = REPO_ROOT / "data" / "census_surrogate.csv"
     calls = 0

@@ -147,6 +147,23 @@ class TestConfigValidation:
         assert c1.config_hash() != c3.config_hash()
 
 
+@pytest.mark.parametrize("build, key", [
+    (lambda: SplitSpec(test_fraction="0.2"), "test_fraction"),
+    (lambda: GridSearchConfig(validation_fraction="x"), "validation_fraction"),
+    (lambda: GridSearchConfig(candidates={"a": 3}), "candidates.a"),
+    (lambda: GridSearchConfig(candidates=[("a", (1, 2))]), "candidates"),
+    (lambda: DatasetConfig(None, "y", "1"), "path"),
+    (lambda: ExperimentConfig(dataset={"path": "x.csv", "label_column": "y", "positive_label": "1"},
+                              sensitive_attributes=("a",)), "dataset"),
+    (lambda: ExperimentConfig(DatasetConfig("x.csv", "y", "1"), ("a",), train=None), "train"),
+    (lambda: ExperimentConfig(DatasetConfig("x.csv", "y", "1"), ("a",), split={}), "split"),
+    (lambda: ExperimentConfig(DatasetConfig("x.csv", "y", "1"), ("a",), detection=None), "detection"),
+])
+def test_configs_built_from_python_check_their_types(build, key):
+    with pytest.raises(ConfigError, match=rf"^'{key}' must be "):
+        build()
+
+
 class TestRunExperiment:
     def test_baseline_condition(self, synth_csv):
         report = run_experiment(config_for(synth_csv))

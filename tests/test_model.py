@@ -630,3 +630,16 @@ class TestHugeFeatures:
         model = fit(ds, SampleWeights(np.full(4, 2.0)))
         assert model.converged
         assert model.means[1] == pytest.approx(2.5e307) and model.scales[1] == pytest.approx(np.sqrt(0.6875) * 1e308)
+
+    @pytest.mark.parametrize("signs", [(1.0,), (1.0, -1.0)])
+    def test_column_wider_than_the_largest_double_fits_and_predicts(self, signs):
+        # x - mean overflows here (-1.5e308 - 1.2e308), in fit and in predict_scores;
+        # with a negated copy of the column, to +inf and -inf both
+        features = np.array([1.5e308] * 9 + [-1.5e308])[:, None] * np.array(signs)
+        labels = np.array([1, 0, 1, 1, 0, 1, 0, 1, 0, 1])
+        names = ("a", "b")[:len(signs)]
+        huge, small = Dataset(features, labels, names), Dataset(features * 1e-300, labels, names)
+        model = fit(huge, SampleWeights.unit(10))
+        assert model.converged
+        np.testing.assert_allclose(predict_scores(model, huge),
+                                   predict_scores(fit(small, SampleWeights.unit(10)), small), rtol=0.0, atol=1e-9)

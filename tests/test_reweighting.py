@@ -110,6 +110,19 @@ class TestSensitivityLevels:
         levels = compute_sensitivity_levels([a, b], LevelWeightConfig({"a": 2**62, "b": 2**62 - 1}))
         assert levels.tolist() == [0, 2**62, 2**62 - 1, top]
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_levels_equal_the_python_int_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        k, n = int(rng.integers(1, 6)), int(rng.integers(1, 30))
+        bound = [k, 2**20, 2**63 - 1][seed % 3]  # the weights sum to at most this
+        weights = [int(w) for w in rng.integers(1, bound // k, size=k, endpoint=True)]
+        groups = [GroupAssignment(f"g{j}", rng.integers(0, 2, n), privileged_value=int(rng.integers(0, 2)))
+                  for j in range(k)]
+        config = LevelWeightConfig({g.attribute_name: w for g, w in zip(groups, weights)})
+        expected = [sum(w for g, w in zip(groups, weights) if g.membership[i] != g.privileged_value)
+                    for i in range(n)]
+        assert compute_sensitivity_levels(groups, config).tolist() == expected
+
 
 class TestReweight:
     def test_worked_ten_row_example(self):
