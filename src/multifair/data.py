@@ -249,7 +249,10 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     numeric cells, spellings only Python's ``float()`` accepts such as
     ``1_000``, a stray label value, two spellings of one category that
     differ only by padding) take the slower csv-module path, which gives
-    the same result and is the one source of the errors below.
+    the same result and is the one source of the errors below.  When a
+    data line repeats within the first 64 KiB of data and no line holds a
+    quote or is blank, each distinct line is parsed once and the rows are
+    expanded from it.
 
     Raises DataError for: duplicate or missing header names, row arity
     mismatches, empty or non-finite numeric cells, or a label value
@@ -276,6 +279,12 @@ def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | Non
     code, in first-appearance order.  Numeric cells go through numpy's C
     float parser, which rounds as ``float()`` does; the few spellings only
     ``float()`` reads make loadtxt raise, and so take the csv-module path.
+
+    A file whose data lines repeat (see :func:`_repeated_lines`) is parsed
+    one distinct line each, in first-appearance order, so every category
+    gets the code it would get from the whole file; the features and
+    labels built on the distinct lines are expanded to every row with one
+    ``take``.
     """
     # newline="" keeps line endings inside quoted cells as the csv module does
     with open(path, newline="", encoding="utf-8") as handle:
@@ -294,15 +303,23 @@ def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | Non
             j: defaultdict(itertools.count(0.0).__next__) for j, cell in enumerate(first)
             if j == label_idx or (cell.strip() != "" and _parse_float(cell) is None)
         }
-        handle.seek(0)
+        repeated = _repeated_lines(handle, header_lines)
+        if repeated is None:
+            handle.seek(0)
+            source, skip = handle, header_lines
+        else:
+            source, inverse = repeated
+            skip = 0
         try:
             values = np.loadtxt(
-                handle, delimiter=",", quotechar='"', comments=None, encoding="utf-8",
-                ndmin=2, skiprows=header_lines,
+                source, delimiter=",", quotechar='"', comments=None, encoding="utf-8",
+                ndmin=2, skiprows=skip,
                 converters={j: table.__getitem__ for j, table in tables.items()},
             )
         except ValueError:
             return None
+    if repeated is not None and values.shape[0] != len(source):
+        return None  # a line loadtxt skipped or split would misalign every later row
 
     for j, raw_codes in tables.items():
         tables[j] = {raw.strip(): code for raw, code in raw_codes.items()}
@@ -322,8 +339,41 @@ def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | Non
         else:
             blocks.append(values[:, j, None])
             names.append(name)
+    features = np.concatenate(blocks, axis=1, dtype=np.float64)
     labels = values[:, label_idx] == labels_seen.get(positive_label, -1)
-    return Dataset(np.concatenate(blocks, axis=1, dtype=np.float64), labels, tuple(names))
+    if repeated is not None:
+        features, labels = features.take(inverse, axis=0), labels.take(inverse)
+    return Dataset(features, labels, tuple(names))
+
+
+# How much of a CSV's data lines is read to decide whether lines repeat
+_PROBE_BYTES = 1 << 16
+
+
+def _repeated_lines(handle, header_lines: int) -> tuple[list[str], np.ndarray] | None:
+    """The data lines of ``handle`` as (each distinct line once, in
+    first-appearance order; each line's index into them), or None when
+    parsing every line is as cheap or the lines cannot be parsed apart.
+
+    Only the first ``_PROBE_BYTES`` of data lines are read to decide: when
+    none of them repeats, the file is taken to have no repeats worth
+    keying.  A quote may open a cell that spans lines, and loadtxt skips a
+    blank line where the line index would still count it, so a file with
+    either is parsed whole.
+    """
+    handle.seek(0)
+    for _ in range(header_lines):
+        handle.readline()
+    lines = handle.readlines(_PROBE_BYTES)
+    if len(dict.fromkeys(lines)) == len(lines):
+        return None
+    lines += handle.readlines()
+    # a builtin default factory numbers each new line without a Python frame
+    index = defaultdict(itertools.count().__next__)
+    inverse = np.fromiter(map(index.__getitem__, lines), np.intp, len(lines))
+    if '"' in "".join(index) or any(blank in index for blank in ("\n", "\r\n", "\r")):
+        return None
+    return list(index), inverse
 
 
 def _load_rows(path, label_column: str, positive_label: str) -> Dataset:

@@ -135,15 +135,17 @@ class ExperimentConfig:
             expect(getattr(self, key), key, section, f"a {section.__name__}")
         for key in ("sensitive_attributes", "attribute_order"):
             names = getattr(self, key)
-            # tuple("ab") would be ("a", "b"); the JSON path rejects it too
-            if isinstance(names, str):
-                raise ConfigError(f"{key!r} must be a list, got {names!r}")
             if names is not None:
-                names = tuple(names)
+                # a list or tuple, as the JSON path reads it: tuple("ab") would be ("a", "b")
+                names = tuple(expect(names, key, (list, tuple), "a list"))
+                for i, name in enumerate(names):
+                    expect(name, f"{key}[{i}]", str, "a string")
                 duplicates = sorted({name for name in names if names.count(name) > 1})
                 if duplicates:
                     raise ConfigError(f"duplicate names in {key!r}: {duplicates}")
                 object.__setattr__(self, key, names)
+        if self.report_path is not None:
+            expect(self.report_path, "report_path", str, "a string")
         attrs = self.sensitive_attributes
         if not attrs:
             raise ConfigError("sensitive_attributes must not be empty")

@@ -123,16 +123,18 @@ ODD_CELLS = ["", "1_000", "١٢", "nan", "-inf", "#c", ' "1.5"', "0x1", "a"]
 
 
 @st.composite
-def csv_texts(draw):
+def csv_texts(draw, repeats=False):
     """Headered CSV text with label column ``y``: numeric, text and mixed
     columns, quoting, padding, blank and whitespace-only lines, every line
-    ending, occasional ragged rows, and 1-3 label values."""
+    ending, occasional ragged rows, and 1-3 label values.  With
+    ``repeats``, the rows (each with its blank line, if any) are drawn
+    from a pool of 1-3, so that lines repeat."""
     kinds = draw(st.lists(st.sampled_from(["number", "text", "mixed"]), min_size=1, max_size=3))
     labels = draw(st.lists(st.sampled_from(["p", "q", " q", '"p"', "r"]),
                            min_size=1, max_size=3, unique=True))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    lines = [",".join([f"c{j}" for j in range(len(kinds))] + ["y"])]
-    for _ in range(draw(st.integers(1, 6))):
+
+    def data_lines():
         row = []
         for kind in kinds:
             odd = kind == "mixed" or draw(st.integers(0, 9)) == 0
@@ -141,8 +143,15 @@ def csv_texts(draw):
         row.append(draw(st.sampled_from(labels)))
         if draw(st.integers(0, 19)) == 0:
             row.append("")  # trailing comma
-        lines.append(",".join(row))
-        lines.extend(draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=1)))
+        return [",".join(row), *draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=1))]
+
+    if repeats:
+        pool = [data_lines() for _ in range(draw(st.integers(1, 3)))]
+        rows = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=8))
+    else:
+        rows = [data_lines() for _ in range(draw(st.integers(1, 6)))]
+    lines = [",".join([f"c{j}" for j in range(len(kinds))] + ["y"])]
+    lines.extend(line for row in rows for line in row)
     return draw(st.sampled_from(["", "\ufeff"])) + end.join(lines) + draw(st.sampled_from(["", end]))
 
 
@@ -188,6 +197,26 @@ ADVERSARIAL_FILES = [
     "x,y\n1,p\n2,q\n3,r\n",  # third label value
     "x,y\nnan,p\n2,q\n",
     "x,y\n1,p\n-inf,q\n",
+    # repeated lines: each distinct line is parsed once
+    "c,x,y\na,1,p\nb,2,q\na,1,p\nb,2,q\na,1,p\n",
+    "c,x,y\r\na,1,p\r\nb,2,q\r\na,1,p\r\nb,2,q\r\n",
+    "c,x,y\ra,1,p\rb,2,q\ra,1,p\rb,2,q\r",
+    "c,x,y\na,1,p\nb,2,q\na,1,p\nb,2,q",  # the last repeat has no line end
+    "x,y\n1,p\n\n1,p\n2,q\n\n2,q\n",  # blank lines between repeats
+    "x,y\r\n1,p\r\n\r\n1,p\r\n2,q\r\n\r\n2,q\r\n",
+    "x,y\r1,p\r\r1,p\r2,q\r\r2,q\r",
+    "x,y\n1,p\n  \n1,p\n  \n",  # repeated whitespace-only lines
+    'c,y\na,p\n"b,c",q\na,p\n"b,c",q\n',  # a quoted cell in a file that repeats
+    'c,y\n"a\nb",p\nc,q\n"a\nb",p\nc,q\n',  # ... spanning lines that repeat
+    'c,y\na,p\nb",q\nb",q\n',  # a literal quote on a repeated line
+    "c,d,y\nb,u,q\na,v,p\na,v,p\nb,w,q\nc,v,p\n",  # a category first seen on a repeated line
+    "c,d,y\na,u,p\nb,u,q\na,u,p\nc,w,q\nb,w,q\n",
+    "c,y\n a ,p\nb,q\n a ,p\nb,q\n",  # padded spellings on repeated lines
+    "c,y\na,p\n a,q\na,p\n a,q\n",  # ... that merge
+    "c,y\n b,p\na,q\n b,p\nb,q\na,q\n",
+    "x,y\n1,p\n2,q\n1,p\n2,q,3\n2,q,3\n",  # a ragged row only on a repeated line
+    "x,y\n1,p\n2,q\nnan,p\nnan,p\n",  # nan only on a repeated line
+    "x,y\n1,p\n2,q\n1,r\n1,r\n",  # a third label only on a repeated line
 ]
 
 
@@ -214,6 +243,11 @@ class TestFastPathMatchesCsvPath:
     @given(text=csv_texts())
     @settings(max_examples=300, deadline=None)
     def test_structured(self, csv_file, text):
+        self.check(csv_file, text)
+
+    @given(text=csv_texts(repeats=True))
+    @settings(max_examples=300, deadline=None)
+    def test_repeated_lines(self, csv_file, text):
         self.check(csv_file, text)
 
     @given(text=st.text(alphabet=',"\n\r\t a1.#_pqé', max_size=40))
@@ -257,6 +291,51 @@ def test_two_spellings_of_one_category_take_the_csv_module_path(tmp_path, monkey
     assert load_outcome(load_csv, path) == expected
     assert expected[0] == ("t=a", "t=b", "x")
     assert len(calls) == 1
+
+
+@pytest.fixture
+def loadtxt_sources(monkeypatch):
+    """What each ``np.loadtxt`` call reads: a file handle or a list of lines."""
+    real, sources = np.loadtxt, []
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return sources
+
+
+def test_repeated_lines_are_parsed_once(loadtxt_sources):
+    census = (REPO_ROOT / "data" / "census_surrogate.csv", "income", ">50K")
+    got, want = load_csv(*census), data._load_rows(*census)
+    # 32561 data lines, 5544 distinct
+    assert [len(source) for source in loadtxt_sources] == [5544]
+    assert got.column_names == want.column_names
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+
+    loadtxt_sources.clear()
+    load_csv(REPO_ROOT / "data" / "synthetic.csv", "outcome", "yes")  # no line repeats
+    assert len(loadtxt_sources) == 1 and hasattr(loadtxt_sources[0], "read")
+
+
+def test_lines_that_repeat_only_after_the_probe_are_parsed_whole(tmp_path, loadtxt_sources):
+    rows = [f"{i},{'pq'[i % 3 == 0]}\n" for i in range(10_000)]
+    assert len("".join(rows)) > data._PROBE_BYTES
+    path = write(tmp_path / "t.csv", "x,y\n" + "".join(rows + rows[:50]))
+    assert load_outcome(load_csv, path) == load_outcome(data._load_rows, path)
+    assert len(loadtxt_sources) == 1 and hasattr(loadtxt_sources[0], "read")
+
+
+@pytest.mark.parametrize("text", [
+    "x,y\n1,p\n\n1,p\n2,q\n",  # loadtxt skips a blank line that the line index counts
+    'c,y\n"a\nb",p\n"a\nb",p\n',  # a quoted cell can span lines
+])
+def test_repeats_with_a_blank_line_or_a_quote_are_parsed_whole(tmp_path, loadtxt_sources, text):
+    path = write(tmp_path / "t.csv", text)
+    assert load_outcome(load_csv, path) == load_outcome(data._load_rows, path)
+    assert len(loadtxt_sources) == 1 and hasattr(loadtxt_sources[0], "read")
 
 
 def test_fast_path_codes_text_cells_without_a_python_call_per_cell():

@@ -158,6 +158,13 @@ class TestConfigValidation:
     (lambda: ExperimentConfig(DatasetConfig("x.csv", "y", "1"), ("a",), train=None), "train"),
     (lambda: ExperimentConfig(DatasetConfig("x.csv", "y", "1"), ("a",), split={}), "split"),
     (lambda: ExperimentConfig(DatasetConfig("x.csv", "y", "1"), ("a",), detection=None), "detection"),
+    (lambda: ExperimentConfig(DatasetConfig("x.csv", "y", "1"), ("a",), report_path=5), "report_path"),
+    (lambda: ExperimentConfig(DatasetConfig("x.csv", "y", "1"), 5), "sensitive_attributes"),
+    (lambda: ExperimentConfig(DatasetConfig("x.csv", "y", "1"), (1,)), r"sensitive_attributes\[0\]"),
+    (lambda: ExperimentConfig(DatasetConfig("x.csv", "y", "1"), ("a",), method="rw_sequential",
+                              attribute_order=5), "attribute_order"),
+    (lambda: ExperimentConfig(DatasetConfig("x.csv", "y", "1"), ("a", "b"), method="rw_sequential",
+                              attribute_order=("a", 2)), r"attribute_order\[1\]"),
 ])
 def test_configs_built_from_python_check_their_types(build, key):
     with pytest.raises(ConfigError, match=rf"^'{key}' must be "):
