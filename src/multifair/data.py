@@ -18,12 +18,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DataError, DegenerateAttributeError, expect
+from .errors import ConfigError, DataError, DegenerateAttributeError, check_fields
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
+    """A read-only view of ``array``, which itself stays writable."""
+    view = array.view()
+    view.setflags(write=False)
+    return view
 
 
 def _constant_columns(features: np.ndarray) -> np.ndarray:
@@ -92,6 +94,10 @@ class Dataset:
     features: (n_rows, n_cols) float64, no NaN/inf.
     labels: (n_rows,) values in {0, 1}, 1 being the favorable outcome.
     column_names: unique non-empty names, one per feature column.
+
+    Features given as a C-contiguous float64 array are not copied: the
+    dataset keeps a read-only view of that array, which stays writable to
+    its owner.
     """
 
     features: np.ndarray
@@ -220,10 +226,11 @@ class SplitSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if not 0.0 < expect(self.test_fraction, "test_fraction", (int, float), "a number") < 1.0:
-            raise DataError("test_fraction must lie strictly between 0 and 1")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise DataError("seed must be a non-negative integer")
+        check_fields(self)
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError("test_fraction must lie strictly between 0 and 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
 
 
 def _parse_float(cell: str) -> float | None:

@@ -23,7 +23,7 @@ import numpy as np
 # binarize_by_mean, set_privileged and the four metric functions are not
 # called here; the benchmark's traced mode (perfbench/spans.py) binds them.
 from .data import Dataset, binarize_by_mean, set_privileged  # noqa: F401
-from .errors import DataError, DegenerateAttributeError, expect
+from .errors import ConfigError, DataError, DegenerateAttributeError, check_fields, check_unique
 from .metrics import (  # noqa: F401
     PredictionSet,
     average_odds_difference,
@@ -44,16 +44,12 @@ class DetectionConfig:
     candidate_columns: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if expect(self.top_n, "top_n", int, "an integer") < 1:
-            raise DataError("top_n must be at least 1")
-        if isinstance(self.candidate_columns, str):  # tuple("ab") would be ("a", "b")
-            raise DataError(f"'candidate_columns' must be a list, got {self.candidate_columns!r}")
-        if self.candidate_columns is not None:
-            columns = tuple(self.candidate_columns)
-            if len(set(columns)) != len(columns):
-                duplicates = sorted({c for c in columns if columns.count(c) > 1})
-                raise DataError(f"duplicate candidate columns: {duplicates}")
-            object.__setattr__(self, "candidate_columns", columns or None)
+        check_fields(self)
+        if self.top_n < 1:
+            raise ConfigError("top_n must be at least 1")
+        check_unique(self.candidate_columns or (), "candidate columns")
+        # an empty list, like None, means every column
+        object.__setattr__(self, "candidate_columns", self.candidate_columns or None)
 
 
 @dataclass(frozen=True)

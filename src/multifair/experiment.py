@@ -16,10 +16,8 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from types import NoneType, UnionType
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -38,6 +36,9 @@ from .errors import (
     MetricUndefinedError,
     PipelineError,
     UnreachableCellError,
+    _parse,
+    check_fields,
+    check_unique,
     expect,
 )
 from .metrics import (
@@ -57,52 +58,6 @@ from .reweighting import (
 
 METHODS = ("none", "rw_single", "rw_sequential", "m3fair")
 
-_SCALARS = {str: (str, "a string"), int: (int, "an integer"), float: ((int, float), "a number")}
-
-
-def _typed(hint, value, key: str):
-    """``value`` checked against the field type ``hint``: a config
-    dataclass, ``tuple[T, ...]`` (a JSON list), ``dict[str, T]``, ``str``,
-    ``int``, ``float`` (an int is kept as it is), or one of them ``| None``."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is UnionType:
-        if value is None:
-            return None
-        (hint,) = set(args) - {NoneType}
-        return _typed(hint, value, key)
-    if is_dataclass(hint):
-        return _parse(hint, value, key)
-    if origin is tuple:
-        items = expect(value, key, (list, tuple), "a list")
-        return tuple(_typed(args[0], item, f"{key}[{i}]") for i, item in enumerate(items))
-    if origin is dict:
-        items = expect(value, key, dict, "an object")
-        return {name: _typed(args[1], item, f"{key}.{name}") for name, item in items.items()}
-    return expect(value, key, *_SCALARS[hint])
-
-
-def _parse(cls, payload, key: str = ""):
-    """Build the config dataclass ``cls`` from the JSON object ``payload``
-    (the section ``key``; empty at the top level).  Its fields are the
-    allowed keys, those without a default are required, and each value must
-    have its field's type."""
-    expect(payload, key or "config", dict, "an object")
-    keys = f"keys in {key!r}" if key else "config keys"
-    declared = fields(cls)
-    unknown = set(payload) - {f.name for f in declared}
-    if unknown:
-        raise ConfigError(f"unknown {keys}: {sorted(unknown)}")
-    required = {f.name for f in declared if f.default is MISSING and f.default_factory is MISSING}
-    missing = required - set(payload)
-    if missing:
-        raise ConfigError(f"missing {keys}: {sorted(missing)}")
-    hints = get_type_hints(cls)
-    return cls(**{
-        name: _typed(hints[name], value, f"{key}.{name}" if key else name)
-        for name, value in payload.items()
-    })
-
-
 @dataclass(frozen=True)
 class DatasetConfig:
     path: str
@@ -110,8 +65,7 @@ class DatasetConfig:
     positive_label: str
 
     def __post_init__(self):
-        for key in ("path", "label_column", "positive_label"):
-            expect(getattr(self, key), key, str, "a string")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -130,22 +84,9 @@ class ExperimentConfig:
     report_path: str | None = None
 
     def __post_init__(self):
-        sections = {"dataset": DatasetConfig, "split": SplitSpec, "detection": DetectionConfig, "train": TrainConfig}
-        for key, section in sections.items():
-            expect(getattr(self, key), key, section, f"a {section.__name__}")
+        check_fields(self)
         for key in ("sensitive_attributes", "attribute_order"):
-            names = getattr(self, key)
-            if names is not None:
-                # a list or tuple, as the JSON path reads it: tuple("ab") would be ("a", "b")
-                names = tuple(expect(names, key, (list, tuple), "a list"))
-                for i, name in enumerate(names):
-                    expect(name, f"{key}[{i}]", str, "a string")
-                duplicates = sorted({name for name in names if names.count(name) > 1})
-                if duplicates:
-                    raise ConfigError(f"duplicate names in {key!r}: {duplicates}")
-                object.__setattr__(self, key, names)
-        if self.report_path is not None:
-            expect(self.report_path, "report_path", str, "a string")
+            check_unique(getattr(self, key) or (), f"names in {key!r}")
         attrs = self.sensitive_attributes
         if not attrs:
             raise ConfigError("sensitive_attributes must not be empty")
@@ -375,24 +316,18 @@ class GridSearchConfig:
     validation_fraction: float = 0.2
 
     def __post_init__(self):
-        if not 0.0 < expect(self.validation_fraction, "validation_fraction", (int, float), "a number") < 1.0:
+        check_fields(self)
+        if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must lie strictly between 0 and 1")
         if self.candidates is not None:
-            cleaned = {}
-            for name, values in expect(self.candidates, "candidates", dict, "an object").items():
-                values = tuple(expect(values, f"candidates.{name}", (list, tuple), "a list"))
+            for name, values in self.candidates.items():
                 if not values:
                     raise ConfigError(f"empty candidate set for attribute {name!r}")
                 for v in values:
-                    # bool is an int to Python but never a level weight
-                    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                    if v < 1:
                         raise ConfigError(f"candidate level weights must be positive integers, got {v!r}")
-                if len(set(values)) != len(values):
-                    duplicates = sorted({v for v in values if values.count(v) > 1})
-                    raise ConfigError(f"duplicate candidate level weights for {name!r}: {duplicates}")
-                cleaned[name] = values
-            check_level_sum(sum(max(values) for values in cleaned.values()))
-            object.__setattr__(self, "candidates", cleaned)
+                check_unique(values, f"candidate level weights for {name!r}")
+            check_level_sum(sum(max(values) for values in self.candidates.values()))
 
     @classmethod
     def from_dict(cls, payload: dict) -> "GridSearchConfig":

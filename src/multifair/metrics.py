@@ -28,7 +28,11 @@ DECISION_THRESHOLD = 0.5
 @dataclass(frozen=True)
 class PredictionSet:
     """Aligned scores and true labels, plus the predictions derived by
-    thresholding the scores."""
+    thresholding the scores.
+
+    Scores given as a float64 array are not copied: the set keeps a
+    read-only view of that array, which stays writable to its owner.
+    """
 
     scores: np.ndarray
     labels: np.ndarray

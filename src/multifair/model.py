@@ -7,11 +7,13 @@ The fit minimizes
 over weight-standardized features z (so zero-weight rows influence
 nothing and constant columns keep coefficient exactly 0).  Each iteration
 solves the (d+1)x(d+1) Newton system and backtracks on the loss (Armijo),
-so the loss never increases; the method starts from zero parameters, uses
-no randomness, and is bit-reproducible on a fixed platform.  The fit
-converges when max|dL| / sum_i w_i < gradient_tolerance: the tolerance is
-per unit of weight mass, so it does not depend on the row count or on the
-scale of the weights.
+so the loss never increases beyond its rounding: where a candidate's loss
+is within rounding of the current one, the smaller gradient decides.  The
+method starts from zero parameters, uses no randomness, and is
+bit-reproducible on a fixed platform.  The fit converges when
+max|dL| / sum_i w_i < gradient_tolerance: the tolerance is per unit of
+weight mass, so it does not depend on the row count or on the scale of
+the weights.
 
 Every term of L, its derivatives and the standardization is a sum over
 rows of a function of the row's (features, label), so the fit runs on the
@@ -28,8 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, _read_only
-from .errors import DataError, expect
+from .errors import ConfigError, DataError, check_fields
 from .reweighting import SampleWeights
+
+# Two losses this close (relative) differ by rounding only
+_LOSS_ROUNDING = 8.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -46,22 +51,24 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("l2_penalty", "gradient_tolerance"):
-            expect(getattr(self, key), key, (int, float), "a number")
-        for key in ("max_iterations", "seed"):
-            expect(getattr(self, key), key, int, "an integer")
+        check_fields(self)
         # json reads NaN and Infinity; NaN fails every comparison
         if not 0.0 <= self.l2_penalty < np.inf:
-            raise DataError(f"l2_penalty must be finite and non-negative, got {self.l2_penalty!r}")
+            raise ConfigError(f"l2_penalty must be finite and non-negative, got {self.l2_penalty!r}")
         if self.max_iterations < 1:
-            raise DataError("max_iterations must be positive")
+            raise ConfigError("max_iterations must be positive")
         if not 0.0 < self.gradient_tolerance < np.inf:
-            raise DataError(f"gradient_tolerance must be finite and positive, got {self.gradient_tolerance!r}")
+            raise ConfigError(f"gradient_tolerance must be finite and positive, got {self.gradient_tolerance!r}")
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Fitted coefficients plus the standardization applied at fit time."""
+    """Fitted coefficients plus the standardization applied at fit time.
+
+    Coefficients, means and scales given as float64 arrays are not copied:
+    the model keeps a read-only view of each, which stays writable to its
+    owner.
+    """
 
     feature_names: tuple[str, ...]
     coefficients: np.ndarray
@@ -258,6 +265,11 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
             candidate = x - t * step
             cand_loss, cand_grad, cand_p = loss_grad(candidate)
             if cand_loss <= loss - t * decrease:
+                break
+            # Within the loss's rounding the Armijo test is decided by that
+            # rounding, so the smaller gradient decides instead
+            within_rounding = abs(cand_loss - loss) <= _LOSS_ROUNDING * abs(loss)
+            if within_rounding and np.abs(cand_grad).max() < np.abs(grad).max():
                 break
             t *= 0.5
         else:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import GroupAssignment, _read_only
-from .errors import ConfigError, DataError, UnreachableCellError
+from .errors import ConfigError, DataError, UnreachableCellError, check_fields
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,13 @@ class LevelWeightConfig:
     entries: dict[str, int]
 
     def __post_init__(self):
-        entries = dict(self.entries)
-        if not entries:
+        check_fields(self)
+        if not self.entries:
             raise ConfigError("level weight config needs at least one attribute")
-        for name, weight in entries.items():
-            if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
-                raise ConfigError(
-                    f"level weight for {name!r} must be a positive integer, got {weight!r}"
-                )
-        check_level_sum(sum(entries.values()))
-        object.__setattr__(self, "entries", entries)
+        for name, weight in self.entries.items():
+            if weight < 1:
+                raise ConfigError(f"level weight for {name!r} must be a positive integer, got {weight!r}")
+        check_level_sum(sum(self.entries.values()))
 
     @property
     def attributes(self) -> tuple[str, ...]:

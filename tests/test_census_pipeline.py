@@ -7,6 +7,8 @@ assert directional fairness improvements rather than the reported-table
 bands.
 """
 
+import json
+
 import pytest
 from conftest import REPO_ROOT
 
@@ -16,6 +18,7 @@ from multifair.census import (
     reduced_census_view,
     stage_census_csv,
 )
+from multifair.cli import main
 from multifair.data import load_csv
 from multifair.errors import DataError
 from multifair.experiment import DatasetConfig, ExperimentConfig, run_experiment
@@ -140,6 +143,39 @@ def test_committed_surrogate_fit_converges_quickly(method, level_weights):
     ))
     assert report.converged
     assert report.n_iter <= 20
+
+
+class TestCommittedCensusOutputs:
+    """The README's census-surrogate commands regenerate the committed
+    ``out/census_surrogate_*`` files byte for byte.  Unlike
+    ``data/synthetic.csv``, the surrogate repeats most of its lines and
+    rows, so this covers the loader's distinct-line parse and the fit on
+    distinct cells.  The commands run from the repository root, because the
+    dataset path is part of ``config_hash``; the output paths, which the
+    hash ignores, point into a temporary directory."""
+
+    CONDITIONS = ("baseline", "rw_sex_race", "rw_race_sex", "m3fair")
+
+    def test_readme_commands_reproduce_committed_outputs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        configs = {}
+        for name in self.CONDITIONS:
+            stem = f"census_surrogate_{name}"
+            payload = json.loads((REPO_ROOT / "configs" / f"{stem}.json").read_text())
+            payload["report_path"] = str(tmp_path / stem)
+            configs[name] = tmp_path / f"config_{stem}.json"
+            configs[name].write_text(json.dumps(payload))
+        commands = [["run", "--config", str(configs[name])] for name in self.CONDITIONS]
+        grid_output = str(tmp_path / "census_surrogate_grid")
+        commands.append(["grid", "--config", str(configs["m3fair"]), "--output", grid_output])
+        for argv in commands:
+            assert main(argv) == 0, (argv, capsys.readouterr().err)
+        assert capsys.readouterr().err == ""
+        committed = sorted(p.name for p in (REPO_ROOT / "out").glob("census_surrogate_*"))
+        assert len(committed) == 10
+        assert committed == sorted(p.name for p in tmp_path.glob("census_surrogate_*"))
+        for name in committed:
+            assert (tmp_path / name).read_bytes() == (REPO_ROOT / "out" / name).read_bytes(), name
 
 
 def test_surrogate_fit_runs_on_distinct_cells(monkeypatch):

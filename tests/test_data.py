@@ -18,7 +18,7 @@ from multifair.data import (
     set_privileged,
     split,
 )
-from multifair.errors import DataError, DegenerateAttributeError
+from multifair.errors import ConfigError, DataError, DegenerateAttributeError
 from multifair.metrics import PredictionSet
 from multifair.reweighting import SampleWeights, reweight
 from multifair.synth import planted_bias_dataset
@@ -376,6 +376,12 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.labels[0] = 1
 
+    def test_callers_array_stays_writable(self):
+        features = np.ones((2, 1))
+        ds = Dataset(features, np.array([0, 1]), ("a",))
+        assert np.shares_memory(ds.features, features)  # a view, not a copy
+        assert features.flags.writeable and not ds.features.flags.writeable
+
 
 def byte_cells(features, labels):
     """Test oracle: the rows grouped by exact (feature bytes, label)
@@ -562,7 +568,7 @@ class TestSplit:
         assert np.array_equal(test.column("id"), test2.column("id"))
 
     def test_bad_fraction_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             SplitSpec(0.0, 1)
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             SplitSpec(1.0, 1)

@@ -281,15 +281,15 @@ class TestVectorDetectMatchesLoop:
 
 class TestDetectionConfig:
     def test_duplicate_candidate_columns_rejected(self):
-        with pytest.raises(DataError, match=r"duplicate candidate columns: \['planted'\]"):
+        with pytest.raises(ConfigError, match=r"duplicate candidate columns: \['planted'\]"):
             DetectionConfig(top_n=2, candidate_columns=("planted", "planted", "noise_00"))
 
     def test_string_candidate_columns_rejected(self):
-        with pytest.raises(DataError, match="'candidate_columns' must be a list, got 'noise_00'"):
+        with pytest.raises(ConfigError, match="'candidate_columns' must be a list, got 'noise_00'"):
             DetectionConfig(candidate_columns="noise_00")
 
     def test_top_n_below_one_rejected(self):
-        with pytest.raises(DataError, match="top_n must be at least 1"):
+        with pytest.raises(ConfigError, match="top_n must be at least 1"):
             DetectionConfig(top_n=0)
 
     @pytest.mark.parametrize("value", [True, 2.5, 2.0, "2"])

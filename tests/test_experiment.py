@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -35,7 +36,8 @@ from multifair.experiment import (
     select_grid_winner,
 )
 from multifair.metrics import auroc, unfairness
-from multifair.model import fit
+from multifair.model import TrainConfig, fit
+from multifair.reweighting import LevelWeightConfig
 from multifair.synth import planted_bias_dataset, two_attribute_biased_dataset
 
 
@@ -147,6 +149,30 @@ class TestConfigValidation:
         assert c1.config_hash() != c3.config_hash()
 
 
+# Valid arguments for each config class, one field of which each generated
+# case replaces with a value of the wrong type
+VALID_CONFIG_ARGUMENTS = {
+    DatasetConfig: {"path": "x.csv", "label_column": "y", "positive_label": "1"},
+    ExperimentConfig: {"dataset": DatasetConfig("x.csv", "y", "1"), "sensitive_attributes": ("a",)},
+    GridSearchConfig: {},
+    SplitSpec: {},
+    TrainConfig: {},
+    DetectionConfig: {},
+    LevelWeightConfig: {"entries": {"a": 1}},
+}
+
+
+def wrong_typed_fields():
+    """One case per field of every config class: 5 where the field holds a
+    string, else a string (for a number, a list, an object or a section)."""
+    for cls, valid in VALID_CONFIG_ARGUMENTS.items():
+        cls(**valid)
+        for name, hint in get_type_hints(cls).items():
+            value = 5 if str in (hint, *get_args(hint)) else "x"
+            build = lambda cls=cls, name=name, value=value, valid=valid: cls(**{**valid, name: value})  # noqa: E731
+            yield pytest.param(build, name, id=f"{cls.__name__}.{name}")
+
+
 @pytest.mark.parametrize("build, key", [
     (lambda: SplitSpec(test_fraction="0.2"), "test_fraction"),
     (lambda: GridSearchConfig(validation_fraction="x"), "validation_fraction"),
@@ -165,6 +191,7 @@ class TestConfigValidation:
                               attribute_order=5), "attribute_order"),
     (lambda: ExperimentConfig(DatasetConfig("x.csv", "y", "1"), ("a", "b"), method="rw_sequential",
                               attribute_order=("a", 2)), r"attribute_order\[1\]"),
+    *wrong_typed_fields(),
 ])
 def test_configs_built_from_python_check_their_types(build, key):
     with pytest.raises(ConfigError, match=rf"^'{key}' must be "):
@@ -483,7 +510,7 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("value", [True, 1.5, 2.0, "2"])
     def test_grid_candidates_must_be_integers(self, value):
-        with pytest.raises(ConfigError, match=rf"^candidate level weights must be positive integers, got {value!r}$"):
+        with pytest.raises(ConfigError, match=rf"^'candidates\.a\[0\]' must be an integer, got {value!r}$"):
             GridSearchConfig(candidates={"a": (value, 3)})
 
     @pytest.mark.parametrize("values, message", [

@@ -57,6 +57,12 @@ class TestPredictionSet:
         scores, labels = np.array([0.2, below, 0.5, 0.7]), np.array([0, 1, 1, 1])
         assert PredictionSet(scores, labels).predictions.tolist() == [0, 0, 1, 1]
 
+    def test_callers_array_stays_writable(self):
+        scores = np.array([0.2, 0.7])
+        preds = PredictionSet(scores, [0, 1])
+        assert np.shares_memory(preds.scores, scores)  # a view, not a copy
+        assert scores.flags.writeable and not preds.scores.flags.writeable
+
     @pytest.mark.parametrize("scores, labels", [([0.2, 0.7], [1]), (0.7, 1), ([[0.7]], [[1]])])
     def test_non_vector_or_misaligned_input_rejected(self, scores, labels):
         with pytest.raises(DataError, match="equal-length vectors"):

@@ -310,6 +310,16 @@ class TestTrainConfig:
         assert TrainConfig(l2_penalty=0).l2_penalty == 0
 
 
+class TestModelParams:
+    def test_callers_arrays_stay_writable(self):
+        coefficients, means, scales = np.zeros(2), np.zeros(2), np.ones(2)
+        model = ModelParams(("a", "b"), coefficients, 0.0, means, scales, converged=True, n_iter=0)
+        for name, array in (("coefficients", coefficients), ("means", means), ("scales", scales)):
+            kept = getattr(model, name)
+            assert np.shares_memory(kept, array), name  # a view, not a copy
+            assert array.flags.writeable and not kept.flags.writeable, name
+
+
 class TestPredict:
     def test_sigmoid_matches_expit_without_overflow(self):
         z = np.array([-800.0, -745.5, -40.0, -1.0, -1e-300, 0.0, 1e-300, 1.0, 40.0, 800.0])
@@ -572,19 +582,39 @@ class TestCellFit:
             w[rng.uniform(size=train.n_rows) < 0.3] = 0.0
         self.assert_matches_row_level_fit(train, SampleWeights(w), TrainConfig(), monkeypatch)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_problems_with_planted_duplicates(self, seed, monkeypatch):
+    @staticmethod
+    def planted_duplicates_problem(seed):
+        """A random problem of 3n rows drawn with replacement from n = 20-199
+        random rows of 1-5 columns, with some zero weights for odd seeds,
+        and its l2_penalty."""
         rng = np.random.default_rng(80 + seed)
         n = int(rng.integers(20, 200))
         ds, _ = random_problem(rng, n, int(rng.integers(1, 6)))
         ds = ds.take(rng.integers(0, n, 3 * n))
         w = rng.uniform(0.1, 3.0, ds.n_rows)
         w[rng.uniform(size=ds.n_rows) < (0.0, 0.3)[seed % 2]] = 0.0
-        # At 1e-10 the Armijo test near the optimum is decided by the loss's
-        # rounding, so either fit can crawl to max_iterations (seed 5's
-        # row-level fit does), and the two stop at different points
-        config = TrainConfig(l2_penalty=(0.0, 1e-4, 1e-2)[seed % 3], gradient_tolerance=(1e-6, 1e-8)[seed % 2])
-        self.assert_matches_row_level_fit(ds, SampleWeights(w), config, monkeypatch)
+        return ds, SampleWeights(w), (0.0, 1e-4, 1e-2)[seed % 3]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_problems_with_planted_duplicates(self, seed, monkeypatch):
+        ds, weights, l2_penalty = self.planted_duplicates_problem(seed)
+        config = TrainConfig(l2_penalty=l2_penalty, gradient_tolerance=(1e-6, 1e-8)[seed % 2])
+        self.assert_matches_row_level_fit(ds, weights, config, monkeypatch)
+
+    @pytest.mark.parametrize("tolerance", [1e-10, 1e-12])
+    def test_tight_tolerances_converge_on_random_problems(self, tolerance):
+        # Near the optimum a candidate's loss can differ from the current one
+        # by rounding only, and the Armijo test alone then rejected good
+        # steps until the fit crawled to max_iterations (3 of these 200 fits
+        # at 1e-10, 16 at 1e-12).  A fit that stops as numerically flat also
+        # reports converged False, so none does that either.
+        iterations = []
+        for seed in range(200):
+            ds, weights, l2_penalty = self.planted_duplicates_problem(seed)
+            model = fit(ds, weights, TrainConfig(l2_penalty=l2_penalty, gradient_tolerance=tolerance))
+            assert model.converged, seed
+            iterations.append(model.n_iter)
+        assert max(iterations) <= 20
 
     @pytest.mark.parametrize("source", ["census", "distinct"])
     def test_duplicated_rows_equal_weight_two_bit_for_bit(self, source):
