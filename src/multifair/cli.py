@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .errors import MultifairError, PipelineError
+from .errors import ConfigError, MultifairError, PipelineError
 from .experiment import (
     ExperimentConfig,
     GridSearchConfig,
@@ -28,7 +28,12 @@ from .experiment import (
 
 def _load_config(path, output=None) -> tuple[ExperimentConfig, GridSearchConfig]:
     with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+        text = handle.read()
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # a syntax error, an integer past the int() digit limit, or nesting too deep
+        raise ConfigError(f"invalid JSON: {exc}") from None
     grid = payload.pop("grid", {}) if isinstance(payload, dict) else {}
     config = ExperimentConfig.from_dict(payload)
     if output is not None:
@@ -120,9 +125,6 @@ def main(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error [io] {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error [config] invalid JSON: {exc}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as exc:
         print(f"error [config] invalid UTF-8: {exc}", file=sys.stderr)

@@ -195,24 +195,17 @@ class GroupAssignment:
     def __len__(self) -> int:
         return self.membership.shape[0]
 
-    def _require_privileged(self) -> int:
+    @property
+    def privileged_mask(self) -> np.ndarray:
         if self.privileged_value is None:
             raise DataError(
                 f"privileged side not set for attribute {self.attribute_name!r}"
             )
-        return self.privileged_value
-
-    @property
-    def privileged_mask(self) -> np.ndarray:
-        return self.membership == self._require_privileged()
-
-    @property
-    def unprivileged_mask(self) -> np.ndarray:
-        return self.membership != self._require_privileged()
+        return self.membership == self.privileged_value
 
     def unprivileged_indicator(self) -> np.ndarray:
         """1 for rows on the unprivileged side, 0 otherwise."""
-        return self.unprivileged_mask.astype(np.int64)
+        return (~self.privileged_mask).astype(np.int64)
 
     def with_privileged(self, value: int) -> "GroupAssignment":
         return replace(self, privileged_value=value)
@@ -493,18 +486,23 @@ def binarize_by_mean(dataset: Dataset, column: str) -> GroupAssignment:
     return binarize_by_threshold(dataset, column, float(values.mean()))
 
 
+def privileged_side(label_counts: np.ndarray) -> np.ndarray:
+    """The privileged side, 0 or 1, of each ``label_counts[..., side,
+    label]``: the side with the higher favorable-label base rate, taken as
+    ``positives / rows`` in doubles, ties going to side 1."""
+    base_rate = label_counts[..., 1] / label_counts.sum(axis=-1)
+    return (base_rate[..., 1] >= base_rate[..., 0]).astype(np.intp)
+
+
 def set_privileged(group: GroupAssignment, dataset: Dataset) -> GroupAssignment:
     """Mark as privileged the group code with the higher favorable-label
-    base rate, breaking ties toward code 1."""
-    mask1 = group.membership == 1
-    if not mask1.any() or mask1.all():
+    base rate, breaking ties toward code 1 (see :func:`privileged_side`)."""
+    counts = np.bincount(2 * group.membership + dataset.labels, minlength=4).reshape(2, 2)
+    if not counts.any(axis=1).all():
         raise DataError(
             f"attribute {group.attribute_name!r}: both groups must be non-empty"
         )
-    labels = dataset.labels
-    rate1 = float(labels[mask1].mean())
-    rate0 = float(labels[~mask1].mean())
-    return group.with_privileged(1 if rate1 >= rate0 else 0)
+    return group.with_privileged(int(privileged_side(counts)))
 
 
 def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

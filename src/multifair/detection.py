@@ -9,9 +9,12 @@ prefixes form the detection intersection.
 
 All candidates are scored in one pass: one bincount over a membership
 matrix (one row per column, true above its mean) counts every column's
-(side, label, prediction) cells, and the kernel that scores ``run``'s
-groups turns them into metrics, bit for bit those of the per-column
-functions in :mod:`.data` and :mod:`.metrics`.
+(side, label, prediction) cells.  The rule :func:`.data.set_privileged`
+applies picks each column's privileged side from those counts
+(:func:`.data.privileged_side`), and the kernel that scores ``run``'s
+groups turns them into metrics (:func:`.metrics.group_fairness`).  The
+tests check the ranking against a per-column loop over the mask-by-mask
+oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# binarize_by_mean, set_privileged and the four metric functions are not
-# called here; the benchmark's traced mode (perfbench/spans.py) binds them.
-from .data import Dataset, binarize_by_mean, set_privileged  # noqa: F401
+# binarize_by_mean, set_privileged and the four per-metric functions are not
+# called here: detect scores every column with the kernels they call.  They
+# are imported only because the benchmark's traced mode (perfbench/spans.py)
+# still names them in this module; its spans for them read 0.
+from .data import Dataset, binarize_by_mean, privileged_side, set_privileged  # noqa: F401
 from .errors import ConfigError, DataError, DegenerateAttributeError, check_fields, check_unique
 from .metrics import (  # noqa: F401
     PredictionSet,
@@ -75,11 +80,9 @@ def _unfairness_scores(dataset: Dataset, preds: PredictionSet, columns) -> tuple
     degenerate = ~cells.any(axis=(2, 3)).all(axis=1)
     cells = cells[~degenerate]
 
-    # Privileged: the side with the higher label base rate, ties to side 1
-    by_label = cells.sum(axis=3)
-    base_rate = by_label[:, :, 1] / by_label.sum(axis=2)
-    privileged_is_above = base_rate[:, 1] >= base_rate[:, 0]
-    cells = np.where(privileged_is_above[:, None, None, None], cells, cells[:, ::-1])
+    # Put each column's privileged side second, as group_fairness expects
+    above_privileged = privileged_side(cells.sum(axis=3)) == 1
+    cells = np.where(above_privileged[:, None, None, None], cells, cells[:, ::-1])
     di, spd, aod, eod, positives, _ = group_fairness(cells)
     eod = np.where(positives, eod, np.inf)  # no positive support: maximally unfair, like DI
     return degenerate, dict(zip(METRIC_NAMES, unfairness(di, spd, aod, eod)))

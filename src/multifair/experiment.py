@@ -408,7 +408,7 @@ def grid_search(
     if config.method != "m3fair":
         raise ConfigError("grid search requires method 'm3fair'")
     attrs = tuple(config.level_weights)
-    candidates = grid.candidates or {name: (1, 2) for name in attrs}
+    candidates = {name: (1, 2) for name in attrs} if grid.candidates is None else grid.candidates
     missing = set(attrs) - set(candidates)
     if missing:
         raise ConfigError(f"no candidate level weights for attributes: {sorted(missing)}")

@@ -10,6 +10,13 @@ against the privileged side:
 
 A DI whose denominator rate is zero while the numerator is not is returned
 as ``inf`` and flagged "di_undefined" in reports.
+
+All four are computed in one place: :func:`side_cells` counts each group's
+(side, label, prediction) cells in one bincount and :func:`group_fairness`
+turns the counts into the metrics.  ``run``, ``grid`` and ``detect`` call
+these two, and so do :func:`evaluate_fairness` and, one group at a time,
+the per-metric functions such as :func:`disparate_impact`.  The tests check
+them against mask-by-mask oracles kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -76,85 +83,6 @@ class FairnessReport:
                 raise DataError(f"{name} must be finite")
         if math.isnan(self.di) or self.di < 0:
             raise DataError("di must be non-negative (inf allowed when flagged undefined)")
-
-
-def _group_masks(preds: PredictionSet, group: GroupAssignment) -> tuple[np.ndarray, np.ndarray]:
-    if len(group) != len(preds):
-        raise DataError("group assignment not row-aligned with predictions")
-    unpriv = group.unprivileged_mask
-    priv = group.privileged_mask
-    if not unpriv.any() or not priv.any():
-        raise DataError(f"attribute {group.attribute_name!r}: empty group")
-    return unpriv, priv
-
-
-def selection_rate(preds: PredictionSet, mask: np.ndarray) -> float:
-    """Fraction of rows in ``mask`` predicted favorable."""
-    return float(preds.predictions[mask].mean())
-
-
-def disparate_impact(preds: PredictionSet, group: GroupAssignment) -> float:
-    """Unprivileged over privileged favorable-prediction rate.
-
-    Both rates zero -> 1.0; only the privileged rate zero -> inf (reported
-    as undefined).
-    """
-    unpriv, priv = _group_masks(preds, group)
-    rate_u = selection_rate(preds, unpriv)
-    rate_p = selection_rate(preds, priv)
-    if rate_p == 0.0:
-        return 1.0 if rate_u == 0.0 else math.inf
-    return rate_u / rate_p
-
-
-def statistical_parity_difference(preds: PredictionSet, group: GroupAssignment) -> float:
-    """Unprivileged minus privileged favorable-prediction rate."""
-    unpriv, priv = _group_masks(preds, group)
-    return selection_rate(preds, unpriv) - selection_rate(preds, priv)
-
-
-def _rate(preds: PredictionSet, mask: np.ndarray) -> float:
-    # Empty conditioning set contributes rate 0 (flagged as partial support).
-    return float(preds.predictions[mask].mean()) if mask.any() else 0.0
-
-
-def average_odds_difference(preds: PredictionSet, group: GroupAssignment) -> float:
-    """Mean of the FPR and TPR gaps, unprivileged minus privileged.
-
-    A group missing positives (or negatives) contributes TPR (FPR) 0; use
-    :func:`odds_support_complete` to detect that case.
-    """
-    unpriv, priv = _group_masks(preds, group)
-    pos = preds.labels == 1
-    tpr_u = _rate(preds, unpriv & pos)
-    tpr_p = _rate(preds, priv & pos)
-    fpr_u = _rate(preds, unpriv & ~pos)
-    fpr_p = _rate(preds, priv & ~pos)
-    return 0.5 * ((fpr_u - fpr_p) + (tpr_u - tpr_p))
-
-
-def odds_support_complete(preds: PredictionSet, group: GroupAssignment) -> bool:
-    """True when both groups contain at least one positive and one negative."""
-    unpriv, priv = _group_masks(preds, group)
-    pos = preds.labels == 1
-    return all(
-        (mask & side).any()
-        for mask in (pos, ~pos)
-        for side in (unpriv, priv)
-    )
-
-
-def equal_opportunity_difference(preds: PredictionSet, group: GroupAssignment) -> float:
-    """TPR gap, unprivileged minus privileged."""
-    unpriv, priv = _group_masks(preds, group)
-    pos = preds.labels == 1
-    if not (unpriv & pos).any() or not (priv & pos).any():
-        raise MetricUndefinedError(
-            f"EOD undefined: attribute {group.attribute_name!r} has a group with no positive labels"
-        )
-    tpr_u = float(preds.predictions[unpriv & pos].mean())
-    tpr_p = float(preds.predictions[priv & pos].mean())
-    return tpr_u - tpr_p
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -225,9 +153,11 @@ def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
 def group_fairness(cells: np.ndarray):
     """DI, SPD, AOD, EOD and the masks "both sides have a positive" and "both
     sides have a negative", as arrays over the groups k of cells[k, side,
-    label, prediction] (side 0 unprivileged).  The per-metric functions'
-    edge-case rules apply, and exact counts over exact counts give their
-    values bit for bit."""
+    label, prediction] (side 0 unprivileged).  This is the one
+    implementation of the four metrics.  A rate over no rows is 0 (AOD's
+    partial support), and DI over a privileged rate of 0 is 1.0 when the
+    unprivileged rate is 0 too and inf otherwise.  Each rate is an exact
+    count over an exact count, so it is correctly rounded."""
     by_label = cells.sum(axis=3)  # [k, side, label]
     selected = cells[..., 1]
     rate_u, rate_p = _ratio(selected.sum(axis=2), by_label.sum(axis=2)).T
@@ -244,29 +174,67 @@ def unfairness(di, spd, aod, eod):
     return abs(1.0 - di), abs(spd), abs(aod), abs(eod)
 
 
-def evaluate_fairness(preds: PredictionSet, groups) -> list[FairnessReport]:
-    """One report per group from one kernel call.  The values, flags and
-    errors are the per-metric functions'; the first failing group, checked
-    for an empty side and then for a side with no positives, raises."""
-    groups = list(groups)
+def _group_values(preds: PredictionSet, groups: list, check_eod: bool = True) -> list[tuple]:
+    """Each group's :func:`group_fairness` values (DI, SPD, AOD, EOD, both
+    sides have a positive, both sides have a negative), from one kernel
+    call.  The first group, in order, with an empty side raises DataError,
+    or, when ``check_eod``, with a side with no positives
+    MetricUndefinedError."""
     if any(len(group) != len(preds) for group in groups):
         raise DataError("group assignment not row-aligned with predictions")
     sides = np.array([group.privileged_mask for group in groups]).reshape(len(groups), len(preds))
     cells = side_cells(sides, preds.labels, preds.predictions)
     nonempty = cells.any(axis=(2, 3)).all(axis=1).tolist()
-    di, spd, aod, eod, positives, negatives = (values.tolist() for values in group_fairness(cells))
-    reports = []
-    for i, group in enumerate(groups):
-        if not nonempty[i]:
+    columns = [column.tolist() for column in group_fairness(cells)]
+    for group, both_sides, positives in zip(groups, nonempty, columns[4]):
+        if not both_sides:
             raise DataError(f"attribute {group.attribute_name!r}: empty group")
-        if not positives[i]:
+        if check_eod and not positives:
             raise MetricUndefinedError(
                 f"EOD undefined: attribute {group.attribute_name!r} has a group with no positive labels"
             )
+    return list(zip(*columns))
+
+
+def disparate_impact(preds: PredictionSet, group: GroupAssignment) -> float:
+    """Unprivileged over privileged favorable-prediction rate.
+
+    Both rates zero -> 1.0; only the privileged rate zero -> inf (reported
+    as undefined).
+    """
+    return _group_values(preds, [group], check_eod=False)[0][0]
+
+
+def statistical_parity_difference(preds: PredictionSet, group: GroupAssignment) -> float:
+    """Unprivileged minus privileged favorable-prediction rate."""
+    return _group_values(preds, [group], check_eod=False)[0][1]
+
+
+def average_odds_difference(preds: PredictionSet, group: GroupAssignment) -> float:
+    """Mean of the FPR and TPR gaps, unprivileged minus privileged.
+
+    A group missing positives (or negatives) contributes TPR (FPR) 0;
+    :func:`evaluate_fairness` flags that case "aod_partial_support".
+    """
+    return _group_values(preds, [group], check_eod=False)[0][2]
+
+
+def equal_opportunity_difference(preds: PredictionSet, group: GroupAssignment) -> float:
+    """TPR gap, unprivileged minus privileged."""
+    return _group_values(preds, [group])[0][3]
+
+
+def evaluate_fairness(preds: PredictionSet, groups) -> list[FairnessReport]:
+    """One report per group from one kernel call.  The first failing group,
+    checked for an empty side and then for a side with no positives,
+    raises."""
+    groups = list(groups)
+    reports = []
+    for group, (di, spd, aod, eod, _, negatives) in zip(groups, _group_values(preds, groups)):
         flags = []
-        if math.isinf(di[i]):
+        if math.isinf(di):
             flags.append("di_undefined")
-        if not negatives[i]:
+        if not negatives:
             flags.append("aod_partial_support")
-        reports.append(FairnessReport(group.attribute_name, di[i], spd[i], aod[i], eod[i], tuple(flags)))
+        reports.append(FairnessReport(group.attribute_name, di, spd, aod, eod, tuple(flags)))
     return reports

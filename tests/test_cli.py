@@ -152,6 +152,25 @@ class TestUnreadableConfig:
         assert "Traceback" not in err
 
 
+class TestUnparsableConfig:
+    """JSON that Python's parser rejects for a limit rather than its syntax
+    is a config error too, not a traceback."""
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"split": {"seed": ' + "1" * 5001 + "}}", "Exceeds the limit (4300 digits)"),
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["5001-digit integer", "arrays nested 100000 deep"])
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_one_invalid_json_line(self, tmp_path, capsys, command, text, reason):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert main([command, "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error [config] invalid JSON: {reason}")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestDetect:
     def test_detect_emits_structured_report(self, tmp_path, capsys):
         csv_path = tmp_path / "planted.csv"
@@ -227,6 +246,20 @@ class TestGrid:
         assert captured.err == "error [config] duplicate candidate level weights for 'attr_a': [1]\n"
         assert captured.out == ""
         assert not (root / "dup.json").exists()
+
+    def test_empty_candidate_map_is_a_config_error(self, workspace, capsys):
+        # an empty map names no attribute; only a missing map means {1, 2} each
+        root, csv_path = workspace
+        config = write_config(
+            root, csv_path, name="grid_empty.json",
+            method="m3fair", level_weights={"attr_a": 1, "attr_b": 1},
+            grid={"candidates": {}},
+        )
+        assert main(["grid", "--config", str(config), "--output", str(root / "empty")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error [config] no candidate level weights for attributes: ['attr_a', 'attr_b']\n"
+        assert captured.out == ""
+        assert not (root / "empty.json").exists()
 
     def test_grid_section_in_config(self, workspace):
         root, csv_path = workspace

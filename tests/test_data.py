@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from multifair.data import (
     SplitSpec,
     binarize_by_mean,
     load_csv,
+    privileged_side,
     save_csv,
     set_privileged,
     split,
@@ -22,6 +24,7 @@ from multifair.errors import ConfigError, DataError, DegenerateAttributeError
 from multifair.metrics import PredictionSet
 from multifair.reweighting import SampleWeights, reweight
 from multifair.synth import planted_bias_dataset
+from oracles import set_privileged as set_privileged_oracle
 
 
 def write(path, text):
@@ -533,6 +536,37 @@ class TestSetPrivileged:
         group = GroupAssignment("g", np.array([1, 1]))
         with pytest.raises(DataError, match="non-empty"):
             set_privileged(group, ds)
+
+    @staticmethod
+    def outcome(rule, membership, labels):
+        """The privileged side ``rule`` picks, or its error's type and message."""
+        group = GroupAssignment("g", np.array(membership))
+        ds = Dataset(np.zeros((len(labels), 1)), np.array(labels), ("x",))
+        try:
+            return rule(group, ds).privileged_value
+        except DataError as exc:
+            return type(exc), str(exc)
+
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    @example(rows=[(1, 1), (1, 0)])  # one side empty
+    @example(rows=[(1, 1), (1, 0), (0, 1), (0, 0)])  # equal base rates
+    def test_matches_the_oracle(self, rows):
+        membership, labels = zip(*rows)
+        assert self.outcome(set_privileged, membership, labels) == self.outcome(
+            set_privileged_oracle, membership, labels
+        )
+
+    def test_rates_that_round_to_one_double_tie_toward_one(self):
+        # label_counts[side, label]: side 0 has 2^27 positives of 2^27 + 1
+        # rows, side 1 has 2^27 - 1 of 2^27.  Side 0's rate is higher, but
+        # both round to the same double, so the rule ties them to side 1.
+        n = 2**27
+        counts = np.array([[1, n], [1, n - 1]])
+        assert Fraction(n, n + 1) > Fraction(n - 1, n)
+        assert n / (n + 1) == (n - 1) / n
+        assert privileged_side(counts) == 1
+        assert privileged_side(np.array([counts, counts[::-1]])).tolist() == [1, 1]
 
 
 class TestSplit:

@@ -5,19 +5,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multifair.data import Dataset, binarize_by_mean, set_privileged
+from multifair.data import Dataset, binarize_by_mean
 from multifair.detection import METRIC_NAMES, DetectionConfig, DetectionResult, detect
 from multifair.errors import ConfigError, DataError, DegenerateAttributeError, MetricUndefinedError
-from multifair.metrics import (
-    PredictionSet,
-    average_odds_difference,
-    disparate_impact,
-    equal_opportunity_difference,
-    statistical_parity_difference,
-)
+from multifair.metrics import PredictionSet
 from multifair.model import fit, predict_scores
 from multifair.reweighting import SampleWeights
 from multifair.synth import planted_bias_dataset
+from oracles import (
+    average_odds_difference,
+    disparate_impact,
+    equal_opportunity_difference,
+    set_privileged,
+    statistical_parity_difference,
+)
 
 
 def baseline_predictions(dataset):
@@ -155,8 +156,8 @@ class TestDetect:
 
 
 def loop_detect(dataset, preds, config=DetectionConfig()):
-    """Test oracle: detection as a per-column loop over binarize_by_mean,
-    set_privileged and the per-metric functions, with detect's checks,
+    """Test oracle: detection as a per-column loop over binarize_by_mean and
+    the set_privileged and per-metric oracles, with detect's checks,
     ranking key, intersection and skip list."""
     if len(preds) != dataset.n_rows:
         raise DataError("baseline predictions not row-aligned with the dataset")

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from multifair import metrics
 from multifair.data import GroupAssignment
 from multifair.errors import DataError, MetricUndefinedError
 from multifair.metrics import (
@@ -14,10 +16,12 @@ from multifair.metrics import (
     accuracy,
     auprc,
     auroc,
+    evaluate_fairness,
+)
+from oracles import (
     average_odds_difference,
     disparate_impact,
     equal_opportunity_difference,
-    evaluate_fairness,
     odds_support_complete,
     statistical_parity_difference,
 )
@@ -69,94 +73,126 @@ class TestPredictionSet:
             PredictionSet(np.array(scores), np.array(labels))
 
 
-class TestRateMetrics:
-    def test_di_is_rate_ratio(self):
-        # unprivileged rate 0.3, privileged rate 0.6
-        predictions = [1, 1, 1, 0, 0, 0, 0, 0, 0, 0] + [1, 1, 1, 1, 1, 1, 0, 0, 0, 0]
-        membership = [0] * 10 + [1] * 10
-        preds = preds_from(predictions, [0] * 20)
-        assert disparate_impact(preds, group_of(membership)) == pytest.approx(0.5)
+def rate_metric_tests(m):
+    """The DI and SPD hand values, tested on the metric functions of module ``m``:
+    ``multifair.metrics`` or the oracles."""
+    disparate_impact = m.disparate_impact
+    statistical_parity_difference = m.statistical_parity_difference
 
-    def test_di_equal_rates_is_one(self):
-        predictions = [1, 1, 0, 0, 0] + [1, 1, 0, 0, 0]
-        preds = preds_from(predictions, [0] * 10)
-        assert disparate_impact(preds, group_of([0] * 5 + [1] * 5)) == pytest.approx(1.0)
+    class RateMetrics:
+        def test_di_is_rate_ratio(self):
+            # unprivileged rate 0.3, privileged rate 0.6
+            predictions = [1, 1, 1, 0, 0, 0, 0, 0, 0, 0] + [1, 1, 1, 1, 1, 1, 0, 0, 0, 0]
+            membership = [0] * 10 + [1] * 10
+            preds = preds_from(predictions, [0] * 20)
+            assert disparate_impact(preds, group_of(membership)) == pytest.approx(0.5)
 
-    def test_di_zero_over_zero_is_one(self):
-        preds = preds_from([0, 0, 0, 0], [0, 1, 0, 1])
-        assert disparate_impact(preds, group_of([0, 0, 1, 1])) == 1.0
+        def test_di_equal_rates_is_one(self):
+            predictions = [1, 1, 0, 0, 0] + [1, 1, 0, 0, 0]
+            preds = preds_from(predictions, [0] * 10)
+            assert disparate_impact(preds, group_of([0] * 5 + [1] * 5)) == pytest.approx(1.0)
 
-    def test_di_only_denominator_zero_is_inf(self):
-        preds = preds_from([1, 0, 0, 0], [1, 1, 0, 0])
-        assert math.isinf(disparate_impact(preds, group_of([0, 0, 1, 1])))
+        def test_di_zero_over_zero_is_one(self):
+            preds = preds_from([0, 0, 0, 0], [0, 1, 0, 1])
+            assert disparate_impact(preds, group_of([0, 0, 1, 1])) == 1.0
 
-    def test_spd_is_rate_difference(self):
-        predictions = [1, 1, 1, 0, 0, 0, 0, 0, 0, 0] + [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
-        preds = preds_from(predictions, [0] * 20)
-        spd = statistical_parity_difference(preds, group_of([0] * 10 + [1] * 10))
-        assert spd == pytest.approx(-0.2)
+        def test_di_only_denominator_zero_is_inf(self):
+            preds = preds_from([1, 0, 0, 0], [1, 1, 0, 0])
+            assert math.isinf(disparate_impact(preds, group_of([0, 0, 1, 1])))
 
-    def test_spd_identical_rates_zero(self):
-        preds = preds_from([1, 0, 1, 0], [0, 0, 1, 1])
-        assert statistical_parity_difference(preds, group_of([0, 0, 1, 1])) == 0.0
+        def test_spd_is_rate_difference(self):
+            predictions = [1, 1, 1, 0, 0, 0, 0, 0, 0, 0] + [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
+            preds = preds_from(predictions, [0] * 20)
+            spd = statistical_parity_difference(preds, group_of([0] * 10 + [1] * 10))
+            assert spd == pytest.approx(-0.2)
 
-    def test_empty_group_rejected(self):
-        preds = preds_from([1, 0], [1, 0])
-        with pytest.raises(DataError, match="empty group"):
-            disparate_impact(preds, group_of([1, 1]))
+        def test_spd_identical_rates_zero(self):
+            preds = preds_from([1, 0, 1, 0], [0, 0, 1, 1])
+            assert statistical_parity_difference(preds, group_of([0, 0, 1, 1])) == 0.0
+
+        def test_empty_group_rejected(self):
+            preds = preds_from([1, 0], [1, 0])
+            with pytest.raises(DataError, match="empty group"):
+                disparate_impact(preds, group_of([1, 1]))
+
+    return RateMetrics
 
 
-class TestOddsMetrics:
-    def _rates_case(self):
-        # Hand-enumerated confusion matrices:
-        #   unprivileged: 5 pos (3 predicted 1 -> TPR 0.6), 5 neg (1 predicted 1 -> FPR 0.2)
-        #   privileged: 5 pos (4 predicted 1 -> TPR 0.8), 10 neg (3 predicted 1 -> FPR 0.3)
-        labels = [1] * 5 + [0] * 5 + [1] * 5 + [0] * 10
-        predictions = [1, 1, 1, 0, 0] + [1, 0, 0, 0, 0] + [1, 1, 1, 1, 0] + [1, 1, 1] + [0] * 7
-        membership = [0] * 10 + [1] * 15
-        return preds_from(predictions, labels), group_of(membership)
+class TestRateMetrics(rate_metric_tests(metrics)):
+    pass
 
-    def test_aod_hand_enumerated(self):
-        preds, group = self._rates_case()
-        # oracle: recount the four rates directly
-        y = preds.labels
-        p = preds.predictions
-        unpriv = group.membership == 0
-        tpr_u = p[unpriv & (y == 1)].mean()
-        fpr_u = p[unpriv & (y == 0)].mean()
-        tpr_p = p[~unpriv & (y == 1)].mean()
-        fpr_p = p[~unpriv & (y == 0)].mean()
-        expected = 0.5 * ((fpr_u - fpr_p) + (tpr_u - tpr_p))
-        assert expected == pytest.approx(-0.15, abs=1e-12)
-        assert average_odds_difference(preds, group) == pytest.approx(-0.15, abs=1e-12)
 
-    def test_aod_identical_confusions_zero(self):
-        labels = [1, 1, 0, 0] * 2
-        predictions = [1, 0, 1, 0] * 2
-        preds = preds_from(predictions, labels)
-        assert average_odds_difference(preds, group_of([0] * 4 + [1] * 4)) == 0.0
+class TestRateMetricsOnOracles(rate_metric_tests(oracles)):
+    pass
 
-    def test_aod_partial_support_flagged(self):
-        labels = [0, 0, 1, 0]  # unprivileged group has no positives
-        preds = preds_from([0, 1, 1, 0], labels)
-        group = group_of([0, 0, 1, 1])
-        assert not odds_support_complete(preds, group)
-        average_odds_difference(preds, group)  # still computable, rate 0 convention
 
-    def test_eod_hand_values(self):
-        preds, group = self._rates_case()
-        assert equal_opportunity_difference(preds, group) == pytest.approx(-0.2, abs=1e-12)
+def odds_metric_tests(m):
+    """The AOD and EOD hand values, tested on the metric functions of module ``m``:
+    ``multifair.metrics`` or the oracles."""
+    average_odds_difference = m.average_odds_difference
+    equal_opportunity_difference = m.equal_opportunity_difference
 
-    def test_eod_equal_tprs_zero(self):
-        labels = [1, 1, 0, 1, 1, 0]
-        predictions = [1, 0, 0, 1, 0, 1]
-        preds = preds_from(predictions, labels)
-        assert equal_opportunity_difference(preds, group_of([0, 0, 0, 1, 1, 1])) == 0.0
+    class OddsMetrics:
+        def _rates_case(self):
+            # Hand-enumerated confusion matrices:
+            #   unprivileged: 5 pos (3 predicted 1 -> TPR 0.6), 5 neg (1 predicted 1 -> FPR 0.2)
+            #   privileged: 5 pos (4 predicted 1 -> TPR 0.8), 10 neg (3 predicted 1 -> FPR 0.3)
+            labels = [1] * 5 + [0] * 5 + [1] * 5 + [0] * 10
+            predictions = [1, 1, 1, 0, 0] + [1, 0, 0, 0, 0] + [1, 1, 1, 1, 0] + [1, 1, 1] + [0] * 7
+            membership = [0] * 10 + [1] * 15
+            return preds_from(predictions, labels), group_of(membership)
 
-    def test_eod_undefined_without_positives(self):
-        preds = preds_from([1, 0, 1, 0], [0, 0, 1, 1])
-        with pytest.raises(MetricUndefinedError, match="EOD undefined"):
-            equal_opportunity_difference(preds, group_of([0, 0, 1, 1]))
+        def test_aod_hand_enumerated(self):
+            preds, group = self._rates_case()
+            # oracle: recount the four rates directly
+            y = preds.labels
+            p = preds.predictions
+            unpriv = group.membership == 0
+            tpr_u = p[unpriv & (y == 1)].mean()
+            fpr_u = p[unpriv & (y == 0)].mean()
+            tpr_p = p[~unpriv & (y == 1)].mean()
+            fpr_p = p[~unpriv & (y == 0)].mean()
+            expected = 0.5 * ((fpr_u - fpr_p) + (tpr_u - tpr_p))
+            assert expected == pytest.approx(-0.15, abs=1e-12)
+            assert average_odds_difference(preds, group) == pytest.approx(-0.15, abs=1e-12)
+
+        def test_aod_identical_confusions_zero(self):
+            labels = [1, 1, 0, 0] * 2
+            predictions = [1, 0, 1, 0] * 2
+            preds = preds_from(predictions, labels)
+            assert average_odds_difference(preds, group_of([0] * 4 + [1] * 4)) == 0.0
+
+        def test_aod_partial_support_flagged(self):
+            labels = [0, 0, 1, 0]  # unprivileged group has no positives
+            preds = preds_from([0, 1, 1, 0], labels)
+            group = group_of([0, 0, 1, 1])
+            assert not odds_support_complete(preds, group)
+            average_odds_difference(preds, group)  # still computable, rate 0 convention
+
+        def test_eod_hand_values(self):
+            preds, group = self._rates_case()
+            assert equal_opportunity_difference(preds, group) == pytest.approx(-0.2, abs=1e-12)
+
+        def test_eod_equal_tprs_zero(self):
+            labels = [1, 1, 0, 1, 1, 0]
+            predictions = [1, 0, 0, 1, 0, 1]
+            preds = preds_from(predictions, labels)
+            assert equal_opportunity_difference(preds, group_of([0, 0, 0, 1, 1, 1])) == 0.0
+
+        def test_eod_undefined_without_positives(self):
+            preds = preds_from([1, 0, 1, 0], [0, 0, 1, 1])
+            with pytest.raises(MetricUndefinedError, match="EOD undefined"):
+                equal_opportunity_difference(preds, group_of([0, 0, 1, 1]))
+
+    return OddsMetrics
+
+
+class TestOddsMetrics(odds_metric_tests(metrics)):
+    pass
+
+
+class TestOddsMetricsOnOracles(odds_metric_tests(oracles)):
+    pass
 
 
 class TestAuroc:
@@ -258,62 +294,79 @@ def random_instance(seed, n=40):
     return preds, membership
 
 
-class TestProperties:
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_swapping_privileged_negates_differences(self, seed):
-        preds, membership = random_instance(seed)
-        g1 = group_of(membership, privileged=1)
-        g0 = group_of(membership, privileged=0)
-        spd = statistical_parity_difference(preds, g1)
-        assert -1.0 <= spd <= 1.0
-        assert disparate_impact(preds, g1) >= 0.0
-        assert spd == pytest.approx(
-            -statistical_parity_difference(preds, g0), abs=1e-12
-        )
-        assert average_odds_difference(preds, g1) == pytest.approx(
-            -average_odds_difference(preds, g0), abs=1e-12
-        )
+def property_tests(m):
+    """The metric properties, tested on the metric functions of module ``m``:
+    ``multifair.metrics`` or the oracles."""
+    disparate_impact = m.disparate_impact
+    statistical_parity_difference = m.statistical_parity_difference
+    average_odds_difference = m.average_odds_difference
 
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_swapping_privileged_inverts_di(self, seed):
-        preds, membership = random_instance(seed)
-        g1 = group_of(membership, privileged=1)
-        g0 = group_of(membership, privileged=0)
-        di = disparate_impact(preds, g1)
-        if 0 < di < math.inf:
-            assert disparate_impact(preds, g0) == pytest.approx(1.0 / di, rel=1e-12)
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_di_one_iff_spd_zero(self, seed):
-        preds, membership = random_instance(seed)
-        group = group_of(membership)
-        if preds.predictions[group.privileged_mask].mean() > 0:
-            di = disparate_impact(preds, group)
-            spd = statistical_parity_difference(preds, group)
-            assert (di == pytest.approx(1.0, abs=1e-12)) == (spd == pytest.approx(0.0, abs=1e-12))
-
-    @given(st.integers(0, 10**6), st.integers(0, 10**6))
-    @settings(max_examples=40, deadline=None)
-    def test_joint_row_permutation_invariance(self, seed, perm_seed):
-        preds, membership = random_instance(seed)
-        group = group_of(membership)
-        perm = np.random.default_rng(perm_seed).permutation(len(preds))
-        permuted = PredictionSet(preds.scores[perm], preds.labels[perm])
-        pgroup = group_of(membership[perm])
-        assert statistical_parity_difference(preds, group) == pytest.approx(
-            statistical_parity_difference(permuted, pgroup), abs=1e-12
-        )
-        assert average_odds_difference(preds, group) == pytest.approx(
-            average_odds_difference(permuted, pgroup), abs=1e-12
-        )
-        assert accuracy(preds) == accuracy(permuted)
-        if 0 < preds.labels.sum() < len(preds):
-            assert auroc(preds.scores, preds.labels) == pytest.approx(
-                auroc(permuted.scores, permuted.labels), abs=1e-12
+    class Properties:
+        @given(st.integers(0, 10**6))
+        @settings(max_examples=60, deadline=None)
+        def test_swapping_privileged_negates_differences(self, seed):
+            preds, membership = random_instance(seed)
+            g1 = group_of(membership, privileged=1)
+            g0 = group_of(membership, privileged=0)
+            spd = statistical_parity_difference(preds, g1)
+            assert -1.0 <= spd <= 1.0
+            assert disparate_impact(preds, g1) >= 0.0
+            assert spd == pytest.approx(
+                -statistical_parity_difference(preds, g0), abs=1e-12
             )
+            assert average_odds_difference(preds, g1) == pytest.approx(
+                -average_odds_difference(preds, g0), abs=1e-12
+            )
+
+        @given(st.integers(0, 10**6))
+        @settings(max_examples=60, deadline=None)
+        def test_swapping_privileged_inverts_di(self, seed):
+            preds, membership = random_instance(seed)
+            g1 = group_of(membership, privileged=1)
+            g0 = group_of(membership, privileged=0)
+            di = disparate_impact(preds, g1)
+            if 0 < di < math.inf:
+                assert disparate_impact(preds, g0) == pytest.approx(1.0 / di, rel=1e-12)
+
+        @given(st.integers(0, 10**6))
+        @settings(max_examples=60, deadline=None)
+        def test_di_one_iff_spd_zero(self, seed):
+            preds, membership = random_instance(seed)
+            group = group_of(membership)
+            if preds.predictions[group.privileged_mask].mean() > 0:
+                di = disparate_impact(preds, group)
+                spd = statistical_parity_difference(preds, group)
+                assert (di == pytest.approx(1.0, abs=1e-12)) == (spd == pytest.approx(0.0, abs=1e-12))
+
+        @given(st.integers(0, 10**6), st.integers(0, 10**6))
+        @settings(max_examples=40, deadline=None)
+        def test_joint_row_permutation_invariance(self, seed, perm_seed):
+            preds, membership = random_instance(seed)
+            group = group_of(membership)
+            perm = np.random.default_rng(perm_seed).permutation(len(preds))
+            permuted = PredictionSet(preds.scores[perm], preds.labels[perm])
+            pgroup = group_of(membership[perm])
+            assert statistical_parity_difference(preds, group) == pytest.approx(
+                statistical_parity_difference(permuted, pgroup), abs=1e-12
+            )
+            assert average_odds_difference(preds, group) == pytest.approx(
+                average_odds_difference(permuted, pgroup), abs=1e-12
+            )
+            assert accuracy(preds) == accuracy(permuted)
+            if 0 < preds.labels.sum() < len(preds):
+                assert auroc(preds.scores, preds.labels) == pytest.approx(
+                    auroc(permuted.scores, permuted.labels), abs=1e-12
+                )
+
+    return Properties
+
+
+class TestProperties(property_tests(metrics)):
+    pass
+
+
+class TestPropertiesOnOracles(property_tests(oracles)):
+    pass
 
 
 class TestEvaluateFairness:
@@ -332,7 +385,7 @@ class TestEvaluateFairness:
 
     @staticmethod
     def oracle(preds, group):
-        """evaluate_fairness assembled from the per-metric functions."""
+        """evaluate_fairness assembled from the per-metric oracles."""
         di = disparate_impact(preds, group)
         flags = []
         if math.isinf(di):
