@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -244,15 +245,17 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     appearance.  Cell whitespace is stripped, so comma-space separated
     files load cleanly.
 
-    Files are read by one C-parsed ``np.loadtxt`` pass.  Files it cannot
-    read exactly as the csv module does (ragged rows, empty or non-finite
-    numeric cells, spellings only Python's ``float()`` accepts such as
-    ``1_000``, a stray label value, two spellings of one category that
-    differ only by padding) take the slower csv-module path, which gives
-    the same result and is the one source of the errors below.  When a
-    data line repeats within the first 64 KiB of data and no line holds a
-    quote or is blank, each distinct line is parsed once and the rows are
-    expanded from it.
+    The first data row and the first 64 KiB of data lines pick one of
+    three fast routes (see :func:`_load_loadtxt`): a file whose columns are
+    all numeric but the label, with no repeated line, is parsed by orjson
+    in blocks; a file whose lines repeat, with no quote or blank line, is
+    parsed one distinct line each by ``np.loadtxt``; any other file by one
+    ``np.loadtxt`` pass.  Files these cannot read exactly as the csv module
+    does (ragged rows, empty or non-finite numeric cells, spellings only
+    Python's ``float()`` accepts such as ``1_000``, a stray label value,
+    two spellings of one category that differ only by padding) take the
+    slower csv-module path, which gives the same result and is the one
+    source of the errors below.
 
     Raises DataError for: duplicate or missing header names, row arity
     mismatches, empty or non-finite numeric cells, or a label value
@@ -265,26 +268,35 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
 
 
 def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | None:
-    """The fast path of :func:`load_csv`, or None when the file must take
+    """The fast routes of :func:`load_csv`, or None when the file must take
     the csv-module path.
 
     The csv module reads the header and the first data row, which decides
     the column kinds: a feature column is text when its first cell is
-    non-empty and not a number.  Each text or label column's converter is
-    the bound ``__getitem__`` of a ``defaultdict`` over a float counter, a
-    builtin that codes each distinct raw cell by first appearance inside
-    loadtxt's C loop, with no Python frame per cell.  When two raw
-    spellings strip to one category the file takes the csv-module path,
-    which merges them; otherwise each stripped category keeps its raw
-    code, in first-appearance order.  Numeric cells go through numpy's C
-    float parser, which rounds as ``float()`` does; the few spellings only
-    ``float()`` reads make loadtxt raise, and so take the csv-module path.
+    non-empty and not a number.  Then :func:`_repeated_lines` probes the
+    data lines, and the file takes the first route that fits it:
 
-    A file whose data lines repeat (see :func:`_repeated_lines`) is parsed
-    one distinct line each, in first-appearance order, so every category
-    gets the code it would get from the whole file; the features and
-    labels built on the distinct lines are expanded to every row with one
-    ``take``.
+    - Every column but the label is numeric and no line repeats: the
+      lines are read in binary blocks and orjson parses their numbers
+      (:func:`_numeric_rows`).  A block it might read otherwise than
+      ``float()`` sends the whole file to the one-pass route below.
+    - Lines repeat: the file is parsed one distinct line each, in
+      first-appearance order, so every category gets the code it would get
+      from the whole file; the features and labels built on the distinct
+      lines are expanded to every row with one ``take``.
+    - Otherwise one ``np.loadtxt`` pass parses the file.
+
+    On the loadtxt routes each text or label column's converter is the
+    bound ``__getitem__`` of a ``defaultdict`` over a float counter, a
+    builtin that codes each distinct raw cell by first appearance inside
+    loadtxt's C loop, with no Python frame per cell; the orjson route codes
+    label cells with the same builtin.  When two raw spellings strip to one
+    category the file takes the csv-module path, which merges them;
+    otherwise each stripped category keeps its raw code, in
+    first-appearance order.  Numeric cells go through numpy's C float
+    parser or orjson's, which both round as ``float()`` does; the few
+    spellings only ``float()`` reads make loadtxt raise, and so take the
+    csv-module path.
     """
     # newline="" keeps line endings inside quoted cells as the csv module does
     with open(path, newline="", encoding="utf-8") as handle:
@@ -304,22 +316,30 @@ def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | Non
             if j == label_idx or (cell.strip() != "" and _parse_float(cell) is None)
         }
         repeated = _repeated_lines(handle, header_lines)
-        if repeated is None:
+        numeric = None
+        if repeated is None and len(tables) == 1:  # every column but the label is numeric
             handle.seek(0)
-            source, skip = handle, header_lines
+            start = sum(len(handle.readline().encode()) for _ in range(header_lines))
+            numeric = _numeric_rows(path, start, len(header), label_idx)
+        if numeric is None:
+            if repeated is None:
+                handle.seek(0)
+                source, skip = handle, header_lines
+            else:
+                source, inverse = repeated
+                skip = 0
+            try:
+                values = np.loadtxt(
+                    source, delimiter=",", quotechar='"', comments=None, encoding="utf-8",
+                    ndmin=2, skiprows=skip,
+                    converters={j: table.__getitem__ for j, table in tables.items()},
+                )
+            except ValueError:
+                return None
+            if repeated is not None and values.shape[0] != len(source):
+                return None  # a line loadtxt skipped or split would misalign every later row
         else:
-            source, inverse = repeated
-            skip = 0
-        try:
-            values = np.loadtxt(
-                source, delimiter=",", quotechar='"', comments=None, encoding="utf-8",
-                ndmin=2, skiprows=skip,
-                converters={j: table.__getitem__ for j, table in tables.items()},
-            )
-        except ValueError:
-            return None
-    if repeated is not None and values.shape[0] != len(source):
-        return None  # a line loadtxt skipped or split would misalign every later row
+            features, label_codes, tables[label_idx] = numeric
 
     for j, raw_codes in tables.items():
         tables[j] = {raw.strip(): code for raw, code in raw_codes.items()}
@@ -327,20 +347,26 @@ def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | Non
             return None  # two spellings of one category, which the csv-module path merges
 
     labels_seen = tables[label_idx]
-    if len(labels_seen.keys() - {positive_label}) > 1 or not np.isfinite(values).all():
+    if len(labels_seen.keys() - {positive_label}) > 1:
         return None
-    blocks, names = [], []
-    for j, name in enumerate(header):
-        if j == label_idx:
-            continue
-        if j in tables:
-            blocks.append(values[:, j, None] == np.arange(len(tables[j])))
-            names.extend(f"{name}={category}" for category in tables[j])
-        else:
-            blocks.append(values[:, j, None])
-            names.append(name)
-    features = np.concatenate(blocks, axis=1, dtype=np.float64)
-    labels = values[:, label_idx] == labels_seen.get(positive_label, -1)
+    if numeric is None:
+        blocks, names = [], []
+        for j, name in enumerate(header):
+            if j == label_idx:
+                continue
+            if j in tables:
+                blocks.append(values[:, j, None] == np.arange(len(tables[j])))
+                names.extend(f"{name}={category}" for category in tables[j])
+            else:
+                blocks.append(values[:, j, None])
+                names.append(name)
+        features = np.concatenate(blocks, axis=1, dtype=np.float64)
+        label_codes = values[:, label_idx]
+    else:
+        names = header[:label_idx] + header[label_idx + 1:]
+    if not np.isfinite(features).all():
+        return None
+    labels = label_codes == labels_seen.get(positive_label, -1)
     if repeated is not None:
         features, labels = features.take(inverse, axis=0), labels.take(inverse)
     return Dataset(features, labels, tuple(names))
@@ -374,6 +400,121 @@ def _repeated_lines(handle, header_lines: int) -> tuple[list[str], np.ndarray] |
     if '"' in "".join(index) or any(blank in index for blank in ("\n", "\r\n", "\r")):
         return None
     return list(index), inverse
+
+
+# How much of an all-numeric CSV is parsed at a time.  A block is held in
+# a few copies and as one Python float per cell while it is parsed, and the
+# allocator keeps that memory after the load.  On a 4000 x 202 file (16 MB)
+# 128 KiB blocks raised a detect run's peak memory by about 2 MB over the
+# loadtxt route and 1 MiB blocks by about 8 MB, for a parse under 10% faster
+_BLOCK_BYTES = 1 << 17
+# The bytes of numeric cells and of the line ends and commas between them.
+# JSON reads a subset of the numbers float() reads, and of its other words
+# only the numbers can be spelt with these bytes (not true, false or null)
+_NUMBER_BYTES = b"0123456789+-.eE \t\r\n,"
+
+
+def _numeric_rows(path, start: int, n_cols: int,
+                  label_idx: int) -> tuple[np.ndarray, np.ndarray, dict] | None:
+    """The data lines of an all-numeric file from byte ``start`` on, as
+    (features, label codes, label table), or None when some block of them
+    is not plain enough for :func:`_numeric_block`.
+
+    The lines are counted first, so each block's rows go straight to their
+    place in the result; collecting the blocks and joining them would hold
+    every row twice.
+    """
+    table = defaultdict(itertools.count(0.0).__next__)
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        n = sum(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+                for block in iter(partial(handle.read, _BLOCK_BYTES), b""))
+        handle.seek(-1, os.SEEK_END)
+        n += handle.read(1) != b"\n"  # a last line with no line end
+        features, codes = np.empty((n, n_cols - 1)), np.empty(n)
+        row = 0
+        handle.seek(start)
+        while block := handle.read(_BLOCK_BYTES):
+            part = _numeric_block(block + handle.readline(), n_cols, label_idx, table)
+            if part is None:
+                return None
+            end = row + part[1].shape[0]
+            if end > n:
+                return None  # the file grew since its lines were counted
+            features[row:end], codes[row:end] = part
+            row = end
+    if row < n:
+        return None  # the file shrank since its lines were counted
+    return features, codes, {raw.decode(): code for raw, code in table.items()}
+
+
+def _numeric_block(block: bytes, n_cols: int, label_idx: int,
+                   table: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """Whole data lines of an all-numeric file as (features, label codes),
+    or None when orjson might read them otherwise than the csv module and
+    ``float()`` do.
+
+    The block must be ASCII with no quote and no ``\\r`` outside a
+    ``\\r\\n``, and every line must hold ``n_cols - 1`` commas.  Each
+    label cell is coded through ``table`` and blanked to spaces with the
+    comma that joins it to its row, the rows are joined by commas into one
+    JSON array, and orjson parses that with correctly rounded numbers.  An
+    integer token ``-0``, which orjson reads as int 0 where ``float()``
+    gives -0.0, returns None.
+    """
+    # imported here: it adds about 6.5 ms to start-up, and files with a
+    # text column never need it
+    import orjson
+
+    if not block.isascii() or b'"' in block:
+        return None
+    raw = np.frombuffer(block, np.uint8)
+    newlines = (raw == ord("\n")).nonzero()[0]
+    ends = newlines if block.endswith(b"\n") else np.append(newlines, len(block))
+    n = ends.shape[0]
+    commas = (raw == ord(",")).nonzero()[0]
+    if commas.shape[0] != n * (n_cols - 1):
+        return None
+    commas = commas.reshape(n, n_cols - 1)
+    if not ((commas[1:, 0] > ends[:-1]).all() and (commas[:, -1] < ends).all()):
+        return None  # as many commas as the block needs, but not on every line
+    # no line is empty, so every newline follows a byte of its line
+    if np.count_nonzero(raw == ord("\r")) != np.count_nonzero(raw[newlines - 1] == ord("\r")):
+        return None  # a lone \r, which ends a line for the csv module
+    if label_idx < n_cols - 1:
+        cell_start = (np.append(0, ends[:-1] + 1) if label_idx == 0
+                      else commas[:, label_idx - 1] + 1)
+        cell_end = commas[:, label_idx]
+        blank_start, blank_end = cell_start, cell_end + 1
+    else:
+        cell_start = commas[:, -1] + 1
+        cell_end = ends - (raw[ends - 1] == ord("\r"))
+        blank_start, blank_end = cell_start - 1, cell_end
+    cells = map(block.__getitem__, map(slice, cell_start.tolist(), cell_end.tolist()))
+    codes = np.fromiter(map(table.__getitem__, cells), np.float64, n)
+
+    json = bytearray(len(block) + 2)
+    array = np.frombuffer(json, np.uint8)
+    array[0], array[1:-1], array[-1] = ord("["), raw, ord("]")
+    lengths = blank_end - blank_start
+    blanks = (blank_start - lengths.cumsum() + lengths).repeat(lengths)
+    array[1 + blanks + np.arange(blanks.shape[0])] = ord(" ")
+    array[1 + ends[:-1]] = ord(",")
+    if json.translate(None, _NUMBER_BYTES) != b"[]":
+        return None
+    try:
+        values = np.fromiter(orjson.loads(json), np.float64)
+    except orjson.JSONDecodeError:
+        return None
+    if values.shape[0] != n * (n_cols - 1):
+        return None
+    if not values.all():  # only a block with a zero can hold -0
+        minus_zero = array[:-2] == ord("-")
+        minus_zero &= array[1:-1] == ord("0")
+        after = array[2:][minus_zero]  # a separator ends the token; '.', 'e' and digits do not
+        if ((after < ord(".")) | (after == ord("]"))).any():
+            return None
+    return values.reshape(n, n_cols - 1), codes
 
 
 def _load_rows(path, label_column: str, positive_label: str) -> Dataset:
@@ -497,6 +638,8 @@ def privileged_side(label_counts: np.ndarray) -> np.ndarray:
 def set_privileged(group: GroupAssignment, dataset: Dataset) -> GroupAssignment:
     """Mark as privileged the group code with the higher favorable-label
     base rate, breaking ties toward code 1 (see :func:`privileged_side`)."""
+    if len(group) != dataset.n_rows:
+        raise DataError("group assignment not row-aligned with the dataset")
     counts = np.bincount(2 * group.membership + dataset.labels, minlength=4).reshape(2, 2)
     if not counts.any(axis=1).all():
         raise DataError(

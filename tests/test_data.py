@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -120,9 +121,13 @@ def load_outcome(loader, path):
     return ds.column_names, ds.features.tobytes(), ds.labels.tolist()
 
 
-NUMBER_CELLS = ["1", "2.5", " 3 ", '"4"', "-0", "1e3", "0.1"]
+# numbers that JSON and float() read alike
+JSON_NUMBER_CELLS = ["1", "2.5", " 3 ", "1e3", "0.1", "1E5", "-0.0", "-0e0", "1e-400",
+                     "9007199254740993", "18446744073709551617", "\t6\t", "-2.5e-05"]
+# ... and numbers that only float() reads as written (orjson reads -0 as int 0)
+NUMBER_CELLS = [*JSON_NUMBER_CELLS, '"4"', "-0", "01", ".5", "5.", "+1"]
 TEXT_CELLS = ["a", " b ", '"a,b"', '"a\nb"', '"a\r\nb"', '"a""b"', 'a"b', "é", ""]
-ODD_CELLS = ["", "1_000", "١٢", "nan", "-inf", "#c", ' "1.5"', "0x1", "a"]
+ODD_CELLS = ["", "1_000", "١٢", "nan", "-inf", "#c", ' "1.5"', "0x1", "a", "1e400"]
 
 
 @st.composite
@@ -156,6 +161,39 @@ def csv_texts(draw, repeats=False):
     lines = [",".join([f"c{j}" for j in range(len(kinds))] + ["y"])]
     lines.extend(line for row in rows for line in row)
     return draw(st.sampled_from(["", "\ufeff"])) + end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@st.composite
+def numeric_csv_texts(draw):
+    """Headered CSV text whose feature columns are all numeric, so that
+    load_csv tries orjson on it: cells are mostly numbers that JSON reads,
+    the label column ``y`` may be any column, and now and then a cell,
+    a blank line or a trailing comma makes the file take another path."""
+    n_cols = draw(st.integers(1, 4))
+    label_at = draw(st.integers(0, n_cols))
+    labels = draw(st.lists(st.sampled_from(["p", "q", " q", "r", "0", "-0", ""]),
+                           min_size=1, max_size=3, unique=True))
+    # a lone \r ends a line only for the csv module: drawn less often
+    end = draw(st.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r"]))
+
+    def cell():
+        if draw(st.integers(0, 29)) == 0:
+            return draw(st.sampled_from(NUMBER_CELLS + ODD_CELLS + ["true", "null", "[1]"]))
+        return draw(st.sampled_from(JSON_NUMBER_CELLS))
+
+    def line():
+        row = [cell() for _ in range(n_cols)]
+        row.insert(label_at, draw(st.sampled_from(labels)))
+        if draw(st.integers(0, 29)) == 0:
+            row.append("")  # trailing comma
+        return ",".join(row)
+
+    header = [f"c{j}" for j in range(n_cols)]
+    header.insert(label_at, "y")
+    lines = [",".join(header), *(line() for _ in range(draw(st.integers(1, 8))))]
+    if draw(st.integers(0, 19)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " "])))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
 ADVERSARIAL_FILES = [
@@ -220,6 +258,37 @@ ADVERSARIAL_FILES = [
     "x,y\n1,p\n2,q\n1,p\n2,q,3\n2,q,3\n",  # a ragged row only on a repeated line
     "x,y\n1,p\n2,q\nnan,p\nnan,p\n",  # nan only on a repeated line
     "x,y\n1,p\n2,q\n1,r\n1,r\n",  # a third label only on a repeated line
+    # all-numeric files, which orjson parses
+    "x,y\n-0,p\n2,q\n",  # orjson reads the integer -0 as 0
+    "x,y\n-0 ,p\n2,q\n",
+    "y,x\np,2\nq,-0",  # ... as the last token
+    "y,x\np,-0\nq,-0.0\n",
+    "x,y\n1e-0,p\n-0e-05,q\n0,p\n",  # an exponent -0 is not the integer -0
+    "x,y\n1.5e-05,p\n-0.25,q\n",
+    "x,y\n1,p\ntrue,q\n",  # JSON words that are not numbers
+    "x,y\n1,p\nfalse,q\n",
+    "x,y\n1,p\nnull,q\n",
+    "x,z,y\n0,1,p\n[1,2],q\n",
+    "x,y\n1,\"p\"\n2,p\n",  # a quoted label
+    "x,y\n1,p\r2,q\r\n3,q\r\n",  # a lone CR ends a line
+    "x,y\n1,p\r2\n",
+    "x,y\n1,p\r\n2,q\r\n",
+    "x,y\r\n1,p\r\n2,q",
+    "x,y,z\n1,p,2\n3,q,4\n",  # the label between numbers
+    "y,x,z\np,1,2\nq,3,4\n",
+    "x,y\n1,\n2,q\n",  # an empty label cell
+    "y,x\n,1\nq,2\n",
+    "x,y\n1,p\n2,q,3\n3,p\n",  # a comma too many
+    "x,y\n1,p\n2,q,3\n4\n",  # as many commas as lines need, but not on every line
+    "x,y,z\n1,p,2\n3,q,4,5\n6,p\n",
+    "y,x\np,1\n,2,3\n4\n",
+    "x,y\n1,p\n2,q\n ",  # a whitespace-only last line
+    "x,y\n01,p\n.5,q\n5.,p\n+1,q\n",  # numbers only float() reads
+    "x,y\n1e400,p\n2,q\n",
+    "x,y\n18446744073709551617,p\n9007199254740993,q\n",
+    "x,y\n\t1\t,p\n 2 ,q\n",
+    "x,y\n1\x0c,p\n2,q\n",  # whitespace float() strips and JSON does not
+    "x,y\n1,p\x0c\n2,p\n",
 ]
 
 
@@ -253,13 +322,25 @@ class TestFastPathMatchesCsvPath:
     def test_repeated_lines(self, csv_file, text):
         self.check(csv_file, text)
 
+    @given(text=numeric_csv_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_numeric(self, csv_file, text):
+        self.check(csv_file, text)
+
+    @given(text=numeric_csv_texts(), block_bytes=st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_numeric_in_small_blocks(self, csv_file, text, block_bytes):
+        with mock.patch.object(data, "_BLOCK_BYTES", block_bytes):
+            self.check(csv_file, text)
+
     @given(text=st.text(alphabet=',"\n\r\t a1.#_pqé', max_size=40))
     @settings(max_examples=300, deadline=None)
     def test_raw_characters(self, csv_file, text):
         self.check(csv_file, "x,y\n" + text)
 
 
-def test_fast_path_reads_the_repository_inputs(tmp_path, monkeypatch):
+def test_fast_path_reads_the_repository_inputs(tmp_path, monkeypatch, loadtxt_sources,
+                                               numeric_parses):
     planted = tmp_path / "planted.csv"
     save_csv(planted_bias_dataset(300, n_noise=20, seed=3), planted)
     inputs = [
@@ -274,11 +355,18 @@ def test_fast_path_reads_the_repository_inputs(tmp_path, monkeypatch):
 
     # a loader that always fell back would pass every other loading test
     monkeypatch.setattr(data, "_load_rows", fail)
+    routes = []
     for args, want in zip(inputs, expected):
+        loadtxt_sources.clear()
+        numeric_parses.clear()
         got = load_csv(*args)
         assert got.column_names == want.column_names
         assert got.features.tobytes() == want.features.tobytes()
         assert np.array_equal(got.labels, want.labels)
+        routes.append((list(numeric_parses), [len(source) for source in loadtxt_sources]))
+    # all-numeric files are parsed by orjson; the census file, with text
+    # columns and repeated lines, by one loadtxt call on its distinct lines
+    assert routes == [([True], []), ([], [5544]), ([True], [])]
 
 
 def test_two_spellings_of_one_category_take_the_csv_module_path(tmp_path, monkeypatch):
@@ -309,7 +397,21 @@ def loadtxt_sources(monkeypatch):
     return sources
 
 
-def test_repeated_lines_are_parsed_once(loadtxt_sources):
+@pytest.fixture
+def numeric_parses(monkeypatch):
+    """Whether each try of the all-numeric path parsed its file."""
+    real, parsed = data._numeric_rows, []
+
+    def spy(*args):
+        rows = real(*args)
+        parsed.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(data, "_numeric_rows", spy)
+    return parsed
+
+
+def test_repeated_lines_are_parsed_once(loadtxt_sources, numeric_parses):
     census = (REPO_ROOT / "data" / "census_surrogate.csv", "income", ">50K")
     got, want = load_csv(*census), data._load_rows(*census)
     # 32561 data lines, 5544 distinct
@@ -319,16 +421,18 @@ def test_repeated_lines_are_parsed_once(loadtxt_sources):
     assert got.labels.tobytes() == want.labels.tobytes()
 
     loadtxt_sources.clear()
-    load_csv(REPO_ROOT / "data" / "synthetic.csv", "outcome", "yes")  # no line repeats
-    assert len(loadtxt_sources) == 1 and hasattr(loadtxt_sources[0], "read")
+    # no line repeats and every column but the label is numeric
+    load_csv(REPO_ROOT / "data" / "synthetic.csv", "outcome", "yes")
+    assert loadtxt_sources == [] and numeric_parses == [True]
 
 
-def test_lines_that_repeat_only_after_the_probe_are_parsed_whole(tmp_path, loadtxt_sources):
+def test_lines_that_repeat_only_after_the_probe_are_parsed_whole(tmp_path, loadtxt_sources,
+                                                                 numeric_parses):
     rows = [f"{i},{'pq'[i % 3 == 0]}\n" for i in range(10_000)]
     assert len("".join(rows)) > data._PROBE_BYTES
     path = write(tmp_path / "t.csv", "x,y\n" + "".join(rows + rows[:50]))
     assert load_outcome(load_csv, path) == load_outcome(data._load_rows, path)
-    assert len(loadtxt_sources) == 1 and hasattr(loadtxt_sources[0], "read")
+    assert loadtxt_sources == [] and numeric_parses == [True]
 
 
 @pytest.mark.parametrize("text", [
@@ -357,6 +461,49 @@ def test_fast_path_codes_text_cells_without_a_python_call_per_cell():
         sys.setprofile(previous)
     # three text or label cells per row: one Python call per cell would be ~98k
     assert calls < ds.n_rows // 100
+
+
+@pytest.mark.parametrize("text", [
+    "x,y\r\n1,p\r\n2,p",  # the last line has no line end
+    "y,x,z\np,-0.0,2\nq,3,-0e0\n",
+    "x,y,z\n1,-0,2\n3,p,4\n",  # the label -0 is not a number
+])
+def test_numeric_files_take_the_numeric_path(tmp_path, monkeypatch, loadtxt_sources,
+                                             numeric_parses, text):
+    path = write(tmp_path / "t.csv", text)
+    expected = load_outcome(data._load_rows, path)
+    monkeypatch.setattr(data, "_load_rows", None)
+    assert load_outcome(load_csv, path) == expected
+    assert loadtxt_sources == [] and numeric_parses == [True]
+
+
+def test_a_bad_utf8_label_after_the_probe_fails_as_on_the_csv_module_path(tmp_path):
+    rows = "".join(f"{i},p\n" for i in range(20_000)).encode()
+    assert len(rows) > data._PROBE_BYTES
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"x,y\n" + rows + b"1,\xff\n")
+    assert load_outcome(load_csv, path) == load_outcome(data._load_rows, path)
+    assert load_outcome(load_csv, path)[0] is UnicodeDecodeError
+
+
+def test_numeric_path_parses_without_a_python_call_per_row(tmp_path):
+    path = tmp_path / "planted.csv"
+    save_csv(planted_bias_dataset(40_000, n_noise=2, seed=3), path)  # 1.9 MB, 15 blocks
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        ds = load_csv(path, "label", "1")
+    finally:
+        sys.setprofile(previous)
+    assert "_numeric_block" in calls and "loadtxt" not in calls
+    # the calls are a few per block of data lines; one per row would be 40k
+    assert len(calls) < ds.n_rows // 100
 
 
 class TestDatasetInvariants:
@@ -535,6 +682,13 @@ class TestSetPrivileged:
         ds = self._ds([1, 0])
         group = GroupAssignment("g", np.array([1, 1]))
         with pytest.raises(DataError, match="non-empty"):
+            set_privileged(group, ds)
+
+    @pytest.mark.parametrize("membership", [[1, 0, 1], [1, 0, 1, 0, 1]])
+    def test_group_not_row_aligned_rejected(self, membership):
+        ds = self._ds([1, 0, 1, 0])
+        group = GroupAssignment("g", np.array(membership))
+        with pytest.raises(DataError, match="^group assignment not row-aligned with the dataset$"):
             set_privileged(group, ds)
 
     @staticmethod
