@@ -247,15 +247,15 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
 
     The first data row and the first 64 KiB of data lines pick one of
     three fast routes (see :func:`_load_loadtxt`): a file whose columns are
-    all numeric but the label, with no repeated line, is parsed by orjson
-    in blocks; a file whose lines repeat, with no quote or blank line, is
-    parsed one distinct line each by ``np.loadtxt``; any other file by one
-    ``np.loadtxt`` pass.  Files these cannot read exactly as the csv module
-    does (ragged rows, empty or non-finite numeric cells, spellings only
-    Python's ``float()`` accepts such as ``1_000``, a stray label value,
-    two spellings of one category that differ only by padding) take the
-    slower csv-module path, which gives the same result and is the one
-    source of the errors below.
+    all numeric but the label, unless most of those lines repeat, is parsed
+    by orjson in blocks; another file whose lines repeat, with no quote or
+    blank line, is parsed one distinct line each by ``np.loadtxt``; any
+    other file by one ``np.loadtxt`` pass.  Files these cannot read
+    exactly as the csv module does (ragged rows, empty or non-finite
+    numeric cells, spellings only Python's ``float()`` accepts such as
+    ``1_000``, a stray label value, two spellings of one category that
+    differ only by padding) take the slower csv-module path, which gives
+    the same result and is the one source of the errors below.
 
     Raises DataError for: duplicate or missing header names, row arity
     mismatches, empty or non-finite numeric cells, or a label value
@@ -276,10 +276,11 @@ def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | Non
     non-empty and not a number.  Then :func:`_repeated_lines` probes the
     data lines, and the file takes the first route that fits it:
 
-    - Every column but the label is numeric and no line repeats: the
-      lines are read in binary blocks and orjson parses their numbers
-      (:func:`_numeric_rows`).  A block it might read otherwise than
-      ``float()`` sends the whole file to the one-pass route below.
+    - Every column but the label is numeric and at most half the probed
+      lines repeat: the lines are read in binary blocks and orjson parses
+      their numbers (:func:`_numeric_rows`).  A block it might read
+      otherwise than ``float()`` sends the whole file to the one-pass
+      route below.
     - Lines repeat: the file is parsed one distinct line each, in
       first-appearance order, so every category gets the code it would get
       from the whole file; the features and labels built on the distinct
@@ -315,7 +316,7 @@ def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | Non
             j: defaultdict(itertools.count(0.0).__next__) for j, cell in enumerate(first)
             if j == label_idx or (cell.strip() != "" and _parse_float(cell) is None)
         }
-        repeated = _repeated_lines(handle, header_lines)
+        repeated = _repeated_lines(handle, header_lines, len(tables) == 1)
         numeric = None
         if repeated is None and len(tables) == 1:  # every column but the label is numeric
             handle.seek(0)
@@ -376,22 +377,26 @@ def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | Non
 _PROBE_BYTES = 1 << 16
 
 
-def _repeated_lines(handle, header_lines: int) -> tuple[list[str], np.ndarray] | None:
+def _repeated_lines(handle, header_lines: int,
+                    all_numeric: bool) -> tuple[list[str], np.ndarray] | None:
     """The data lines of ``handle`` as (each distinct line once, in
     first-appearance order; each line's index into them), or None when
     parsing every line is as cheap or the lines cannot be parsed apart.
 
-    Only the first ``_PROBE_BYTES`` of data lines are read to decide: when
+    Only the first ``_PROBE_BYTES`` of data lines are read to decide.  When
     none of them repeats, the file is taken to have no repeats worth
-    keying.  A quote may open a cell that spans lines, and loadtxt skips a
-    blank line where the line index would still count it, so a file with
-    either is parsed whole.
+    keying.  A file whose columns are all numeric but the label is keyed
+    only when most of them repeat: orjson parsed every line of 5000 rows
+    of 7 numbers in about the time loadtxt took for half of them, and of
+    4000 rows of 201 numbers in less than for a quarter.  A quote may open
+    a cell that spans lines, and loadtxt skips a blank line where the line
+    index would still count it, so a file with either is parsed whole.
     """
     handle.seek(0)
     for _ in range(header_lines):
         handle.readline()
     lines = handle.readlines(_PROBE_BYTES)
-    if len(dict.fromkeys(lines)) == len(lines):
+    if len(dict.fromkeys(lines)) * (2 if all_numeric else 1) >= len(lines):
         return None
     lines += handle.readlines()
     # a builtin default factory numbers each new line without a Python frame
@@ -408,10 +413,6 @@ def _repeated_lines(handle, header_lines: int) -> tuple[list[str], np.ndarray] |
 # 128 KiB blocks raised a detect run's peak memory by about 2 MB over the
 # loadtxt route and 1 MiB blocks by about 8 MB, for a parse under 10% faster
 _BLOCK_BYTES = 1 << 17
-# The bytes of numeric cells and of the line ends and commas between them.
-# JSON reads a subset of the numbers float() reads, and of its other words
-# only the numbers can be spelt with these bytes (not true, false or null)
-_NUMBER_BYTES = b"0123456789+-.eE \t\r\n,"
 
 
 def _numeric_rows(path, start: int, n_cols: int,
@@ -458,9 +459,12 @@ def _numeric_block(block: bytes, n_cols: int, label_idx: int,
     ``\\r\\n``, and every line must hold ``n_cols - 1`` commas.  Each
     label cell is coded through ``table`` and blanked to spaces with the
     comma that joins it to its row, the rows are joined by commas into one
-    JSON array, and orjson parses that with correctly rounded numbers.  An
-    integer token ``-0``, which orjson reads as int 0 where ``float()``
-    gives -0.0, returns None.
+    JSON array, and orjson parses that with correctly rounded numbers.
+    The array must hold no ``t``, ``f``, ``n``, ``{`` or inner ``[``, which
+    could start a JSON value that is not a number, and must parse to one
+    number per cell.  An integer token ``-0``, which orjson reads as int 0
+    where ``float()`` gives -0.0, returns None; the bytes are searched for
+    it only when orjson returned an integer zero.
     """
     # imported here: it adds about 6.5 ms to start-up, and files with a
     # text column never need it
@@ -479,7 +483,8 @@ def _numeric_block(block: bytes, n_cols: int, label_idx: int,
     if not ((commas[1:, 0] > ends[:-1]).all() and (commas[:, -1] < ends).all()):
         return None  # as many commas as the block needs, but not on every line
     # no line is empty, so every newline follows a byte of its line
-    if np.count_nonzero(raw == ord("\r")) != np.count_nonzero(raw[newlines - 1] == ord("\r")):
+    if b"\r" in block and (np.count_nonzero(raw == ord("\r"))
+                           != np.count_nonzero(raw[newlines - 1] == ord("\r"))):
         return None  # a lone \r, which ends a line for the csv module
     if label_idx < n_cols - 1:
         cell_start = (np.append(0, ends[:-1] + 1) if label_idx == 0
@@ -500,15 +505,19 @@ def _numeric_block(block: bytes, n_cols: int, label_idx: int,
     blanks = (blank_start - lengths.cumsum() + lengths).repeat(lengths)
     array[1 + blanks + np.arange(blanks.shape[0])] = ord(" ")
     array[1 + ends[:-1]] = ord(",")
-    if json.translate(None, _NUMBER_BYTES) != b"[]":
+    # the block holds no quote, and orjson rejects every byte its grammar has
+    # no place for: only true, false, null, an object or an inner array would
+    # parse to a value that is not a number
+    if any(map(json.__contains__, b"tfn{")) or json.find(b"[", 1) >= 0:
         return None
     try:
-        values = np.fromiter(orjson.loads(json), np.float64)
+        values = np.fromiter(tokens := orjson.loads(json), np.float64)
     except orjson.JSONDecodeError:
         return None
     if values.shape[0] != n * (n_cols - 1):
         return None
-    if not values.all():  # only a block with a zero can hold -0
+    # only an integer zero can be -0: orjson reads -0.0, -0e0 and -0E-5 as -0.0
+    if int in map(type, map(tokens.__getitem__, (values == 0).nonzero()[0].tolist())):
         minus_zero = array[:-2] == ord("-")
         minus_zero &= array[1:-1] == ord("0")
         after = array[2:][minus_zero]  # a separator ends the token; '.', 'e' and digits do not

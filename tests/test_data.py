@@ -289,13 +289,24 @@ ADVERSARIAL_FILES = [
     "x,y\n\t1\t,p\n 2 ,q\n",
     "x,y\n1\x0c,p\n2,q\n",  # whitespace float() strips and JSON does not
     "x,y\n1,p\x0c\n2,p\n",
+    "x,y\n1,p\n{},q\n",  # a JSON object, which np.fromiter cannot convert
+    "x,z,w,y\n1,2,3,p\n4,{},5,q\n",
+    "x,z,w,y\n1,2,3,p\n4,[],5,q\n",  # inner JSON arrays
+    "x,z,w,y\n1,2,3,p\n4,[1],5,q\n",
+    # JSON words many blocks into the file under the small-block test
+    "x,y\n" + "".join(f"{i},p\n" for i in range(60)) + "true,q\n",
+    "x,y\n" + "".join(f"{i},p\n" for i in range(60)) + "null,q\n",
+    "x,z,y\n0.0,0.0,p\n1,-0,q\n",  # float zeros before an integer -0
+    "x,z,y\n0,1,p\n2,0,q\n0,0,p\n",  # integer zeros and no -0
 ]
 
 
-def with_adversarial_examples(test):
-    for text in reversed(ADVERSARIAL_FILES):
-        test = example(text=text)(test)
-    return test
+def with_adversarial_examples(**arguments):
+    def decorate(test):
+        for text in reversed(ADVERSARIAL_FILES):
+            test = example(text=text, **arguments)(test)
+        return test
+    return decorate
 
 
 class TestFastPathMatchesCsvPath:
@@ -311,7 +322,7 @@ class TestFastPathMatchesCsvPath:
             handle.write(text)
         assert load_outcome(load_csv, path) == load_outcome(data._load_rows, path)
 
-    @with_adversarial_examples
+    @with_adversarial_examples()
     @given(text=csv_texts())
     @settings(max_examples=300, deadline=None)
     def test_structured(self, csv_file, text):
@@ -327,6 +338,7 @@ class TestFastPathMatchesCsvPath:
     def test_numeric(self, csv_file, text):
         self.check(csv_file, text)
 
+    @with_adversarial_examples(block_bytes=16)
     @given(text=numeric_csv_texts(), block_bytes=st.integers(1, 40))
     @settings(max_examples=200, deadline=None)
     def test_numeric_in_small_blocks(self, csv_file, text, block_bytes):
@@ -467,6 +479,9 @@ def test_fast_path_codes_text_cells_without_a_python_call_per_cell():
     "x,y\r\n1,p\r\n2,p",  # the last line has no line end
     "y,x,z\np,-0.0,2\nq,3,-0e0\n",
     "x,y,z\n1,-0,2\n3,p,4\n",  # the label -0 is not a number
+    "x,z,y\n0,1,p\n2,0,q\n0,0,p\n",  # integer zeros and no -0
+    "x,y\n1,p\n1,p\n2,q\n",  # the first data line twice: most lines are distinct
+    "x,y\n1,p\n2,q\n1,p\n2,q\n",  # half the lines repeat
 ])
 def test_numeric_files_take_the_numeric_path(tmp_path, monkeypatch, loadtxt_sources,
                                              numeric_parses, text):
@@ -475,6 +490,23 @@ def test_numeric_files_take_the_numeric_path(tmp_path, monkeypatch, loadtxt_sour
     monkeypatch.setattr(data, "_load_rows", None)
     assert load_outcome(load_csv, path) == expected
     assert loadtxt_sources == [] and numeric_parses == [True]
+
+
+def test_numeric_lines_that_mostly_repeat_are_parsed_once(tmp_path, loadtxt_sources,
+                                                        numeric_parses):
+    path = write(tmp_path / "t.csv", "x,y\n1,p\n2,q\n1,p\n2,q\n1,p\n")
+    assert load_outcome(load_csv, path) == load_outcome(data._load_rows, path)
+    assert numeric_parses == [] and [len(source) for source in loadtxt_sources] == [2]
+
+
+@pytest.mark.parametrize("cell", ["true", "false", "null", "{}", "[]", "[1]"])
+def test_json_values_that_are_not_numbers_leave_the_numeric_path(tmp_path, numeric_parses,
+                                                                  cell):
+    path = write(tmp_path / "t.csv", f"x,z,w,y\n1,2,3,p\n4,{cell},5,q\n")
+    assert load_outcome(load_csv, path) == load_outcome(data._load_rows, path)
+    # null would reach the csv-module path even if the block were parsed:
+    # np.fromiter reads it as NaN, which the finiteness check refuses
+    assert numeric_parses == [False]
 
 
 def test_a_bad_utf8_label_after_the_probe_fails_as_on_the_csv_module_path(tmp_path):
