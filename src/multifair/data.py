@@ -141,7 +141,11 @@ class Dataset:
     @cached_property
     def constant_columns(self) -> np.ndarray:
         """Read-only mask of the exactly constant feature columns."""
-        return _read_only(_constant_columns(self.features))
+        # Every row has its cell's first row's bytes, and row 0 is the first
+        # cell's: the cells' first rows have the same constant columns
+        first = self.cells[0]
+        features = self.features if first.shape[0] == self.n_rows else np.take(self.features, first, axis=0)
+        return _read_only(_constant_columns(features))
 
     @cached_property
     def float_labels(self) -> np.ndarray:

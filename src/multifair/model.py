@@ -13,7 +13,9 @@ method starts from zero parameters, uses no randomness, and is
 bit-reproducible on a fixed platform.  The fit converges when
 max|dL| / sum_i w_i < gradient_tolerance: the tolerance is per unit of
 weight mass, so it does not depend on the row count or on the scale of
-the weights.
+the weights.  Each row's cross-entropy is one softplus of v = +-z, taken
+as max(v, 0) + log1p(exp(-|z|)) with the exponential the sigmoid also
+uses (see :func:`weighted_loss_and_gradient`).
 
 Every term of L, its derivatives and the standardization is a sum over
 rows of a function of the row's (features, label), so the fit runs on the
@@ -79,11 +81,16 @@ class ModelParams:
     n_iter: int
 
     def __post_init__(self):
+        object.__setattr__(self, "feature_names", tuple(self.feature_names))
         for name in ("coefficients", "means", "scales"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if arr.shape != (len(self.feature_names),):
+                raise DataError(f"{name} must be 1-D with one entry per feature name")
             if not np.isfinite(arr).all():
                 raise DataError(f"{name} must be finite")
             object.__setattr__(self, name, _read_only(arr))
+        if not (self.scales > 0.0).all():
+            raise DataError("scales must be positive")
 
     @property
     def n_cols(self) -> int:
@@ -93,9 +100,15 @@ class ModelParams:
 def _sigmoid(z):
     """Logistic function in the stable form: exp only ever sees -|z|, so no
     input overflows."""
-    e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0.0, 1.0 / d, e / d)
+    return _sigmoid_from_exp(z, np.exp(-np.abs(z)))
+
+
+def _sigmoid_from_exp(z, e):
+    """sigmoid(z) given ``e = exp(-|z|)``: 1 / (1 + e) where z >= 0, else
+    e / (1 + e)."""
+    p = np.where(z >= 0.0, 1.0, e)
+    p /= 1.0 + e
+    return p
 
 
 def weighted_loss_and_gradient(coefficients, intercept, features, labels, weights, l2_penalty):
@@ -104,24 +117,30 @@ def weighted_loss_and_gradient(coefficients, intercept, features, labels, weight
     probabilities sigmoid(features @ coefficients + intercept).
 
     ``labels`` must be exactly 0 or 1: the cross-entropy
-    y*softplus(-z) + (1-y)*softplus(z) is then one softplus, of -z where
-    y = 1 and of z where y = 0, bit for bit.  softplus is
-    ``logaddexp(0, .)``, which never overflows.
+    y*softplus(-z) + (1-y)*softplus(z) is then one softplus, of v = -z
+    where y = 1 and of v = z where y = 0.  softplus(v) is taken as
+    max(v, 0) + log1p(exp(-|v|)), which never overflows, and |v| = |z|,
+    so the one exponential exp(-|z|) serves the loss and the sigmoid.
     """
     coefficients = np.asarray(coefficients, dtype=np.float64)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     z = features @ coefficients + intercept
-    ce = np.logaddexp(0.0, np.where(labels == 1.0, -z, z))
-    return _loss_and_gradient(coefficients, features, labels, weights, l2_penalty, ce, _sigmoid(z))
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)
+    p = _sigmoid_from_exp(z, e)
+    ce = np.maximum(np.where(labels == 1.0, -z, z), 0.0)
+    ce += np.log1p(e, out=e)
+    return _loss_and_gradient(coefficients, features, labels, weights, l2_penalty, ce, p)
 
 
 def _loss_and_gradient(coefficients, features, labels, weights, l2_penalty, ce, p):
     """weighted_loss_and_gradient from each row's cross-entropy ``ce`` and
     probability ``p``."""
     loss = float(weights @ ce + l2_penalty * (coefficients @ coefficients))
-    residual = weights * (p - labels)
+    residual = p - labels
+    residual *= weights
     grad_coef = features.T @ residual + 2.0 * l2_penalty * coefficients
     grad_intercept = float(residual.sum())
     return loss, grad_coef, grad_intercept, p
@@ -130,10 +149,10 @@ def _loss_and_gradient(coefficients, features, labels, weights, l2_penalty, ce, 
 def _loss_and_gradient_at_zero(features, labels, weights, l2_penalty):
     """weighted_loss_and_gradient at zero coefficients and intercept, bit
     for bit, with no margins formed: every margin ``features @ 0 + 0.0`` is
-    +0, so each row's cross-entropy is exactly log 2 and its probability
-    exactly 1/2.  The arguments are float64 arrays."""
+    +0, so each row's cross-entropy is exactly log1p(exp(-0)) = log1p(1)
+    and its probability exactly 1/2.  The arguments are float64 arrays."""
     n = labels.shape[0]
-    ce, p = np.full(n, np.logaddexp(0.0, 0.0)), np.full(n, 0.5)
+    ce, p = np.full(n, np.log1p(1.0)), np.full(n, 0.5)
     return _loss_and_gradient(np.zeros(features.shape[1]), features, labels, weights, l2_penalty, ce, p)
 
 
@@ -220,8 +239,8 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
         features = np.take(train.features, first, axis=0)
         y = np.take(train.float_labels, first)
         w = np.bincount(cell, weights=weights.values, minlength=first.shape[0])
-    positive = y == 1.0
-    if w[positive].sum() <= 0.0 or w[~positive].sum() <= 0.0:
+    # With non-negative weights, a class's mass is zero exactly when its dot product is
+    if w @ y <= 0.0 or w @ (1.0 - y) <= 0.0:
         raise DataError("single-class training labels (one class has zero weight mass)")
 
     constant = train.constant_columns
@@ -232,44 +251,48 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
     z = _standardized(features, active, means[active], scales[active])
     k = active.shape[0]
 
-    def loss_grad(params):
-        loss, grad_coef, grad_b, p = weighted_loss_and_gradient(
-            params[:k], params[k], z, y, w, config.l2_penalty
-        )
-        return loss, np.append(grad_coef, grad_b), p
+    def stacked(loss, grad_coef, grad_b, p):
+        """The loss, the gradient as one (k+1)-vector, and the probabilities."""
+        grad = np.empty(k + 1)
+        grad[:k], grad[k] = grad_coef, grad_b
+        return loss, grad, p
 
+    hessian = np.empty((k + 1, k + 1))  # every iteration overwrites it
+    diagonal = hessian.reshape(-1)[:: k + 2]  # a view
+    tolerance = config.gradient_tolerance * w.sum()
     x = np.zeros(k + 1)
     # p: the probabilities at x, reused by the Hessian
-    loss, grad_coef, grad_b, p = _loss_and_gradient_at_zero(z, y, w, config.l2_penalty)
-    grad = np.append(grad_coef, grad_b)
+    loss, grad, p = stacked(*_loss_and_gradient_at_zero(z, y, w, config.l2_penalty))
     for n_iter in range(config.max_iterations + 1):
-        converged = bool(np.abs(grad).max() < config.gradient_tolerance * w.sum())
+        grad_max = np.abs(grad).max()
+        converged = bool(grad_max < tolerance)
         if converged or n_iter == config.max_iterations:
             break
-        s = w * p * (1.0 - p)
+        s = w * p
+        s *= 1.0 - p  # w * p * (1 - p)
         r = np.sqrt(s)[:, None] * z
-        hessian = np.empty((k + 1, k + 1))
         hessian[:k, :k] = r.T @ r  # same operand transposed: a symmetric rank-k update
         hessian[:k, k] = hessian[k, :k] = s @ z
         hessian[k, k] = s.sum()
         # A relative floor on the curvature bounds the step where collinear
         # columns (both sides of a one-hot pair) leave an unpenalized
         # Hessian numerically singular; it changes the steps, not the optimum.
-        ridge = np.full(k + 1, 1e-10 * hessian.diagonal().max())
-        ridge[:k] += 2.0 * config.l2_penalty
-        hessian[np.diag_indices(k + 1)] += ridge
+        floor = 1e-10 * diagonal.max()
+        diagonal[:k] += floor + 2.0 * config.l2_penalty
+        diagonal[k] += floor
         step = np.linalg.solve(hessian, grad)
         decrease = 1e-4 * float(grad @ step)  # Armijo sufficient decrease per unit step
         t = 1.0
         while decrease > 0.0 and t >= 1e-10:
             candidate = x - t * step
-            cand_loss, cand_grad, cand_p = loss_grad(candidate)
+            cand_loss, cand_grad, cand_p = stacked(*weighted_loss_and_gradient(
+                candidate[:k], candidate[k], z, y, w, config.l2_penalty))
             if cand_loss <= loss - t * decrease:
                 break
             # Within the loss's rounding the Armijo test is decided by that
             # rounding, so the smaller gradient decides instead
             within_rounding = abs(cand_loss - loss) <= _LOSS_ROUNDING * abs(loss)
-            if within_rounding and np.abs(cand_grad).max() < np.abs(grad).max():
+            if within_rounding and np.abs(cand_grad).max() < grad_max:
                 break
             t *= 0.5
         else:
@@ -295,6 +318,10 @@ def predict_scores(model: ModelParams, data: Dataset) -> np.ndarray:
         raise DataError(
             f"column count mismatch: model fit on {model.n_cols}, data has {data.n_cols}"
         )
+    if data.column_names != model.feature_names:
+        i = next(i for i, (a, b) in enumerate(zip(model.feature_names, data.column_names)) if a != b)
+        raise DataError(f"column name mismatch: model column {i} is {model.feature_names[i]!r}, "
+                        f"data has {data.column_names[i]!r}")
     z = _standardized(data.features, slice(None), model.means, model.scales)
     return np.clip(_sigmoid(z @ model.coefficients + model.intercept), 1e-12, 1.0 - 1e-12)
 

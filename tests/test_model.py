@@ -1,3 +1,6 @@
+import decimal
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +17,7 @@ from multifair.data import (
     set_privileged, split,
 )
 from multifair.errors import ConfigError, DataError
+from multifair.experiment import DatasetConfig, ExperimentConfig, compute_training_weights
 from multifair.metrics import PredictionSet, auroc, evaluate_fairness
 from multifair.model import (
     ModelParams,
@@ -21,6 +25,7 @@ from multifair.model import (
     _loss_and_gradient_at_zero,
     _sigmoid,
     _standardization,
+    _standardized,
     fit,
     predict_scores,
     weighted_loss_and_gradient,
@@ -319,6 +324,27 @@ class TestModelParams:
             assert np.shares_memory(kept, array), name  # a view, not a copy
             assert array.flags.writeable and not kept.flags.writeable, name
 
+    @pytest.mark.parametrize("name, value", [
+        ("coefficients", np.zeros(3)),
+        ("means", np.zeros(1)),
+        ("scales", np.ones(3)),
+        ("coefficients", np.zeros((2, 1))),
+        ("scales", np.ones((1, 2))),
+    ])
+    def test_arrays_need_one_entry_per_feature_name(self, name, value):
+        arrays = {"coefficients": np.zeros(2), "means": np.zeros(2), "scales": np.ones(2), name: value}
+        with pytest.raises(DataError, match="one entry per feature name"):
+            ModelParams(("a", "b"), intercept=0.0, converged=True, n_iter=0, **arrays)
+
+    def test_feature_names_need_one_entry_per_array_entry(self):
+        with pytest.raises(DataError, match="one entry per feature name"):
+            ModelParams(("a", "b", "c"), np.zeros(2), 0.0, np.zeros(2), np.ones(2), True, 0)
+
+    @pytest.mark.parametrize("scale", [0.0, -0.0, -1.0])
+    def test_scales_must_be_positive(self, scale):
+        with pytest.raises(DataError, match="scales must be positive"):
+            ModelParams(("a", "b"), np.zeros(2), 0.0, np.zeros(2), np.array([1.0, scale]), True, 0)
+
 
 class TestPredict:
     def test_sigmoid_matches_expit_without_overflow(self):
@@ -366,6 +392,15 @@ class TestPredict:
         with pytest.raises(DataError, match="column count mismatch"):
             predict_scores(model, narrow)
 
+    @pytest.mark.parametrize("names", [("x1", "x0"), ("x0", "y")])
+    def test_column_name_mismatch_rejected(self, names):
+        # the same count of columns, in another order or under another name
+        ds = separable_toy()
+        model = fit(ds, SampleWeights.unit(ds.n_rows))
+        other = Dataset(ds.features[:, ::-1], ds.labels, names)
+        with pytest.raises(DataError, match="column name mismatch"):
+            predict_scores(model, other)
+
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +433,90 @@ def two_term_loss_and_gradient(coefficients, intercept, features, labels, weight
     return loss, grad_coef, grad_intercept, p
 
 
+def one_exp_softplus(v):
+    """Test-only softplus in the form max(v, 0) + log1p(exp(-|v|))."""
+    return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
+
+
+def one_exp_two_term_loss(coefficients, intercept, features, labels, weights, l2_penalty):
+    """Test-only loss of two_term_loss_and_gradient with one_exp_softplus
+    in place of ``logaddexp(0, .)``."""
+    z = features @ coefficients + intercept
+    ce = labels * one_exp_softplus(-z) + (1.0 - labels) * one_exp_softplus(z)
+    return float(weights @ ce + l2_penalty * (coefficients @ coefficients))
+
+
+def decimal_softplus(x):
+    """softplus(x) = ln(1 + e^x) in decimal arithmetic, rounded once to the
+    nearest double.  For x < 0, 1 + e^x keeps the digits of e^x only with
+    about |x| / ln 10 more digits of precision, so the precision widens."""
+    with decimal.localcontext() as context:
+        context.prec = 40 + (int(-x / math.log(10)) if x < 0 else 0)
+        return float((1 + decimal.Decimal(x).exp()).ln())
+
+
+def ulps_apart(a, b):
+    """How many doubles apart two non-negative doubles are."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
 def ptp_constant_columns(features):
     return np.ptp(features, axis=0) == 0.0
+
+
+def first_written_fit(ds, weights, config):
+    """Test-only copy of ``fit``'s Newton loop as first written, with the
+    two-term loss: a gradient joined by np.append, a Hessian and a ridge
+    vector made anew each iteration, the stopping threshold recomputed
+    each iteration and the mask taken from the rows.  It always gathers the
+    cells (a dataset without repeated rows is its own cells).  Returns the
+    coefficients, the intercept, n_iter and converged."""
+    first, cell = ds.cells
+    features, y = ds.features[first], ds.float_labels[first]
+    w = np.bincount(cell, weights=weights.values, minlength=first.shape[0])
+    constant = ptp_constant_columns(ds.features)
+    means, scales = _standardization(features, w, constant)
+    active = np.flatnonzero(~constant)
+    z = _standardized(features, active, means[active], scales[active])
+    k = active.shape[0]
+
+    def loss_grad(params):
+        loss, grad_coef, grad_b, p = two_term_loss_and_gradient(params[:k], params[k], z, y, w, config.l2_penalty)
+        return loss, np.append(grad_coef, grad_b), p
+
+    x = np.zeros(k + 1)
+    loss, grad, p = loss_grad(x)
+    for n_iter in range(config.max_iterations + 1):
+        converged = bool(np.abs(grad).max() < config.gradient_tolerance * w.sum())
+        if converged or n_iter == config.max_iterations:
+            break
+        s = w * p * (1.0 - p)
+        r = np.sqrt(s)[:, None] * z
+        hessian = np.empty((k + 1, k + 1))
+        hessian[:k, :k] = r.T @ r
+        hessian[:k, k] = hessian[k, :k] = s @ z
+        hessian[k, k] = s.sum()
+        ridge = np.full(k + 1, 1e-10 * hessian.diagonal().max())
+        ridge[:k] += 2.0 * config.l2_penalty
+        hessian[np.diag_indices(k + 1)] += ridge
+        step = np.linalg.solve(hessian, grad)
+        decrease = 1e-4 * float(grad @ step)
+        t = 1.0
+        while decrease > 0.0 and t >= 1e-10:
+            candidate = x - t * step
+            cand_loss, cand_grad, cand_p = loss_grad(candidate)
+            if cand_loss <= loss - t * decrease:
+                break
+            within_rounding = abs(cand_loss - loss) <= 8.0 * np.finfo(np.float64).eps * abs(loss)
+            if within_rounding and np.abs(cand_grad).max() < np.abs(grad).max():
+                break
+            t *= 0.5
+        else:
+            break
+        x, loss, grad, p = candidate, cand_loss, cand_grad, cand_p
+    coefficients = np.zeros(ds.n_cols)
+    coefficients[active] = x[:k]
+    return coefficients, x[k], n_iter, converged
 
 
 EDGE_MARGINS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
@@ -409,11 +526,6 @@ margins = st.one_of(st.sampled_from(EDGE_MARGINS), st.floats(-800.0, 800.0, allo
 
 def result_bits(loss, grad_coef, grad_b, p):
     return float.hex(loss), grad_coef.tobytes(), float.hex(grad_b), p.tobytes()
-
-
-def loss_bits(loss_fn, z, labels, weights, l2):
-    # z passes through the margin exactly: z * 1.0 + (-0.0) is z, signed zeros included
-    return result_bits(*loss_fn(np.ones(1), -0.0, z[:, None], labels, weights, l2))
 
 
 START_FEATURES = st.one_of(
@@ -442,17 +554,39 @@ class TestBitIdentity:
     @example([(1, 800.0), (0, -800.0), (1, -800.0), (0, 800.0)], 0.0)
     @example([(1, 0.0), (1, -0.0), (0, 0.0), (0, -0.0)], 0.0)
     @example([(1, 5e-324), (0, -5e-324), (1, -1e-310), (0, 1e-310)], 1e-4)
+    @example([(0, -0.4448625582358705), (1, 0.4448625582358705)], 0.0)  # 2 ulps from logaddexp
     def test_one_softplus_equals_two_term_form(self, rows, l2):
         labels = np.array([y for y, _ in rows], dtype=np.float64)
         z = np.array([margin for _, margin in rows])
         weights = 0.37 * np.arange(1, len(rows) + 1)
-        assert (loss_bits(weighted_loss_and_gradient, z, labels, weights, l2)
-                == loss_bits(two_term_loss_and_gradient, z, labels, weights, l2))
+        # z passes through the margin exactly: z * 1.0 + (-0.0) is z, signed zeros included
+        problems = [(np.ones(1), -0.0, z[:, None], labels, weights, l2)]
         # row by row, so that no row's difference can cancel in the sum
-        for i in range(len(rows)):
-            one = slice(i, i + 1)
-            assert (loss_bits(weighted_loss_and_gradient, z[one], labels[one], np.ones(1), 0.0)
-                    == loss_bits(two_term_loss_and_gradient, z[one], labels[one], np.ones(1), 0.0))
+        problems += [(np.ones(1), -0.0, z[i:i + 1, None], labels[i:i + 1], np.ones(1), 0.0)
+                     for i in range(len(rows))]
+        for i, args in enumerate(problems):
+            result = weighted_loss_and_gradient(*args)
+            reference = two_term_loss_and_gradient(*args)
+            # the gradient, the intercept's gradient and the probabilities
+            assert result_bits(*result)[1:] == result_bits(*reference)[1:]
+            assert float.hex(result[0]) == float.hex(one_exp_two_term_loss(*args))
+            if i > 0:
+                # Both softplus forms are within 1 ulp of the exact value
+                # (test_softplus_within_one_ulp_of_decimal_reference), on
+                # either side of it in some rows
+                assert ulps_apart(result[0], reference[0]) <= 2
+
+    def test_softplus_within_one_ulp_of_decimal_reference(self):
+        rng = np.random.default_rng(41)
+        magnitudes = 10.0 ** rng.uniform(-320.0, np.log10(800.0), 200)
+        xs = np.concatenate([EDGE_MARGINS, rng.uniform(-800.0, 800.0, 200), rng.uniform(-5.0, 5.0, 300),
+                             magnitudes * rng.choice([-1.0, 1.0], 200)])
+        for x in xs.tolist():
+            exact = decimal_softplus(x)
+            # a label-0 row with margin x has cross-entropy softplus(x)
+            kernel = weighted_loss_and_gradient(np.ones(1), -0.0, np.array([[x]]), np.zeros(1), np.ones(1), 0.0)[0]
+            assert ulps_apart(kernel, exact) <= 1, x
+            assert ulps_apart(np.logaddexp(0.0, x), exact) <= 1, x
 
     def test_sigmoid_equals_two_term_form(self):
         z = np.concatenate([EDGE_MARGINS, np.random.default_rng(40).uniform(-800.0, 800.0, 2000)])
@@ -473,6 +607,17 @@ class TestBitIdentity:
                   elements=st.sampled_from([0.0, -0.0, 1.0, -1.5, 5e-324, 1e300])))
     def test_constant_mask_equals_zero_range_on_few_values(self, features):
         assert np.array_equal(_constant_columns(features), ptp_constant_columns(features))
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5),
+                  elements=st.sampled_from([0.0, -0.0, 1.0, -1.5, 5e-324])),
+           st.lists(st.tuples(st.integers(0, 4), st.integers(0, 1)), min_size=1, max_size=20))
+    @example(np.array([[0.0, 2.0, 1.0], [-0.0, 2.0, 1.0]]), [(0, 1), (1, 0), (0, 1), (1, 1), (0, 1)])
+    def test_dataset_mask_from_cells_equals_row_mask(self, source, picks):
+        # rows drawn with replacement plant duplicates, so some rows merge into cells
+        rows = [i % source.shape[0] for i, _ in picks]
+        ds = Dataset(source[rows], [y for _, y in picks], tuple(f"c{j}" for j in range(source.shape[1])))
+        assert np.array_equal(ds.constant_columns, ptp_constant_columns(ds.features))
 
     @settings(max_examples=300, deadline=None)
     @given(zero_start_problems(), st.sampled_from([0.0, 1e-4, 0.5]))
@@ -512,6 +657,11 @@ class TestBitIdentity:
         assert model.means.tobytes() == reference.means.tobytes()
         assert model.scales.tobytes() == reference.scales.tobytes()
         assert (model.n_iter, model.converged) == (reference.n_iter, reference.converged)
+        # and the Newton loop takes the first-written loop's steps, bit for bit
+        coefficients, intercept, n_iter, converged = first_written_fit(fresh(), weights, config)
+        assert model.coefficients.tobytes() == coefficients.tobytes()
+        assert float.hex(model.intercept) == float.hex(intercept)
+        assert (model.n_iter, model.converged) == (n_iter, converged)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fit_equals_two_term_fit_on_random_problems(self, seed, monkeypatch):
@@ -600,6 +750,26 @@ class TestCellFit:
         ds, weights, l2_penalty = self.planted_duplicates_problem(seed)
         config = TrainConfig(l2_penalty=l2_penalty, gradient_tolerance=(1e-6, 1e-8)[seed % 2])
         self.assert_matches_row_level_fit(ds, weights, config, monkeypatch)
+
+    @pytest.mark.parametrize("tolerance", [1e-6, 1e-12])
+    def test_fit_equals_two_term_fit_with_planted_duplicates(self, tolerance, monkeypatch):
+        # Every Armijo and within-rounding decision of the 200 fits is the
+        # one the logaddexp loss makes
+        for seed in range(200):
+            ds, weights, l2_penalty = self.planted_duplicates_problem(seed)
+            config = TrainConfig(l2_penalty=l2_penalty, gradient_tolerance=tolerance)
+            TestBitIdentity.assert_same_fit(ds, weights, config, monkeypatch)
+
+    def test_census_surrogate_fit_equals_two_term_fit(self, monkeypatch):
+        # the m3fair fit of the census_m3fair benchmark, on its 5051 cells
+        config = ExperimentConfig(
+            dataset=DatasetConfig(str(REPO_ROOT / "data" / "census_surrogate.csv"), "income", ">50K"),
+            sensitive_attributes=("sex=Male", "race=White"),
+            method="m3fair",
+            level_weights={"sex=Male": 1, "race=White": 2},
+        )
+        train, _ = census_train()
+        TestBitIdentity.assert_same_fit(train, compute_training_weights(config), TrainConfig(), monkeypatch)
 
     @pytest.mark.parametrize("tolerance", [1e-10, 1e-12])
     def test_tight_tolerances_converge_on_random_problems(self, tolerance):
