@@ -42,7 +42,8 @@ from .errors import (
     expect,
 )
 from .metrics import (
-    PredictionSet, accuracy, auprc, auroc, evaluate_fairness, group_fairness, side_cells, unfairness
+    PredictionSet, accuracy, auprc, auroc, evaluate_fairness, group_fairness, predictions_from, side_cells,
+    unfairness,
 )
 from .model import TrainConfig, fit, predict_scores
 from .reweighting import (
@@ -396,9 +397,11 @@ def grid_search(
     and each class is reweighted, fit and counted once.  A class is
     reweighted on the (atom, label) cells, counted once per sweep, with
     :func:`cell_multipliers`; each row takes its cell's multiplier, bit
-    for bit m3fair's weight for the row.  Metric definedness hangs on the
-    validation groups and labels alone and is checked on the first class;
-    all classes are scored in one kernel pass.  The winning level weights
+    for bit m3fair's weight for the row.  Each class is fit and predicts
+    its validation scores; metric definedness hangs on the validation
+    groups and labels alone, so it is checked on the first class, and a
+    failure there stops the fits.  Then all classes are scored in one pass
+    over the (class, validation row) score matrix.  The winning level weights
     are re-run as a full condition on the already loaded split (training
     on the whole training split, metrics on test).  The full split has its
     own thresholds, so that re-run can meet an unreachable cell the sweep
@@ -436,7 +439,7 @@ def grid_search(
         sides = np.array([group.privileged_mask for group in val_groups.values()])
         classes: dict[tuple, int] = {}  # fibers of the atom -> level map -> class
         outcomes: list = []  # per point: its class, or its failed GridPoint fields
-        cells, aurocs, undefined = [], [], None
+        scores, undefined = [], None  # per class fit: its validation scores
         for levels, cell_levels in zip(atom_levels.tolist(), atom_levels[:, cell_atom]):
             first: dict[int, int] = {}
             key = tuple(first.setdefault(level, len(first)) for level in levels)
@@ -449,21 +452,23 @@ def grid_search(
                 classes[key] = len(classes)
                 if undefined is None:
                     model = fit(subtrain, SampleWeights(multipliers[row_cell]), config.train)
-                    preds = PredictionSet(predict_scores(model, validation), validation.labels)
-                    try:
-                        if not aurocs:
+                    scores.append(predict_scores(model, validation))
+                    if len(scores) == 1:
+                        try:
+                            preds = PredictionSet(scores[0], validation.labels)
                             evaluate_fairness(preds, val_groups.values())
-                        aurocs.append(auroc(preds.scores, preds.labels))
-                    except MetricUndefinedError as exc:
-                        undefined = {"status": "failed", "reason": str(exc)}
-                    else:
-                        cells.append(side_cells(sides, preds.labels, preds.predictions))
+                            auroc(preds.scores, preds.labels)
+                        except MetricUndefinedError as exc:
+                            undefined = {"status": "failed", "reason": str(exc)}
             outcomes.append(classes[key])
         scored = [undefined] * len(classes)
-        if cells:
+        if undefined is None and scores:
+            matrix = np.array(scores)  # classes x validation rows
+            cells = side_cells(sides, validation.labels, predictions_from(matrix))  # class by class
             # |1 - DI| + |SPD| + |AOD| + |EOD| per attribute, then attributes, left to right
-            per_attribute = sum(unfairness(*group_fairness(np.concatenate(cells))[:4]))
-            composite = sum(per_attribute.reshape(len(cells), -1).T).tolist()
+            per_attribute = sum(unfairness(*group_fairness(cells)[:4]))
+            composite = sum(per_attribute.reshape(len(matrix), -1).T).tolist()
+            aurocs = auroc(matrix, validation.labels).tolist()
             scored = [{"status": "ok", "score": s, "val_auroc": a} for s, a in zip(composite, aurocs)]
         return [
             GridPoint(dict(zip(attrs, combo)), **(scored[o] if isinstance(o, int) else o))
@@ -498,9 +503,7 @@ def _emit(path, payload, table: str | None = None) -> None:
     ``<base>.txt``, in a directory made if missing."""
     json_path, text_path = _report_paths(path)
     Path(json_path).parent.mkdir(parents=True, exist_ok=True)
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    Path(json_path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     if table is not None:
         Path(text_path).write_text(table, encoding="utf-8")
 

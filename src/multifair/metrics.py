@@ -52,11 +52,9 @@ class PredictionSet:
             raise DataError("scores and labels must be equal-length vectors")
         if scores.shape[0] == 0:
             raise DataError("empty prediction set")
-        if not ((scores >= 0.0) & (scores <= 1.0)).all():
-            raise DataError("scores must lie in [0, 1]")
+        predictions = predictions_from(scores)
         if not ((labels == 0) | (labels == 1)).all():
             raise DataError("labels must be 0 or 1")
-        predictions = (scores >= DECISION_THRESHOLD).astype(np.int64)
         object.__setattr__(self, "scores", _read_only(scores))
         object.__setattr__(self, "predictions", _read_only(predictions))
         object.__setattr__(self, "labels", _read_only(labels.astype(np.int64)))
@@ -85,44 +83,82 @@ class FairnessReport:
             raise DataError("di must be non-negative (inf allowed when flagged undefined)")
 
 
+def predictions_from(scores: np.ndarray) -> np.ndarray:
+    """The 0/1 predictions (int64) of float64 scores of any shape: 1 where
+    the score is at least DECISION_THRESHOLD.  DataError unless every score
+    lies in [0, 1]."""
+    if not ((scores >= 0.0) & (scores <= 1.0)).all():
+        raise DataError("scores must lie in [0, 1]")
+    return (scores >= DECISION_THRESHOLD).astype(np.int64)
+
+
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, tied values sharing their average rank; the
-    half-integer ranks are exact in float64."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    last = np.cumsum(counts)  # rank of the last value in each tied block
-    return (last - (counts - 1) / 2.0)[inverse]
+    """1-based ranks along the last axis, tied values sharing their average
+    rank, from one sort of each row.  A tied block takes the mean of its
+    first and last positions, a half-integer that is exact in float64."""
+    n = values.shape[-1]
+    order = np.argsort(values, axis=-1)
+    order += np.arange(0, values.size, n).reshape(values.shape[:-1] + (1,))  # flat indices
+    ordered = values.ravel()[order]
+    starts = np.empty(values.shape, dtype=bool)  # where a tied block starts
+    starts[..., 0] = True
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=starts[..., 1:])
+    starts = starts.ravel()
+    edges = np.append(np.flatnonzero(starts), starts.size)  # flat block starts, then the end
+    row_start = edges[:-1] // n * n  # no block crosses a row
+    # the block [start, end) holds the 1-based positions start - row_start + 1 .. end - row_start
+    block_ranks = (edges[:-1] + edges[1:] + 1 - 2 * row_start) / 2.0
+    ranks = np.empty(values.size)
+    ranks[order.ravel()] = block_ranks[np.cumsum(starts) - 1]
+    return ranks.reshape(values.shape)
 
 
-def auroc(scores, labels) -> float:
-    """Rank-statistic AUROC: probability a random positive outranks a
-    random negative, ties counted one half."""
+def _scores_and_positives(scores, labels) -> tuple[np.ndarray, np.ndarray, int]:
+    """``scores`` as float64, the positive-label mask and the positive
+    count.  DataError unless the labels are a vector of 0s and 1s as long
+    as the scores' last axis and no score is NaN."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = int(labels.shape[0] - n_pos)
+    if labels.ndim != 1 or scores.shape[-1:] != labels.shape:
+        raise DataError("scores and labels differ in length")
+    positives = labels == 1
+    n_pos = int(positives.sum())
+    if n_pos + int((labels == 0).sum()) != labels.shape[0]:
+        raise DataError("labels must be 0 or 1")
+    if np.isnan(scores).any():
+        raise DataError("scores must not be NaN")
+    return scores, positives, n_pos
+
+
+def auroc(scores, labels):
+    """Rank-statistic AUROC: probability a random positive outranks a
+    random negative, ties counted one half.  A float for a score vector;
+    for a matrix, an array holding each row's AUROC against the same
+    labels."""
+    scores, positives, n_pos = _scores_and_positives(scores, labels)
+    n_neg = positives.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MetricUndefinedError("AUROC undefined: labels contain a single class")
-    ranks = _average_ranks(scores)
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    # half-integer ranks sum exactly, so the rows agree with the vector case bit for bit
+    u = _average_ranks(scores)[..., positives].sum(axis=-1) - n_pos * (n_pos + 1) / 2.0
+    result = u / (n_pos * n_neg)
+    return float(result) if scores.ndim == 1 else result
 
 
 def auprc(scores, labels) -> float:
     """Average precision over the descending-score sweep, grouping tied
     scores into a single threshold step."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
+    scores, positives, n_pos = _scores_and_positives(scores, labels)
+    if scores.ndim != 1:
+        raise DataError("scores must be a vector")
     if n_pos == 0:
         raise MetricUndefinedError("AUPRC undefined: no positive labels")
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
     # Threshold step boundaries: last index of each tied block.
     boundaries = np.flatnonzero(np.diff(sorted_scores) != 0)
     boundaries = np.append(boundaries, sorted_scores.shape[0] - 1)
-    tp = np.cumsum(sorted_labels == 1)[boundaries].astype(np.float64)
+    tp = np.cumsum(positives[order])[boundaries].astype(np.float64)
     predicted = (boundaries + 1).astype(np.float64)
     precision = tp / predicted
     recall = tp / n_pos
@@ -137,12 +173,17 @@ def accuracy(preds: PredictionSet) -> float:
 
 def side_cells(sides, labels, predictions) -> np.ndarray:
     """counts[k, side, label, prediction] of the rows, for each row ``k`` of
-    the 0/1 membership matrix ``sides``, from one bincount."""
+    the 0/1 membership matrix ``sides``, from one bincount.  A c x n matrix
+    of predictions, one row per classifier, counts every (classifier, side
+    row) pair, k running over the side rows classifier by classifier."""
     index = sides.astype(np.intp)  # a k x n copy, coded in place
     index *= 4
-    index += 2 * labels + predictions
     index += 8 * np.arange(len(index))[:, None]
-    return np.bincount(index.ravel(), minlength=8 * len(index)).reshape(-1, 2, 2, 2)
+    outcomes = 2 * labels + predictions
+    if outcomes.ndim > 1:  # a c x k x n copy: classifier i codes its side rows after 8 k i
+        index = index + 8 * len(index) * np.arange(len(outcomes))[:, None, None]
+    index += outcomes[..., None, :]
+    return np.bincount(index.ravel(), minlength=8 * math.prod(index.shape[:-1])).reshape(-1, 2, 2, 2)
 
 
 def _ratio(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:

@@ -43,8 +43,12 @@ class SampleWeights:
             raise DataError("weights contain NaN or infinite values")
         if (values < 0).any():
             raise DataError("weights must be non-negative")
-        if values.sum() <= 0.0:
+        with np.errstate(over="ignore"):  # finite weights can overflow their sum
+            total = values.sum()
+        if total <= 0.0:
             raise DataError("zero total weight")
+        if total == np.inf:
+            raise DataError("total weight overflows")
         object.__setattr__(self, "values", _read_only(values.copy()))
 
     @classmethod

@@ -1,11 +1,15 @@
 """Test oracles: the group-fairness metrics and the privileged-side rule
-written out one mask at a time.
+written out one mask at a time, and AUROC's average ranks from
+``np.unique``.
 
-``multifair`` computes each of these from label and prediction counts in
-one kernel (``metrics.side_cells`` and ``metrics.group_fairness``, and
+``multifair`` computes the first from label and prediction counts in one
+kernel (``metrics.side_cells`` and ``metrics.group_fairness``, and
 ``data.privileged_side``).  The functions here select rows by boolean
 masks and take means, so a test that compares the two checks the kernel
-against code that shares none of it.
+against code that shares none of it.  Likewise ``metrics._average_ranks``
+ranks many score rows from one sort and tie blocks found between
+neighbours, where :func:`average_ranks` ranks one vector by its distinct
+values.
 """
 
 from __future__ import annotations
@@ -31,6 +35,14 @@ def set_privileged(group: GroupAssignment, dataset: Dataset) -> GroupAssignment:
     rate1 = float(labels[mask1].mean())
     rate0 = float(labels[~mask1].mean())
     return group.with_privileged(1 if rate1 >= rate0 else 0)
+
+
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a vector, tied values sharing their average rank;
+    the half-integer ranks are exact in float64."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # rank of the last value in each tied block
+    return (last - (counts - 1) / 2.0)[inverse]
 
 
 def _group_masks(preds: PredictionSet, group: GroupAssignment) -> tuple[np.ndarray, np.ndarray]:

@@ -558,6 +558,23 @@ class TestGridDeduplication:
             assert replace(points[first], level_weights={}) == replace(points[second], level_weights={})
         assert points[(1, 1)].score != points[(1, 2)].score
 
+    def test_auroc_calls_do_not_grow_with_the_classes(self, committed_grid, monkeypatch):
+        real_fit, real_auroc, fits, aurocs = multifair.experiment.fit, multifair.experiment.auroc, [], []
+        monkeypatch.setattr(multifair.experiment, "fit", lambda *args: fits.append(args) or real_fit(*args))
+        monkeypatch.setattr(multifair.experiment, "auroc", lambda *args: aurocs.append(args) or real_auroc(*args))
+        config, _ = committed_grid
+        attrs = ("attr_a", "attr_b", "proxy_a")
+        wider = replace(config, sensitive_attributes=attrs, level_weights=dict.fromkeys(attrs, 1))
+        counts = []
+        for args in (committed_grid, (wider, GridSearchConfig(dict.fromkeys(attrs, (1, 2, 3))))):
+            fits.clear()
+            aurocs.clear()
+            grid_search(*args)
+            counts.append((len(fits), len(aurocs)))
+        assert counts[0][0] < counts[1][0]
+        # the first class's definedness check, one pass over all classes, the winner's run
+        assert counts[0][1] == counts[1][1] == 3
+
     def test_undefined_metric_fails_every_reachable_point(self, tmp_path, monkeypatch):
         # the validation rows with attr_b = 1 are all unfavorable, so EOD on
         # attr_b is undefined whatever the model predicts

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from multifair import metrics
@@ -12,7 +13,6 @@ from multifair.errors import DataError, MetricUndefinedError
 from multifair.metrics import (
     FairnessReport,
     PredictionSet,
-    _average_ranks,
     accuracy,
     auprc,
     auroc,
@@ -219,7 +219,40 @@ class TestAuroc:
             untied = rng.uniform(size=n)
             tied = rng.integers(0, max(2, n // 10), n) / 7.0
             for values in (untied, tied, np.full(n, 0.5)):
-                np.testing.assert_array_equal(_average_ranks(values), rankdata(values))
+                np.testing.assert_array_equal(oracles.average_ranks(values), rankdata(values))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_row_kernel_matches_the_oracle_bit_for_bit(self, data):
+        shape = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 30)))
+        # any floats, or a few rounded scores for heavy ties
+        elements = data.draw(st.sampled_from([st.floats(allow_nan=False), st.sampled_from([0.0, 0.1, 0.5, 1.0])]))
+        values = data.draw(hnp.arrays(np.float64, shape, elements=elements))
+        if data.draw(st.booleans()):
+            values[-1] = values[-1, 0]  # an all-tied row
+        want = np.array([oracles.average_ranks(row) for row in values])
+        assert metrics._average_ranks(values).tobytes() == want.tobytes()
+        assert metrics._average_ranks(values[-1]).tobytes() == want[-1].tobytes()
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_score_rows_match_the_vector_auroc_bit_for_bit(self, data):
+        n = data.draw(st.integers(2, 40))
+        labels = data.draw(zero_ones(n).filter(lambda ls: 0 < sum(ls) < len(ls)))
+        rows = data.draw(st.integers(1, 5))
+        elements = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+        scores = data.draw(hnp.arrays(np.float64, (rows, n), elements=elements))
+        got = auroc(scores, labels)
+        assert got.tolist() == [auroc(row, labels) for row in scores]
+        positives = np.array(labels) == 1
+        n_pos = int(positives.sum())
+        for row, value in zip(scores, got):  # the rank sum over the oracle's ranks
+            u = oracles.average_ranks(row)[positives].sum() - n_pos * (n_pos + 1) / 2.0
+            assert value == u / (n_pos * (n - n_pos))
+
+    def test_single_positive_and_all_tied_rows(self):
+        scores = np.array([[0.1, 0.2, 0.3, 0.4], [0.5] * 4, [0.9, 0.2, 0.2, 0.1]])
+        assert auroc(scores, [0, 0, 1, 0]).tolist() == [2 / 3, 0.5, 0.5]
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -273,6 +306,23 @@ class TestAuprc:
     def test_ties_grouped_into_one_step(self):
         # all scores tied: single threshold step, AP = prevalence exactly
         assert auprc([0.3] * 8, [1, 0, 0, 1, 0, 0, 1, 0]) == pytest.approx(3 / 8)
+
+
+@pytest.mark.parametrize("metric", [auroc, auprc])
+class TestScoreMetricInputs:
+    def test_scores_and_labels_must_have_one_length(self, metric):
+        with pytest.raises(DataError, match="differ in length"):
+            metric([0.1, 0.2, 0.3], [0, 1])
+        with pytest.raises(DataError, match="differ in length"):
+            metric(np.full((2, 3), 0.5), [0, 1])  # score rows against the labels
+
+    def test_labels_must_be_zero_or_one(self, metric):
+        with pytest.raises(DataError, match="labels must be 0 or 1"):
+            metric([0.1, 0.2, 0.3], [0, 1, 2])
+
+    def test_scores_must_not_be_nan(self, metric):
+        with pytest.raises(DataError, match="NaN"):
+            metric([0.1, np.nan, 0.3], [0, 1, 1])
 
 
 class TestAccuracy:

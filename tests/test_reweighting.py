@@ -249,6 +249,8 @@ class TestReweight:
             SampleWeights(np.zeros(3))
         with pytest.raises(DataError, match="NaN or infinite"):
             SampleWeights(np.array([1.0, np.nan]))
+        with pytest.raises(DataError, match="total weight overflows"):
+            SampleWeights(np.full(6, 1e308))  # each weight finite, their sum not
 
     def test_csv_export_round_trips_exactly(self, tmp_path):
         from multifair.reweighting import save_weights_csv
