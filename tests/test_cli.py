@@ -73,6 +73,30 @@ class TestRun:
         assert "[config]" in capsys.readouterr().err
 
 
+COMMANDS = ["run", "detect", "grid", "weights"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+class TestStageErrors:
+    """A bad dataset ends every subcommand in one line naming its stage."""
+
+    def run(self, root, command, csv_path, capsys):
+        config = write_config(root, csv_path, name=f"{command}.json", method="m3fair",
+                              level_weights={"attr_a": 1, "attr_b": 2})
+        argv = [command, "--config", str(config), "--output", str(root / f"{command}-out")]
+        assert main(argv) == 1
+        return capsys.readouterr().err
+
+    def test_one_data_row_fails_at_split(self, tmp_path, command, capsys):
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text("attr_a,attr_b,outcome\n1,0,yes\n")
+        assert self.run(tmp_path, command, csv_path, capsys) == "error [split] need at least 2 rows to split\n"
+
+    def test_missing_file_fails_at_load(self, tmp_path, command, capsys):
+        err = self.run(tmp_path, command, tmp_path / "gone.csv", capsys)
+        assert err.startswith("error [load] ") and err.count("\n") == 1 and "gone.csv" in err
+
+
 class TestConfigTypes:
     """A config value of the wrong JSON type is a config error naming its
     key, never a traceback or a value used as something else."""

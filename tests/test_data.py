@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import REPO_ROOT
-from multifair import data
+from multifair import data, experiment
 from multifair.data import (
     Dataset,
     GroupAssignment,
@@ -22,6 +22,7 @@ from multifair.data import (
     split,
 )
 from multifair.errors import ConfigError, DataError, DegenerateAttributeError
+from multifair.experiment import DatasetConfig, ExperimentConfig
 from multifair.metrics import PredictionSet
 from multifair.reweighting import SampleWeights, reweight
 from multifair.synth import planted_bias_dataset
@@ -551,6 +552,18 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match="duplicate"):
             Dataset(np.ones((2, 2)), np.array([0, 1]), ("a", "a"))
 
+    @pytest.mark.parametrize("rows, message", [
+        ([True, False, True], "integer row indices, got dtype bool"),  # once rows 1, 0, 1
+        ([0.0, 1.9], "integer row indices, got dtype float64"),  # once truncated to 0, 1
+        ([0, -1], r"row indices must lie in 0\.\.2"),  # once wrapped to row 2
+        ([0, 3], r"row indices must lie in 0\.\.2"),
+    ])
+    def test_take_rejects_what_is_not_a_row_index(self, rows, message):
+        ds = Dataset(np.arange(3.0)[:, None], np.array([0, 1, 0]), ("a",))
+        with pytest.raises(DataError, match=message):
+            ds.take(rows)
+        assert ds.take(np.array([2, 0], dtype=np.uint8)).column("a").tolist() == [2.0, 0.0]
+
     def test_immutable_after_construction(self):
         ds = Dataset(np.ones((2, 1)), np.array([0, 1]), ("a",))
         with pytest.raises(ValueError):
@@ -628,6 +641,90 @@ class TestCells:
         first, cell = Dataset(features, labels, tuple(f"c{j}" for j in range(19))).cells
         assert (first.tolist(), cell.tolist()) == byte_cells(features, labels)
         assert first.shape[0] < 60
+
+
+SPLIT_SPECS = [SplitSpec(), SplitSpec(0.5, 0), SplitSpec(0.9, 7)]
+
+
+def split_outcome(path, label_column, positive_label, spec, from_table):
+    """A file's split, each side as its names, feature and label bytes and
+    cells, or the exception raised; split from the loader's table, or from
+    load_csv's expanded rows."""
+    try:
+        if from_table:
+            table, lines = data.load_csv_table(path, label_column, positive_label)
+            sides = split(table, spec, lines)
+        else:
+            sides = split(load_csv(path, label_column, positive_label), spec)
+    except Exception as exc:
+        return type(exc), str(exc)
+    outcome = []
+    for side in sides:
+        first, cell = side.cells
+        want_first, want_cell = data._row_cells(side.features, side.labels)
+        assert (first.dtype, cell.dtype) == (want_first.dtype, want_cell.dtype)
+        assert (first.tobytes(), cell.tobytes()) == (want_first.tobytes(), want_cell.tobytes())
+        outcome.append((side.column_names, side.features.tobytes(), side.labels.tobytes(),
+                        first.tobytes(), cell.tobytes()))
+    return outcome
+
+
+class TestSplitFromTable:
+    """split on load_csv_table's (table, lines) gives split(load_csv(...))
+    byte for byte, and each side's cells are _row_cells of its rows."""
+
+    @pytest.fixture(scope="class")
+    def csv_file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("table") / "t.csv"
+
+    @given(text=csv_texts(repeats=True))
+    # two distinct lines that parse to one row: the line index alone keeps them apart
+    @example(text="x,c,y\n1,a,p\n1.0,a,p\n1,a,p\n1.0,a,q\n1.0,a,p\n")
+    @settings(max_examples=150, deadline=None)
+    def test_repeated_lines(self, csv_file, text):
+        with open(csv_file, "w", newline="", encoding="utf-8") as handle:
+            handle.write(text)
+        for spec in SPLIT_SPECS:
+            assert split_outcome(csv_file, "y", "p", spec, True) == split_outcome(csv_file, "y", "p", spec, False)
+
+    def test_one_row_read_two_ways_is_one_cell(self, tmp_path):
+        path = write(tmp_path / "t.csv", "x,c,y\n1,a,p\n1.0,a,p\n1,a,p\n1.0,a,q\n1.0,a,p\n")
+        table, lines = data.load_csv_table(path, "y", "p")
+        assert (table.n_rows, lines.tolist()) == (3, [0, 1, 0, 2, 1])
+        train, _ = split(table, SplitSpec(0.2, 0), lines)
+        assert train.cells[0].shape[0] == 2
+
+    @pytest.mark.parametrize("spec", SPLIT_SPECS)
+    def test_census_surrogate(self, spec):
+        census = (REPO_ROOT / "data" / "census_surrogate.csv", "income", ">50K")
+        got = split_outcome(*census, spec, True)
+        assert isinstance(got, list) and got == split_outcome(*census, spec, False)
+
+
+def test_census_split_expands_no_rows_and_sorts_only_the_distinct_lines(monkeypatch):
+    """The pipeline's load and split build no 32561-row matrix, and the
+    training cells sort no more rows than the 5544 distinct lines."""
+    built, sorted_rows = [], []
+    real_post_init, real_row_cells = Dataset.__post_init__, data._row_cells
+
+    def post_init(self):
+        real_post_init(self)
+        built.append(self.n_rows)
+
+    def row_cells(features, labels):
+        sorted_rows.append(features.shape[0])
+        return real_row_cells(features, labels)
+
+    monkeypatch.setattr(Dataset, "__post_init__", post_init)
+    monkeypatch.setattr(data, "_row_cells", row_cells)
+    config = ExperimentConfig(
+        DatasetConfig(str(REPO_ROOT / "data" / "census_surrogate.csv"), "income", ">50K"),
+        ("sex=Male", "race=White"),
+    )
+    train, _ = experiment._load_split(config)
+    assert train.cells[0].shape[0] == 5051
+    assert sorted(built) == [5544, 6512, 26049]  # the table, test and train
+    assert sorted_rows == [5544]
 
 
 BINARY_CHECKS = {
