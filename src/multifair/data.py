@@ -739,3 +739,11 @@ def _table_rows(table: Dataset, lines: np.ndarray) -> Dataset:
     rows = table.take(lines)
     object.__setattr__(rows, "_table_lines", (table, lines))  # read once by Dataset.cells
     return rows
+
+
+def split_source(dataset: Dataset) -> tuple[Dataset, np.ndarray | None]:
+    """The ``(table, lines)`` that :func:`split` took ``dataset`` from, while
+    its cells are unread, else ``(dataset, None)``.  ``split(table, spec,
+    lines)`` on them gives ``split(dataset, spec)``, its cells taken from
+    the table's."""
+    return dataset.__dict__.get("_table_lines", (dataset, None))

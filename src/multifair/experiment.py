@@ -30,13 +30,13 @@ from .data import (
     load_csv_table,
     set_privileged,
     split,
+    split_source,
 )
 from .detection import DetectionConfig, DetectionResult, detect
 from .errors import (
     ConfigError,
     MetricUndefinedError,
     PipelineError,
-    UnreachableCellError,
     _parse,
     check_fields,
     check_unique,
@@ -46,16 +46,16 @@ from .metrics import (
     PredictionSet, accuracy, auprc, auroc, evaluate_fairness, group_fairness, predictions_from, side_cells,
     unfairness,
 )
-from .model import TrainConfig, fit, predict_scores
+from .model import TrainConfig, fit, predict_scores, stacked_predict_scores
 from .reweighting import (
     LevelWeightConfig,
     SampleWeights,
-    cell_multipliers,
     check_level_sum,
     m3fair,
     reweight_sequential,
     reweight_single_attribute,
     save_weights_csv,
+    stacked_cell_multipliers,
 )
 
 METHODS = ("none", "rw_single", "rw_sequential", "m3fair")
@@ -392,23 +392,26 @@ def grid_search(
     validation split; points whose level partition has an unreachable
     (level, label) cell, or whose validation metrics are undefined, are
     recorded as failed and excluded from selection.  Any other error aborts
-    the sweep.  A row's atom is the set of level attributes it is
-    unprivileged on; points whose atom -> level maps have the same fibers
-    get bit-identical weights (the unit prior makes every cell mass an
-    exact integer), so points are keyed on those fibers before reweighting
-    and each class is reweighted, fit and counted once.  A class is
-    reweighted on the (atom, label) cells, counted once per sweep, with
-    :func:`cell_multipliers`; each row takes its cell's multiplier, bit
-    for bit m3fair's weight for the row.  Each class is fit and predicts
-    its validation scores; metric definedness hangs on the validation
-    groups and labels alone, so it is checked on the first class, and a
-    failure there stops the fits.  Then all classes are scored in one pass
-    over the (class, validation row) score matrix.  The winning level weights
-    are re-run as a full condition on the already loaded split (training
-    on the whole training split, metrics on test).  The full split has its
-    own thresholds, so that re-run can meet an unreachable cell the sweep
-    did not; it then raises :class:`GridWinnerError`, which carries the
-    sweep.
+    the sweep.  The sub-split, like the train/test split, is taken from the
+    loader's table of distinct lines when there is one (see
+    :func:`split_source`).  A row's atom is the set of level attributes it
+    is unprivileged on; points whose atom -> level maps have the same
+    fibers get bit-identical weights (the unit prior makes every cell mass
+    an exact integer), so each class is fit and counted once.  Every point
+    is reweighted on the (atom, label) cells, counted once per sweep, by
+    one :func:`stacked_cell_multipliers` call; each row takes its cell's
+    multiplier, bit for bit m3fair's weight for the row, and each failing
+    point gets its own unreachable-cell message.  Each class is fit
+    through this module's ``fit``; metric definedness hangs on the
+    validation groups and labels alone, so it is checked on the first
+    class's scores, and a failure there stops the fits.  Then all classes
+    predict their validation scores in one :func:`stacked_predict_scores`
+    call and are scored in one pass over that (class, validation row)
+    score matrix.  The winning level weights are re-run as a full
+    condition on the already loaded split (training on the whole training
+    split, metrics on test).  The full split has its own thresholds, so
+    that re-run can meet an unreachable cell the sweep did not; it then
+    raises :class:`GridWinnerError`, which carries the sweep.
     """
     if config.method != "m3fair":
         raise ConfigError("grid search requires method 'm3fair'")
@@ -422,8 +425,9 @@ def grid_search(
         raise ConfigError(f"candidate attributes not in level_weights: {sorted(extra)}")
 
     train, test = _load_split(config)
+    table, train_lines = split_source(train)
     subtrain, validation = _stage(
-        "split", split, train, SplitSpec(grid.validation_fraction, config.split.seed)
+        "split", split, table, SplitSpec(grid.validation_fraction, config.split.seed), train_lines
     )
     sub_groups, val_groups = _stage(
         "binarize", _binarize_on_train, subtrain, validation, config.sensitive_attributes
@@ -439,33 +443,31 @@ def grid_search(
         cell_atom, cell_label = np.divmod(cell_ids, 2)
         cell_rows = np.bincount(row_cell).astype(np.float64)
         sides = np.array([group.privileged_mask for group in val_groups.values()])
+        multipliers, reasons = stacked_cell_multipliers(cell_label, atom_levels[:, cell_atom], cell_rows)
         classes: dict[tuple, int] = {}  # fibers of the atom -> level map -> class
         outcomes: list = []  # per point: its class, or its failed GridPoint fields
-        scores, undefined = [], None  # per class fit: its validation scores
-        for levels, cell_levels in zip(atom_levels.tolist(), atom_levels[:, cell_atom]):
+        models, undefined = [], None  # per class fit: its model
+        for levels, point_multipliers, reason in zip(atom_levels.tolist(), multipliers, reasons):
+            if reason is not None:
+                outcomes.append({"status": "failed", "reason": reason})
+                continue
             first: dict[int, int] = {}
             key = tuple(first.setdefault(level, len(first)) for level in levels)
             if key not in classes:
-                try:
-                    multipliers = cell_multipliers(cell_label, cell_levels, cell_rows)
-                except UnreachableCellError as exc:
-                    outcomes.append({"status": "failed", "reason": str(exc)})
-                    continue
                 classes[key] = len(classes)
                 if undefined is None:
-                    model = fit(subtrain, SampleWeights(multipliers[row_cell]), config.train)
-                    scores.append(predict_scores(model, validation))
-                    if len(scores) == 1:
+                    models.append(fit(subtrain, SampleWeights(point_multipliers[row_cell]), config.train))
+                    if len(models) == 1:
                         try:
-                            preds = PredictionSet(scores[0], validation.labels)
+                            preds = PredictionSet(predict_scores(models[0], validation), validation.labels)
                             evaluate_fairness(preds, val_groups.values())
                             auroc(preds.scores, preds.labels)
                         except MetricUndefinedError as exc:
                             undefined = {"status": "failed", "reason": str(exc)}
             outcomes.append(classes[key])
         scored = [undefined] * len(classes)
-        if undefined is None and scores:
-            matrix = np.array(scores)  # classes x validation rows
+        if undefined is None and models:
+            matrix = stacked_predict_scores(models, validation)  # classes x validation rows
             cells = side_cells(sides, validation.labels, predictions_from(matrix))  # class by class
             # |1 - DI| + |SPD| + |AOD| + |EOD| per attribute, then attributes, left to right
             per_attribute = sum(unfairness(*group_fairness(cells)[:4]))

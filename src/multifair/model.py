@@ -157,7 +157,8 @@ def _loss_and_gradient_at_zero(features, labels, weights, l2_penalty):
 
 
 def _standardization(features: np.ndarray, weights: np.ndarray, constant: np.ndarray):
-    """Weighted per-column mean and scale.
+    """Weighted per-column mean and scale, and the centered features
+    ``features - means`` in one new array.
 
     Exactly constant columns (the mask ``constant``, see
     :attr:`Dataset.constant_columns`) get mean = the constant and scale 1,
@@ -165,7 +166,8 @@ def _standardization(features: np.ndarray, weights: np.ndarray, constant: np.nda
     never moves off 0.  Columns with no weighted variation likewise get
     scale 1.  A column whose sums overflow (finite values beyond about
     1e154) gets its mean and scale in scaled form; every other column's
-    are unchanged, bit for bit.
+    are unchanged, bit for bit.  A column whose mean is so replaced is
+    centered again on the new mean.
     """
     total = weights.sum()
     with np.errstate(over="ignore", invalid="ignore"):
@@ -179,42 +181,42 @@ def _standardization(features: np.ndarray, weights: np.ndarray, constant: np.nda
         m = np.abs(features[:, huge]).max(axis=0)
         scaled = features[:, huge] / m
         mean = (weights @ scaled) / total
-        centered = scaled - mean
+        scaled -= mean
         means[huge] = m * mean
-        scales[huge] = m * np.sqrt((weights @ (centered * centered)) / total)
+        scales[huge] = m * np.sqrt((weights @ (scaled * scaled)) / total)
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered[:, huge] = features[:, huge] - means[huge]
     means[constant] = features[0, constant]
+    centered[:, constant] = 0.0  # x - x
     scales[constant] = 1.0
     scales[scales <= 0.0] = 1.0
-    return means, scales
+    return means, scales, centered
 
 
-def _standardized(features: np.ndarray, columns, means: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """``(features[:, columns] - means) / scales`` in one new array, for an
-    index array or a slice ``columns`` and the columns' ``means`` and
-    ``scales``.
+def _standardized(z: np.ndarray, features: np.ndarray, columns, means: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """``z`` divided by ``scales`` in place, where ``z`` holds
+    ``features[:, columns] - means`` for an index array or a slice
+    ``columns`` and the columns' ``means`` and ``scales``; these may carry
+    leading axes (one entry per model), which ``z`` then carries before its
+    row axis.
 
-    The difference and the quotient are taken in place, the same IEEE
-    operations as the formula, so every entry that does not overflow keeps
-    its bits; the array also has the formula's memory layout (column-major
-    for an index array, row-major for a slice), so products with it keep
-    theirs.  A column with an entry that does overflow (its values lie
-    further apart than the largest double) is computed as ``x / scale -
-    mean / scale`` instead.
+    The quotient is taken in place, the same IEEE operation as the
+    formula, so every entry that does not overflow keeps its bits.  A
+    column with an entry that does overflow (its values lie further apart
+    than the largest double) is computed as ``x / scale - mean / scale``
+    instead, for each model on its own.
     """
-    z = features[:, columns]
-    if np.may_share_memory(z, features):  # a slice is a view, an index array a copy
-        z = z.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        z -= means
-        z /= scales
+        z /= scales[..., None, :]
         # An overflowed entry makes the sum inf or nan (a sum of finite
         # entries may overflow too, and then no column is redone); unlike
         # np.isfinite(z) it makes no mask as large as z
         overflowed = not np.isfinite(z.sum())
     if overflowed:
-        overflow = ~np.isfinite(z).all(axis=0)
-        x = features[:, columns][:, overflow]
-        z[:, overflow] = x / scales[overflow] - means[overflow] / scales[overflow]
+        x = features[:, columns]
+        for *stack, j in np.argwhere(~np.isfinite(z).all(axis=-2)).tolist():
+            mean, scale = means[(*stack, j)], scales[(*stack, j)]
+            z[(*stack, slice(None), j)] = x[:, j] / scale - mean / scale
     return z
 
 
@@ -244,11 +246,14 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
         raise DataError("single-class training labels (one class has zero weight mass)")
 
     constant = train.constant_columns
-    means, scales = _standardization(features, w, constant)
+    means, scales, centered = _standardization(features, w, constant)
     # Exactly constant columns standardize to 0; leaving them out of the
     # solve keeps their coefficients bit-exact 0.
     active = np.flatnonzero(~constant)
-    z = _standardized(features, active, means[active], scales[active])
+    # The index array gathers a column-major copy, the layout the products
+    # below have always summed in
+    z = _standardized(centered[:, active], features, active, means[active], scales[active])
+    del centered  # n x d, not needed by the Newton loop
     k = active.shape[0]
 
     def stacked(loss, grad_coef, grad_b, p):
@@ -313,15 +318,32 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
 
 def predict_scores(model: ModelParams, data: Dataset) -> np.ndarray:
     """Sigmoid scores in (0, 1) for each row, applying the stored
-    standardization."""
-    if data.n_cols != model.n_cols:
-        raise DataError(
-            f"column count mismatch: model fit on {model.n_cols}, data has {data.n_cols}"
-        )
-    if data.column_names != model.feature_names:
-        i = next(i for i, (a, b) in enumerate(zip(model.feature_names, data.column_names)) if a != b)
-        raise DataError(f"column name mismatch: model column {i} is {model.feature_names[i]!r}, "
-                        f"data has {data.column_names[i]!r}")
-    z = _standardized(data.features, slice(None), model.means, model.scales)
-    return np.clip(_sigmoid(z @ model.coefficients + model.intercept), 1e-12, 1.0 - 1e-12)
+    standardization: the one-model case of :func:`stacked_predict_scores`."""
+    return stacked_predict_scores([model], data)[0]
 
+
+def stacked_predict_scores(models, data: Dataset) -> np.ndarray:
+    """Each model's :func:`predict_scores` on ``data``, one row per model,
+    from one stacked standardize, product, sigmoid and clip.
+
+    Every step is elementwise but the product, and a stacked ``matmul``
+    with a trailing vector takes one matrix-vector product per model, so
+    each row is bit for bit the model's scores computed on their own.
+    """
+    for model in models:
+        if data.n_cols != model.n_cols:
+            raise DataError(
+                f"column count mismatch: model fit on {model.n_cols}, data has {data.n_cols}"
+            )
+        if data.column_names != model.feature_names:
+            i = next(i for i, (a, b) in enumerate(zip(model.feature_names, data.column_names)) if a != b)
+            raise DataError(f"column name mismatch: model column {i} is {model.feature_names[i]!r}, "
+                            f"data has {data.column_names[i]!r}")
+    means = np.array([model.means for model in models])
+    scales = np.array([model.scales for model in models])
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = data.features - means[:, None, :]
+    z = _standardized(z, data.features, slice(None), means, scales)
+    margins = np.matmul(z, np.array([model.coefficients for model in models])[:, :, None])[..., 0]
+    margins += np.array([model.intercept for model in models])[:, None]
+    return np.clip(_sigmoid(margins), 1e-12, 1.0 - 1e-12)

@@ -139,33 +139,58 @@ def reweight(labels, partition, prior: SampleWeights) -> SampleWeights:
 
 
 def cell_multipliers(labels, partition, weights) -> np.ndarray:
-    """Each item's multiplier under the module docstring's formula.
+    """Each item's multiplier under the module docstring's formula: the
+    one-partition case of :func:`stacked_cell_multipliers`.  Raises its
+    UnreachableCellError."""
+    multipliers, reasons = stacked_cell_multipliers(labels, partition[None], weights)
+    if reasons[0] is not None:
+        raise UnreachableCellError(reasons[0])
+    return multipliers[0]
 
-    Item i has int64 label ``labels[i]`` (0 or 1), int64 group id
-    ``partition[i]`` and prior mass ``weights[i]``.  Two bincounts give
-    every (group, label) cell's item count and mass, and the formula one
-    multiplier per cell.  Items are training rows, or cells of rows sharing
-    a group and a label with their row count as mass: under the unit prior
-    every mass is an integer-valued double, which sums exactly in any
-    grouping, so cells get their rows' multipliers bit for bit.  Raises
-    UnreachableCellError for the first cell (groups in sorted order, label
-    0 first) that must carry mass but has no items or zero prior weight.
+
+def stacked_cell_multipliers(labels, partitions, weights) -> tuple[np.ndarray, list]:
+    """Each item's multiplier under the module docstring's formula, for
+    every row of ``partitions`` (points x items) at once.
+
+    Item i has int64 label ``labels[i]`` (0 or 1), prior mass
+    ``weights[i]`` and, in point p, int64 group id ``partitions[p, i]``.
+    Two bincounts over all points give every (point, group, label) cell's
+    item count and mass, and the formula one multiplier per cell.  Items
+    are training rows, or cells of rows sharing a group and a label with
+    their row count as mass: under the unit prior every mass is an
+    integer-valued double, which sums exactly in any grouping, so cells get
+    their rows' multipliers bit for bit.  Each point's masses sum in item
+    order, as a point on its own would, so every row is bit for bit that
+    point's own multipliers.
+
+    Returns the (points, items) multipliers and, per point, None or the
+    reason its first cell (groups in sorted order, label 0 first) that must
+    carry mass but has no items or zero prior weight is unreachable; such a
+    point's row of multipliers is meaningless.
     """
-    # Cell c = 2 * group index + label, groups in sorted id order.
-    ids, group = np.unique(partition, return_inverse=True)
-    cell = 2 * group + labels
-    count = np.bincount(cell, minlength=2 * ids.shape[0]).reshape(-1, 2)
-    mass = np.bincount(cell, weights=weights, minlength=2 * ids.shape[0]).reshape(-1, 2)
-    demand = mass.sum(axis=1)[:, None] * mass.sum(axis=0)
+    n_points, n_items = partitions.shape
+    # Cell c = 2 * group index + label, after 2 * n_groups cells per earlier
+    # point, the groups of all points numbered in sorted id order: a point's
+    # own groups keep their order, and the others are cells of no mass,
+    # which add exact zeros to its sums
+    ids, group = np.unique(partitions, return_inverse=True)
+    n_groups = ids.shape[0]
+    cell = (2 * group.reshape(n_points, n_items) + labels + 2 * n_groups * np.arange(n_points)[:, None]).ravel()
+    size = 2 * n_groups * n_points
+    count = np.bincount(cell, minlength=size).reshape(n_points, n_groups, 2)
+    item_mass = np.broadcast_to(weights, (n_points, n_items)).ravel()
+    mass = np.bincount(cell, weights=item_mass, minlength=size).reshape(n_points, n_groups, 2)
+    demand = mass.sum(axis=2)[:, :, None] * mass.sum(axis=1)[:, None, :]
     empty = count == 0
-    unreachable = np.flatnonzero((empty & (demand > 0.0)) | (~empty & (mass <= 0.0)))
-    if unreachable.size:
-        g, d = divmod(int(unreachable[0]), 2)
-        if empty[g, d]:
-            raise UnreachableCellError(f"unreachable cell: group {ids[g]} has no rows with label {d}")
-        raise UnreachableCellError(f"unreachable cell: group {ids[g]}, label {d} has zero prior weight")
-    multiplier = np.divide(demand, weights.sum() * mass, out=np.zeros_like(mass), where=~empty)
-    return multiplier[group, labels]
+    unreachable = ((empty & (demand > 0.0)) | (~empty & (mass <= 0.0))).reshape(n_points, -1)
+    reasons: list = [None] * n_points
+    for p in np.flatnonzero(unreachable.any(axis=1)).tolist():
+        g, d = divmod(int(unreachable[p].argmax()), 2)
+        reasons[p] = (f"unreachable cell: group {ids[g]} has no rows with label {d}" if empty[p, g, d]
+                      else f"unreachable cell: group {ids[g]}, label {d} has zero prior weight")
+    # Where a point is reachable its non-empty cells are those with mass
+    multiplier = np.divide(demand, weights.sum() * mass, out=np.zeros_like(mass), where=mass > 0.0)
+    return np.take(multiplier.reshape(-1), cell).reshape(n_points, n_items), reasons
 
 
 def reweight_single_attribute(

@@ -1,6 +1,7 @@
 """Test oracles: the group-fairness metrics and the privileged-side rule
-written out one mask at a time, and AUROC's average ranks from
-``np.unique``.
+written out one mask at a time, AUROC's average ranks from ``np.unique``,
+and one model's scores and one partition's reweighting multipliers as
+they were computed before ``multifair`` stacked them.
 
 ``multifair`` computes the first from label and prediction counts in one
 kernel (``metrics.side_cells`` and ``metrics.group_fairness``, and
@@ -9,7 +10,10 @@ masks and take means, so a test that compares the two checks the kernel
 against code that shares none of it.  Likewise ``metrics._average_ranks``
 ranks many score rows from one sort and tie blocks found between
 neighbours, where :func:`average_ranks` ranks one vector by its distinct
-values.
+values.  ``model.stacked_predict_scores`` scores many models in one
+stacked pass and ``reweighting.stacked_cell_multipliers`` reweights many
+partitions in two bincounts; :func:`predict_scores` and
+:func:`cell_multipliers` do one model or one partition at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ import math
 import numpy as np
 
 from multifair.data import Dataset, GroupAssignment
-from multifair.errors import DataError, MetricUndefinedError
+from multifair.errors import DataError, MetricUndefinedError, UnreachableCellError
 from multifair.metrics import PredictionSet
+from multifair.model import ModelParams, _sigmoid
 
 
 def set_privileged(group: GroupAssignment, dataset: Dataset) -> GroupAssignment:
@@ -122,3 +127,47 @@ def equal_opportunity_difference(preds: PredictionSet, group: GroupAssignment) -
     tpr_u = float(preds.predictions[unpriv & pos].mean())
     tpr_p = float(preds.predictions[priv & pos].mean())
     return tpr_u - tpr_p
+
+
+def predict_scores(model: ModelParams, data: Dataset) -> np.ndarray:
+    """Sigmoid scores in (0, 1) for each row of ``data`` under one model:
+    ``(x - mean) / scale`` in a copy of the features, taken in place, with
+    any column that overflows recomputed as ``x / scale - mean / scale``."""
+    if data.n_cols != model.n_cols:
+        raise DataError(
+            f"column count mismatch: model fit on {model.n_cols}, data has {data.n_cols}"
+        )
+    if data.column_names != model.feature_names:
+        i = next(i for i, (a, b) in enumerate(zip(model.feature_names, data.column_names)) if a != b)
+        raise DataError(f"column name mismatch: model column {i} is {model.feature_names[i]!r}, "
+                        f"data has {data.column_names[i]!r}")
+    z = data.features.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        z -= model.means
+        z /= model.scales
+    overflow = ~np.isfinite(z).all(axis=0)
+    if overflow.any():
+        x = data.features[:, overflow]
+        z[:, overflow] = x / model.scales[overflow] - model.means[overflow] / model.scales[overflow]
+    return np.clip(_sigmoid(z @ model.coefficients + model.intercept), 1e-12, 1.0 - 1e-12)
+
+
+def cell_multipliers(labels, partition, weights) -> np.ndarray:
+    """Each item's reweighting multiplier for one partition, from its
+    sorted distinct group ids; raises UnreachableCellError for the first
+    cell (groups in sorted order, label 0 first) that must carry mass but
+    has no items or zero prior weight."""
+    ids, group = np.unique(partition, return_inverse=True)
+    cell = 2 * group + labels
+    count = np.bincount(cell, minlength=2 * ids.shape[0]).reshape(-1, 2)
+    mass = np.bincount(cell, weights=weights, minlength=2 * ids.shape[0]).reshape(-1, 2)
+    demand = mass.sum(axis=1)[:, None] * mass.sum(axis=0)
+    empty = count == 0
+    unreachable = np.flatnonzero((empty & (demand > 0.0)) | (~empty & (mass <= 0.0)))
+    if unreachable.size:
+        g, d = divmod(int(unreachable[0]), 2)
+        if empty[g, d]:
+            raise UnreachableCellError(f"unreachable cell: group {ids[g]} has no rows with label {d}")
+        raise UnreachableCellError(f"unreachable cell: group {ids[g]}, label {d} has zero prior weight")
+    multiplier = np.divide(demand, weights.sum() * mass, out=np.zeros_like(mass), where=~empty)
+    return multiplier[group, labels]

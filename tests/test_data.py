@@ -727,6 +727,28 @@ def test_census_split_expands_no_rows_and_sorts_only_the_distinct_lines(monkeypa
     assert sorted_rows == [5544]
 
 
+def test_census_grid_sorts_only_the_distinct_lines(monkeypatch):
+    """The grid's sub-split is taken from the loader's table too: the
+    sub-training cells, and the winner's training cells, come from the
+    table's, so _row_cells runs once, on its 5544 rows, not on 20840."""
+    sorted_rows = []
+    real_row_cells = data._row_cells
+
+    def row_cells(features, labels):
+        sorted_rows.append(features.shape[0])
+        return real_row_cells(features, labels)
+
+    monkeypatch.setattr(data, "_row_cells", row_cells)
+    levels = {"sex=Male": 1, "race=White": 2}
+    config = ExperimentConfig(
+        DatasetConfig(str(REPO_ROOT / "data" / "census_surrogate.csv"), "income", ">50K"),
+        tuple(levels), method="m3fair", split=SplitSpec(0.2, 42), level_weights=levels,
+    )
+    result = experiment.grid_search(config, experiment.GridSearchConfig(dict.fromkeys(levels, (1, 2))))
+    assert [point.status for point in result.points] == ["ok"] * 4
+    assert sorted_rows == [5544]
+
+
 BINARY_CHECKS = {
     "Dataset": lambda values: Dataset(np.zeros((4, 1)), values, ("a",)),
     "GroupAssignment": lambda values: GroupAssignment("a", values),

@@ -662,9 +662,10 @@ class TestSweepOracle:
         assert distinct < len(expected) - unreachable  # some points share a class
         assert (unreachable > 0) == (case == "unreachable_square")
         # the multiplier kernel, as the sweep calls it and as m3fair's reweight does
-        real_kernel, calls = multifair.reweighting.cell_multipliers, []
+        real_kernel, calls = multifair.reweighting.stacked_cell_multipliers, []
         for module in (multifair.experiment, multifair.reweighting):
-            monkeypatch.setattr(module, "cell_multipliers", lambda *args: calls.append(args) or real_kernel(*args))
+            monkeypatch.setattr(module, "stacked_cell_multipliers",
+                                lambda *args: calls.append(args) or real_kernel(*args))
         assert grid_search(config, grid).points == tuple(expected)
-        # one reweight per weight class, one per unreachable point, one for the winner
-        assert len(calls) == distinct + unreachable + 1
+        # one call for every point of the sweep, one for the winner
+        assert [len(args[1]) for args in calls] == [len(expected), 1]

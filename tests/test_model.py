@@ -1,5 +1,6 @@
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.special import expit
 
 import multifair.data
 import multifair.model
+import oracles
 from conftest import REPO_ROOT
 from multifair.data import (
     Dataset, SplitSpec, _constant_columns, binarize_by_mean, binarize_by_threshold, load_csv,
@@ -25,9 +27,9 @@ from multifair.model import (
     _loss_and_gradient_at_zero,
     _sigmoid,
     _standardization,
-    _standardized,
     fit,
     predict_scores,
+    stacked_predict_scores,
     weighted_loss_and_gradient,
 )
 from multifair.reweighting import SampleWeights
@@ -209,7 +211,7 @@ def objective(model, ds, weights, l2_penalty):
 def lbfgs_scores(ds, weights, l2_penalty):
     """Test oracle: scipy's L-BFGS-B on the same objective and coordinates,
     scored on the training rows."""
-    means, scales = _standardization(ds.features, weights.values, _constant_columns(ds.features))
+    means, scales, _ = _standardization(ds.features, weights.values, _constant_columns(ds.features))
     z = (ds.features - means) / scales
     y = ds.labels.astype(np.float64)
     w = weights.values
@@ -402,6 +404,122 @@ class TestPredict:
             predict_scores(model, other)
 
 
+def make_model(names, coefficients, intercept, means, scales):
+    return ModelParams(names, np.array(coefficients, dtype=np.float64), intercept,
+                       np.array(means, dtype=np.float64), np.array(scales, dtype=np.float64), True, 0)
+
+
+@st.composite
+def scoring_cases(draw):
+    """Rows to score and 1-6 models for them; a model may name another
+    column or have another count of columns."""
+    n_rows, n_cols = draw(st.integers(1, 25)), draw(st.integers(1, 5))
+    names = tuple(f"c{j}" for j in range(n_cols))
+    values = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324, 7.0]))
+    features = draw(arrays(np.float64, (n_rows, n_cols), elements=values))
+    models = []
+    for _ in range(draw(st.integers(1, 6))):
+        model_names = draw(st.sampled_from([names, names, names, names[:-1] + ("other",), names + ("extra",)]))
+        d = len(model_names)
+        models.append(make_model(
+            model_names,
+            draw(arrays(np.float64, d, elements=st.floats(-5.0, 5.0))),
+            draw(st.floats(-5.0, 5.0)),
+            draw(arrays(np.float64, d, elements=st.floats(-1e3, 1e3))),
+            draw(arrays(np.float64, d, elements=st.floats(1e-3, 1e3))),
+        ))
+    return Dataset(features, np.zeros(n_rows, dtype=int), names), models
+
+
+def constant_column_case():
+    """Models fit on rows with a constant column: it gets mean 7 and scale 1."""
+    rng = np.random.default_rng(3)
+    features = np.column_stack([rng.standard_normal(40), np.full(40, 7.0), rng.standard_normal(40)])
+    ds = Dataset(features, rng.integers(0, 2, 40), ("a", "b", "c"))
+    models = [fit(ds, SampleWeights(rng.uniform(0.5, 2.0, 40))) for _ in range(3)]
+    assert all(model.means[1] == 7.0 and model.scales[1] == 1.0 for model in models)
+    return ds, models
+
+
+def overflow_case():
+    """x - mean overflows in column 0 under the first model and in column 1
+    under the third; the second model overflows nowhere."""
+    features = np.array([[1.5e308, -1.5e308], [-1.5e308, 1.5e308], [1.0e308, 0.0], [0.0, -1.0e308]])
+    names = ("a", "b")
+    models = [
+        make_model(names, [1.0, -0.5], 0.25, [1.2e308, 0.0], [1e308, 1.5e308]),
+        make_model(names, [0.5, 0.5], -1.0, [1.1e307, -1.1e307], [1.5e308, 1.5e308]),
+        make_model(names, [-1.0, 2.0], 0.0, [0.0, -1.2e308], [1.5e308, 1e308]),
+    ]
+    return Dataset(features, np.zeros(4, dtype=int), names), models
+
+
+def mismatch_case(kind):
+    """A model that names another column, or has one column more, second of three."""
+    ds = separable_toy()
+    names = {"name": ("x0", "y"), "count": ("x0", "x1", "x2")}[kind]
+    good = make_model(ds.column_names, [1.0, -1.0], 0.5, [0.0, 0.0], [1.0, 1.0])
+    bad = make_model(names, [1.0] * len(names), 0.0, [0.0] * len(names), [1.0] * len(names))
+    return ds, [good, bad, good]
+
+
+def scores_or_error(score):
+    try:
+        return score().tobytes()
+    except DataError as exc:
+        return str(exc)
+
+
+class TestStackedPredict:
+    """Each row of the stacked prediction is bit for bit one model's scores
+    as the one-model predictor computed them (tests/oracles.py), and a
+    mismatched model raises the same DataError."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=scoring_cases())
+    @example(case=constant_column_case())
+    @example(case=overflow_case())
+    @example(case=mismatch_case("name"))
+    @example(case=mismatch_case("count"))
+    def test_rows_equal_per_model_oracle(self, case):
+        data, models = case
+        per_model = [scores_or_error(lambda m=model: oracles.predict_scores(m, data)) for model in models]
+        errors = [outcome for outcome in per_model if isinstance(outcome, str)]
+        stacked = scores_or_error(lambda: stacked_predict_scores(models, data))
+        if errors:
+            assert stacked == errors[0]
+        else:
+            assert stacked == b"".join(per_model)
+        for model, expected in zip(models, per_model):
+            assert scores_or_error(lambda m=model: predict_scores(m, data)) == expected
+
+    def test_overflow_is_redone_per_model(self):
+        data, models = overflow_case()
+        with np.errstate(over="ignore", invalid="ignore"):
+            naive = (data.features - np.array([m.means for m in models])[:, None, :]) / \
+                np.array([m.scales for m in models])[:, None, :]
+        # the first and third models overflow in one column each, the second in none
+        assert (~np.isfinite(naive).all(axis=1)).tolist() == [[True, False], [False, False], [False, True]]
+        # and the overflow form would move the second model's bits in both columns
+        second = models[1]
+        fallback = data.features / second.scales - second.means / second.scales
+        assert (fallback != naive[1]).any(axis=0).all()
+        scores = stacked_predict_scores(models, data)
+        assert np.isfinite(scores).all()
+        assert scores.tobytes() == b"".join(oracles.predict_scores(m, data).tobytes() for m in models)
+
+    def test_grid_shaped_stack(self):
+        # 52 models on 800 rows of 7 columns, the shape of the benchmark grid's scoring pass
+        rng = np.random.default_rng(8)
+        names = tuple(f"c{j}" for j in range(7))
+        data = Dataset(rng.standard_normal((800, 7)), rng.integers(0, 2, 800), names)
+        models = [make_model(names, rng.standard_normal(7), float(rng.standard_normal()),
+                             rng.standard_normal(7), rng.uniform(0.5, 2.0, 7)) for _ in range(52)]
+        scores = stacked_predict_scores(models, data)
+        assert scores.shape == (52, 800)
+        assert scores.tobytes() == b"".join(oracles.predict_scores(m, data).tobytes() for m in models)
+
+
 
 # ---------------------------------------------------------------------------
 # Bit identity with the first-written forms of the loss, the sigmoid and the
@@ -468,16 +586,17 @@ def first_written_fit(ds, weights, config):
     """Test-only copy of ``fit``'s Newton loop as first written, with the
     two-term loss: a gradient joined by np.append, a Hessian and a ridge
     vector made anew each iteration, the stopping threshold recomputed
-    each iteration and the mask taken from the rows.  It always gathers the
-    cells (a dataset without repeated rows is its own cells).  Returns the
+    each iteration, the mask taken from the rows and the standardized
+    features formed by the formula.  It always gathers the cells (a dataset
+    without repeated rows is its own cells).  Returns the
     coefficients, the intercept, n_iter and converged."""
     first, cell = ds.cells
     features, y = ds.features[first], ds.float_labels[first]
     w = np.bincount(cell, weights=weights.values, minlength=first.shape[0])
     constant = ptp_constant_columns(ds.features)
-    means, scales = _standardization(features, w, constant)
+    means, scales, _ = _standardization(features, w, constant)
     active = np.flatnonzero(~constant)
-    z = _standardized(features, active, means[active], scales[active])
+    z = (features[:, active] - means[active]) / scales[active]
     k = active.shape[0]
 
     def loss_grad(params):
@@ -807,6 +926,24 @@ class TestCellFit:
             preds = PredictionSet(predict_scores(model, test), test.labels)
             outcomes.append((evaluate_fairness(preds, on_test), float.hex(auroc(preds.scores, preds.labels))))
         assert outcomes[0] == outcomes[1]
+
+
+class TestFitMemory:
+    def test_peak_stays_near_three_feature_matrices(self):
+        # The centered matrix that gives the standardized features is freed
+        # before the Newton loop, which holds z and its row-scaled copy r; a
+        # fit that kept it alive peaked at about 4.1x the features
+        rng = np.random.default_rng(0)
+        n, d = 3200, 201
+        ds = Dataset(rng.standard_normal((n, d)), rng.integers(0, 2, n), tuple(f"c{j}" for j in range(d)))
+        ds.cells, ds.constant_columns  # a dataset computes these once, not per fit
+        tracemalloc.start()
+        try:
+            fit(ds, SampleWeights.unit(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * ds.features.nbytes
 
 
 class TestHugeFeatures:

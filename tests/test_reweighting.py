@@ -2,8 +2,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+
+import oracles
 
 from multifair.data import GroupAssignment
 from multifair.errors import ConfigError, DataError, UnreachableCellError
@@ -16,6 +18,7 @@ from multifair.reweighting import (
     reweight,
     reweight_sequential,
     reweight_single_attribute,
+    stacked_cell_multipliers,
 )
 
 
@@ -434,6 +437,88 @@ class TestCellCountKernel:
             assert cell_count_weights(labels, groups, config, rng).tobytes() == expected.tobytes()
             outcomes["weights"] += 1
         assert min(outcomes["unreachable"], outcomes["weights"]) >= 30  # both paths are exercised
+
+
+def kernel_outcomes(labels, partitions, weights):
+    """Per point, the one-partition oracle's multiplier bytes or its
+    UnreachableCellError message."""
+    outcomes = []
+    for partition in partitions:
+        try:
+            outcomes.append(oracles.cell_multipliers(labels, partition, weights).tobytes())
+        except UnreachableCellError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def stacked_outcomes(labels, partitions, weights):
+    multipliers, reasons = stacked_cell_multipliers(labels, partitions, weights)
+    return [row.tobytes() if reason is None else reason for row, reason in zip(multipliers, reasons)]
+
+
+@st.composite
+def kernel_cases(draw):
+    """Labels, 1-8 partitions of the same items, and prior masses: counts,
+    non-integer masses, or masses with zeros."""
+    n = draw(st.integers(1, 40))
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    # few ids or many: numpy sums more than 8 groups' masses in another order
+    ids = draw(st.sampled_from([st.sampled_from([-3, 0, 1, 2, 5, 12, 2**62]), st.integers(-3, 30)]))
+    partitions = np.array(draw(st.lists(st.lists(ids, min_size=n, max_size=n), min_size=1, max_size=8)),
+                          dtype=np.int64)
+    masses = st.sampled_from([st.integers(1, 40).map(float), st.floats(0.01, 3.0), st.sampled_from([0.0, 0.5, 1.0, 2.75])])
+    weights = np.array(draw(st.lists(draw(masses), min_size=n, max_size=n)), dtype=np.float64)
+    assume(weights.sum() > 0.0)
+    return labels, partitions, weights
+
+
+class TestStackedKernel:
+    """Each point of the stacked multiplier kernel is bit for bit one
+    partition's multipliers (tests/oracles.py), or its own unreachable-cell
+    message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=kernel_cases())
+    # the same fibers under two labellings: each point names its own group
+    @example(case=(np.array([0, 1, 1, 1]), np.array([[1, 1, 2, 2], [3, 3, 5, 5], [5, 5, 3, 3]]), np.ones(4)))
+    # a reachable point beside one whose cell has items but zero prior weight
+    @example(case=(np.array([0, 1, 0, 1]), np.array([[0, 0, 1, 1], [0, 1, 0, 1]]), np.array([0.0, 1.0, 2.5, 0.5])))
+    def test_points_equal_per_partition_oracle(self, case):
+        labels, partitions, weights = case
+        expected = kernel_outcomes(labels, partitions, weights)
+        assert stacked_outcomes(labels, partitions, weights) == expected
+        for partition, outcome in zip(partitions, expected):
+            try:
+                got = cell_multipliers(labels, partition, weights).tobytes()
+            except UnreachableCellError as exc:
+                got = str(exc)
+            assert got == outcome
+
+    def test_own_group_named_per_point(self):
+        labels = np.array([0, 1, 1, 1])
+        _, reasons = stacked_cell_multipliers(labels, np.array([[1, 1, 2, 2], [3, 3, 5, 5], [1, 1, 1, 1]]), np.ones(4))
+        assert reasons == ["unreachable cell: group 2 has no rows with label 0",
+                           "unreachable cell: group 5 has no rows with label 0", None]
+
+    def test_sequential_second_pass_masses(self):
+        # rw_sequential's second pass reweights on the first pass's weights,
+        # whose masses are not integers
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 80))
+            labels = rng.binomial(1, 0.4, n)
+            a, b = (GroupAssignment(name, rng.binomial(1, 0.5, n), privileged_value=1) for name in "ab")
+            try:
+                first = reweight_single_attribute(labels, a, SampleWeights.unit(n)).values
+            except UnreachableCellError:
+                continue
+            assert not np.array_equal(first, np.round(first))
+            partitions = np.array([b.membership, a.membership, 3 * b.membership - a.membership], dtype=np.int64)
+            expected = kernel_outcomes(labels, partitions, first)
+            assert stacked_outcomes(labels, partitions, first) == expected
+            if isinstance(expected[0], bytes):
+                second = reweight_single_attribute(labels, b, SampleWeights(first)).values
+                assert second.tobytes() == (first * np.frombuffer(expected[0])).tobytes()
 
 
 class TestDuplicatedRowEqualsDoubledWeight:
