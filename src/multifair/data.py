@@ -726,9 +726,10 @@ def split(dataset: Dataset, spec: SplitSpec,
     n_test = max(1, math.floor(n * spec.test_fraction))
     if n_test >= n:
         raise DataError("degenerate fraction: split would empty the training side")
-    perm = np.random.default_rng(spec.seed).permutation(n)
-    test_rows = np.sort(perm[:n_test])
-    train_rows = np.sort(perm[n_test:])
+    # each side's rows in ascending order, marked rather than sorted
+    test = np.zeros(n, dtype=bool)
+    test[np.random.default_rng(spec.seed).permutation(n)[:n_test]] = True
+    test_rows, train_rows = np.flatnonzero(test), np.flatnonzero(~test)
     if lines is None:
         return dataset.take(train_rows), dataset.take(test_rows)
     return _table_rows(dataset, np.take(lines, train_rows)), _table_rows(dataset, np.take(lines, test_rows))

@@ -51,6 +51,7 @@ from .reweighting import (
     LevelWeightConfig,
     SampleWeights,
     check_level_sum,
+    distinct_ids,
     m3fair,
     reweight_sequential,
     reweight_single_attribute,
@@ -436,10 +437,10 @@ def grid_search(
     def sweep():
         combos = list(itertools.product(*(candidates[name] for name in attrs)))
         unprivileged = np.array([sub_groups[name].unprivileged_indicator() for name in attrs])
-        atoms, row_atom = np.unique((1 << np.arange(len(attrs))) @ unprivileged, return_inverse=True)
+        atoms, row_atom = distinct_ids((1 << np.arange(len(attrs))) @ unprivileged)
         atom_levels = np.array(combos) @ ((atoms[:, None] >> np.arange(len(attrs))) & 1).T
         # Under the unit prior an (atom, label) cell's mass is its row count
-        cell_ids, row_cell = np.unique(2 * row_atom + subtrain.labels, return_inverse=True)
+        cell_ids, row_cell = distinct_ids(2 * row_atom + subtrain.labels)
         cell_atom, cell_label = np.divmod(cell_ids, 2)
         cell_rows = np.bincount(row_cell).astype(np.float64)
         sides = np.array([group.privileged_mask for group in val_groups.values()])

@@ -153,10 +153,11 @@ def auprc(scores, labels) -> float:
         raise DataError("scores must be a vector")
     if n_pos == 0:
         raise MetricUndefinedError("AUPRC undefined: no positive labels")
-    order = np.argsort(-scores, kind="stable")
+    # tp is read only at the end of each tied block, so no order within a tie counts
+    order = np.argsort(-scores)
     sorted_scores = scores[order]
     # Threshold step boundaries: last index of each tied block.
-    boundaries = np.flatnonzero(np.diff(sorted_scores) != 0)
+    boundaries = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1])
     boundaries = np.append(boundaries, sorted_scores.shape[0] - 1)
     tp = np.cumsum(positives[order])[boundaries].astype(np.float64)
     predicted = (boundaries + 1).astype(np.float64)

@@ -148,6 +148,21 @@ def cell_multipliers(labels, partition, weights) -> np.ndarray:
     return multipliers[0]
 
 
+def distinct_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)`` for int64 ``ids``: the sorted
+    distinct ids, and each id's index among them in the shape of ``ids``.
+    Ids spanning no more values than there are ids are counted, not sorted:
+    a bincount marks the ids present and its running sum ranks them."""
+    if ids.size:
+        low = int(ids.min())
+        # Python ints: the span of two int64 ids can overflow int64
+        if int(ids.max()) - low < ids.size:
+            offset = ids - low
+            present = np.bincount(offset.ravel()) > 0
+            return np.flatnonzero(present) + low, (np.cumsum(present) - 1)[offset]
+    return np.unique(ids, return_inverse=True)
+
+
 def stacked_cell_multipliers(labels, partitions, weights) -> tuple[np.ndarray, list]:
     """Each item's multiplier under the module docstring's formula, for
     every row of ``partitions`` (points x items) at once.
@@ -173,7 +188,7 @@ def stacked_cell_multipliers(labels, partitions, weights) -> tuple[np.ndarray, l
     # point, the groups of all points numbered in sorted id order: a point's
     # own groups keep their order, and the others are cells of no mass,
     # which add exact zeros to its sums
-    ids, group = np.unique(partitions, return_inverse=True)
+    ids, group = distinct_ids(partitions)
     n_groups = ids.shape[0]
     cell = (2 * group.reshape(n_points, n_items) + labels + 2 * n_groups * np.arange(n_points)[:, None]).ravel()
     size = 2 * n_groups * n_points

@@ -1,7 +1,8 @@
 """Test oracles: the group-fairness metrics and the privileged-side rule
 written out one mask at a time, AUROC's average ranks from ``np.unique``,
-and one model's scores and one partition's reweighting multipliers as
-they were computed before ``multifair`` stacked them.
+AUPRC's sweep over a stable sort, and one model's scores and one
+partition's reweighting multipliers as they were computed before
+``multifair`` stacked them.
 
 ``multifair`` computes the first from label and prediction counts in one
 kernel (``metrics.side_cells`` and ``metrics.group_fairness``, and
@@ -10,7 +11,9 @@ masks and take means, so a test that compares the two checks the kernel
 against code that shares none of it.  Likewise ``metrics._average_ranks``
 ranks many score rows from one sort and tie blocks found between
 neighbours, where :func:`average_ranks` ranks one vector by its distinct
-values.  ``model.stacked_predict_scores`` scores many models in one
+values.  ``metrics.auprc`` sorts the scores in no set order within a
+tie, where :func:`auprc` keeps the rows' order.
+``model.stacked_predict_scores`` scores many models in one
 stacked pass and ``reweighting.stacked_cell_multipliers`` reweights many
 partitions in two bincounts; :func:`predict_scores` and
 :func:`cell_multipliers` do one model or one partition at a time.
@@ -24,7 +27,7 @@ import numpy as np
 
 from multifair.data import Dataset, GroupAssignment
 from multifair.errors import DataError, MetricUndefinedError, UnreachableCellError
-from multifair.metrics import PredictionSet
+from multifair.metrics import PredictionSet, _scores_and_positives
 from multifair.model import ModelParams, _sigmoid
 
 
@@ -48,6 +51,27 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     last = np.cumsum(counts)  # rank of the last value in each tied block
     return (last - (counts - 1) / 2.0)[inverse]
+
+
+def auprc(scores, labels) -> float:
+    """Average precision over the descending-score sweep, tied scores in
+    row order, each tied block of finite scores one threshold step."""
+    scores, positives, n_pos = _scores_and_positives(scores, labels)
+    if scores.ndim != 1:
+        raise DataError("scores must be a vector")
+    if n_pos == 0:
+        raise MetricUndefinedError("AUPRC undefined: no positive labels")
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    # Threshold step boundaries: last index of each tied block.
+    boundaries = np.flatnonzero(np.diff(sorted_scores) != 0)
+    boundaries = np.append(boundaries, sorted_scores.shape[0] - 1)
+    tp = np.cumsum(positives[order])[boundaries].astype(np.float64)
+    predicted = (boundaries + 1).astype(np.float64)
+    precision = tp / predicted
+    recall = tp / n_pos
+    recall_steps = np.diff(recall, prepend=0.0)
+    return float(np.sum(recall_steps * precision))
 
 
 def _group_masks(preds: PredictionSet, group: GroupAssignment) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,5 @@
+import json
+import math
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -10,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import REPO_ROOT
 from multifair import data, experiment
+from multifair.cli import main
 from multifair.data import (
     Dataset,
     GroupAssignment,
@@ -458,6 +461,29 @@ def test_repeats_with_a_blank_line_or_a_quote_are_parsed_whole(tmp_path, loadtxt
     assert len(loadtxt_sources) == 1 and hasattr(loadtxt_sources[0], "read")
 
 
+def census_with_a_unique_column(path):
+    """data/census_surrogate.csv with a unique integer second column, as the
+    real census file's fnlwgt: text columns, and no line repeats."""
+    header, *rows = (REPO_ROOT / "data" / "census_surrogate.csv").read_text(encoding="utf-8").splitlines()
+    weights = np.random.default_rng(0).permutation(len(rows)) + 12285
+    lines = [f"{row.split(',', 1)[0]},{weight},{row.split(',', 1)[1]}" for row, weight in zip(rows, weights.tolist())]
+    age, rest = header.split(",", 1)
+    return write(path, "\n".join([f"{age},fnlwgt,{rest}", *lines]) + "\n")
+
+
+def test_text_files_without_repeats_are_parsed_whole(tmp_path, loadtxt_sources, numeric_parses):
+    # Deduping every text file's lines would spare the probe, but on this
+    # file it took about 1.5 times as long as the one whole-file pass
+    # (medians of 40 interleaved loads each)
+    path = census_with_a_unique_column(tmp_path / "census_fnlwgt.csv")
+    got, want = load_csv(path, "income", ">50K"), data._load_rows(path, "income", ">50K")
+    assert len(loadtxt_sources) == 1 and hasattr(loadtxt_sources[0], "read")
+    assert numeric_parses == []
+    assert got.column_names == want.column_names and got.column_names[:2] == ("age", "fnlwgt")
+    assert got.features.tobytes() == want.features.tobytes()
+    assert got.labels.tobytes() == want.labels.tobytes()
+
+
 def test_fast_path_codes_text_cells_without_a_python_call_per_cell():
     path = REPO_ROOT / "data" / "census_surrogate.csv"
     calls = 0
@@ -749,6 +775,33 @@ def test_census_grid_sorts_only_the_distinct_lines(monkeypatch):
     assert sorted_rows == [5544]
 
 
+def test_census_run_sorts_nothing_as_long_as_the_training_split(tmp_path, monkeypatch, capsys):
+    """A run of the committed census m3fair config groups its 26049
+    training rows' levels, splits its 32561 lines and ranks its 6512 test
+    scores without sorting: no np.unique or np.sort call gets an array of
+    26049 or more items, and no argsort is stable."""
+    sizes, kinds = [], []
+    for name in ("unique", "sort"):
+        def spy(values, *args, real=getattr(np, name), **kwargs):
+            sizes.append(np.size(values))
+            return real(values, *args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+
+    def argsort(values, *args, real=np.argsort, **kwargs):
+        kinds.append(kwargs.get("kind", args[1] if len(args) > 1 else None))
+        return real(values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", argsort)
+    monkeypatch.chdir(REPO_ROOT)
+    payload = json.loads((REPO_ROOT / "configs" / "census_surrogate_m3fair.json").read_text())
+    payload["report_path"] = str(tmp_path / "report")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    assert main(["run", "--config", str(config)]) == 0, capsys.readouterr().err
+    assert all(size < 26049 for size in sizes), sorted(sizes)
+    assert kinds and "stable" not in kinds, kinds
+
+
 BINARY_CHECKS = {
     "Dataset": lambda values: Dataset(np.zeros((4, 1)), values, ("a",)),
     "GroupAssignment": lambda values: GroupAssignment("a", values),
@@ -905,6 +958,29 @@ class TestSplit:
         train2, test2 = split(ds, spec)
         assert np.array_equal(train.column("id"), train2.column("id"))
         assert np.array_equal(test.column("id"), test2.column("id"))
+
+    @given(n=st.integers(2, 300), fraction=st.floats(0.001, 0.999), seed=st.integers(0, 2**32 - 1),
+           with_lines=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    @example(n=2, fraction=0.5, seed=0, with_lines=False)  # one row a side
+    @example(n=2, fraction=0.5, seed=3, with_lines=True)
+    @example(n=50, fraction=0.001, seed=1, with_lines=False)  # n_test raised to 1
+    @example(n=50, fraction=0.001, seed=1, with_lines=True)
+    @example(n=50, fraction=0.99, seed=2, with_lines=False)  # n_test == n - 1
+    @example(n=50, fraction=0.99, seed=2, with_lines=True)
+    def test_sides_are_the_sorted_halves_of_the_permutation(self, n, fraction, seed, with_lines):
+        n_test = max(1, math.floor(n * fraction))
+        perm = np.random.default_rng(seed).permutation(n)
+        want = np.sort(perm[n_test:]), np.sort(perm[:n_test])
+        ids = np.arange(n)
+        if with_lines:  # the loader's (table, lines): data line i is table row lines[i]
+            lines = np.random.default_rng(seed + 1).integers(0, max(1, n // 3), n)
+            table = Dataset(np.arange(lines.max() + 1, dtype=float)[:, None], np.zeros(lines.max() + 1), ("id",))
+            sides, ids = split(table, SplitSpec(fraction, seed), lines), lines
+        else:
+            sides = split(Dataset(ids[:, None].astype(float), ids % 2, ("id",)), SplitSpec(fraction, seed))
+        for side, rows in zip(sides, want):
+            assert side.column("id").tobytes() == ids[rows].astype(float).tobytes()
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ConfigError):

@@ -284,28 +284,65 @@ class TestAuroc:
         assert auroc(scores, labels) == pytest.approx(auroc(transformed, labels), abs=1e-12)
 
 
-class TestAuprc:
-    def test_perfect_separation(self):
-        assert auprc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
+@st.composite
+def tied_scores(draw):
+    """Scores taking at most four distinct values, so that most are tied,
+    and labels with at least one positive."""
+    n = draw(st.integers(1, 80))
+    values = draw(st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1e-12, 0.5, 1.0]),
+                           min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)), draw(zero_ones(n).filter(any))
 
-    def test_two_row_sweep(self):
-        # descending sweep: 0.9 (neg) then 0.2 (pos); precision at full recall is 1/2
-        assert auprc([0.2, 0.9], [1, 0]) == pytest.approx(0.5)
 
-    def test_random_scores_approach_prevalence(self):
-        rng = np.random.default_rng(11)
-        n, p = 10_000, 0.25
-        labels = rng.binomial(1, p, n)
-        scores = rng.uniform(size=n)
-        assert auprc(scores, labels) == pytest.approx(p, abs=0.02)
+def auprc_tests(m):
+    """The AUPRC hand values, tested on the ``auprc`` of module ``m``:
+    ``multifair.metrics`` or the oracles."""
+    auprc = m.auprc
 
-    def test_no_positives_undefined(self):
-        with pytest.raises(MetricUndefinedError, match="AUPRC undefined"):
-            auprc([0.4, 0.5], [0, 0])
+    class Auprc:
+        def test_perfect_separation(self):
+            assert auprc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
 
-    def test_ties_grouped_into_one_step(self):
-        # all scores tied: single threshold step, AP = prevalence exactly
-        assert auprc([0.3] * 8, [1, 0, 0, 1, 0, 0, 1, 0]) == pytest.approx(3 / 8)
+        def test_two_row_sweep(self):
+            # descending sweep: 0.9 (neg) then 0.2 (pos); precision at full recall is 1/2
+            assert auprc([0.2, 0.9], [1, 0]) == pytest.approx(0.5)
+
+        def test_random_scores_approach_prevalence(self):
+            rng = np.random.default_rng(11)
+            n, p = 10_000, 0.25
+            labels = rng.binomial(1, p, n)
+            scores = rng.uniform(size=n)
+            assert auprc(scores, labels) == pytest.approx(p, abs=0.02)
+
+        def test_no_positives_undefined(self):
+            with pytest.raises(MetricUndefinedError, match="AUPRC undefined"):
+                auprc([0.4, 0.5], [0, 0])
+
+        def test_ties_grouped_into_one_step(self):
+            # all scores tied: single threshold step, AP = prevalence exactly
+            assert auprc([0.3] * 8, [1, 0, 0, 1, 0, 0, 1, 0]) == pytest.approx(3 / 8)
+
+    return Auprc
+
+
+class TestAuprc(auprc_tests(metrics)):
+    def test_tied_infinite_scores_are_one_step(self):
+        # inf - inf is NaN, so neighbours compared by their difference would
+        # split this tie into steps that depend on the rows' order
+        assert auprc([np.inf, np.inf, 0.5], [1, 0, 1]) == auprc([np.inf, np.inf, 0.5], [0, 1, 1])
+        assert auprc([-np.inf, -np.inf], [1, 0]) == 0.5
+
+    @given(case=tied_scores())
+    @settings(max_examples=300, deadline=None)
+    @example(case=([0.0, -0.0, 0.0, -0.0, 0.5], [1, 0, 0, 1, 1]))  # zeros of both signs tie
+    @example(case=(np.repeat([0.2, 0.7, 0.9], 300), np.tile([0, 1, 1], 300)))
+    def test_matches_the_stable_sort_oracle(self, case):
+        scores, labels = case
+        assert auprc(scores, labels).hex() == oracles.auprc(scores, labels).hex()
+
+
+class TestAuprcOnOracles(auprc_tests(oracles)):
+    pass
 
 
 @pytest.mark.parametrize("metric", [auroc, auprc])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 
@@ -14,6 +15,7 @@ from multifair.reweighting import (
     SampleWeights,
     cell_multipliers,
     compute_sensitivity_levels,
+    distinct_ids,
     m3fair,
     reweight,
     reweight_sequential,
@@ -519,6 +521,112 @@ class TestStackedKernel:
             if isinstance(expected[0], bytes):
                 second = reweight_single_attribute(labels, b, SampleWeights(first)).values
                 assert second.tobytes() == (first * np.frombuffer(expected[0])).tobytes()
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def id_arrays(draw):
+    """int64 ids, 1-D or points x items: a few small ids, ids at either
+    int64 extreme, one id repeated, or ids spread wider than their count."""
+    n = draw(st.integers(0, 30))
+    shape = draw(st.sampled_from([(n,), (draw(st.integers(1, 6)), n)]))
+    elements = draw(st.sampled_from([
+        st.integers(-3, 12),
+        st.integers(INT64.min, INT64.min + 20),
+        st.integers(INT64.max - 20, INT64.max),
+        st.sampled_from([INT64.min, -1, 0, INT64.max]),
+        st.integers(INT64.min, INT64.max),
+        st.just(draw(st.integers(INT64.min, INT64.max))),
+    ]))
+    return draw(arrays(np.int64, shape, elements=elements))
+
+
+class TestDistinctIds:
+    """distinct_ids is np.unique(ids, return_inverse=True), dtypes and
+    shapes included, whether it counts the ids or sorts them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ids=id_arrays())
+    def test_equals_np_unique(self, ids):
+        for got, want in zip(distinct_ids(ids), np.unique(ids, return_inverse=True)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+    @pytest.mark.parametrize("ids, sorts", [
+        ([5, 6, 7], False),
+        ([[3, 3], [0, 1]], False),
+        ([INT64.max, INT64.max - 1], False),
+        ([INT64.min, INT64.min], False),
+        ([5, 7], True),  # three values spanned by two ids
+        ([INT64.min, INT64.max], True),
+        ([], True),
+    ])
+    def test_counts_unless_the_ids_span_more_values_than_they_number(self, monkeypatch, ids, sorts):
+        real, calls = np.unique, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        distinct_ids(np.array(ids, dtype=np.int64))
+        assert len(calls) == sorts
+
+
+@st.composite
+def level_cases(draw):
+    """Labels, 1-3 attributes' memberships (privileged side 0), their level
+    weights, some summing near the int64 limit, and a prior."""
+    n = draw(st.integers(2, 30))
+    rows = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    memberships = draw(st.lists(rows, min_size=1, max_size=3))
+    top = draw(st.sampled_from([3, 2**20, int(INT64.max)])) // len(memberships)
+    level_weights = draw(st.lists(st.integers(1, top), min_size=len(memberships), max_size=len(memberships)))
+    masses = draw(st.sampled_from([st.just(1.0), st.floats(0.01, 3.0)]))
+    return draw(rows), memberships, level_weights, np.array(draw(st.lists(masses, min_size=n, max_size=n)))
+
+
+def level_outcomes(labels, memberships, level_weights, prior):
+    """m3fair's and reweight's weight bytes or UnreachableCellError
+    messages, and the one-partition oracle's on the same levels."""
+    labels = np.array(labels)
+    groups = [GroupAssignment(f"g{j}", np.array(m), privileged_value=0) for j, m in enumerate(memberships)]
+    config = LevelWeightConfig({group.attribute_name: w for group, w in zip(groups, level_weights)})
+    levels = compute_sensitivity_levels(groups, config)
+    outcomes = []
+    for weigh in (lambda: m3fair(labels, groups, config, SampleWeights(prior)).values,
+                  lambda: reweight(labels, levels, SampleWeights(prior)).values,
+                  lambda: prior * oracles.cell_multipliers(labels, levels, prior)):
+        try:
+            outcomes.append(weigh().tobytes())
+        except UnreachableCellError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+class TestLevelsNearTheInt64Limit:
+    """Levels spanning more values than there are rows take np.unique's
+    branch of distinct_ids; m3fair's weights and unreachable-cell messages
+    are still the one-partition oracle's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=level_cases())
+    # levels 0, 2**62 - 1, 2**62 and 2**63 - 1, the int64 maximum
+    @example(case=([0, 1, 0, 1, 0, 1, 0, 1], [[0, 0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 0, 1, 1, 1, 1]],
+                   [2**62, 2**62 - 1], np.ones(8)))
+    # rows at the int64 maximum level all have label 1
+    @example(case=([0, 1, 0, 1, 0, 1, 1, 1], [[0, 0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 0, 1, 1, 1, 1]],
+                   [2**62, 2**62 - 1], np.ones(8)))
+    def test_m3fair_equals_the_oracle(self, case):
+        m3fair_outcome, reweight_outcome, oracle_outcome = level_outcomes(*case)
+        assert m3fair_outcome == reweight_outcome == oracle_outcome
+
+    def test_unreachable_top_level_is_named(self):
+        labels = [0, 1, 0, 1, 0, 1, 1, 1]
+        memberships = [[0, 0, 1, 1, 0, 0, 1, 1], [0, 0, 0, 0, 1, 1, 1, 1]]
+        outcome = level_outcomes(labels, memberships, [2**62, 2**62 - 1], np.ones(8))[0]
+        assert outcome == f"unreachable cell: group {INT64.max} has no rows with label 0"
 
 
 class TestDuplicatedRowEqualsDoubledWeight:
