@@ -6,6 +6,7 @@ Writes:
   data/census_surrogate.csv  census-schema surrogate (offline stand-in)
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from multifair.data import save_csv
 from multifair.synth import two_attribute_biased_dataset, write_census_like_csv
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter).parse_args(argv)
     data_dir = Path(__file__).resolve().parent.parent / "data"
     data_dir.mkdir(exist_ok=True)
     save_csv(

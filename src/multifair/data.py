@@ -94,13 +94,13 @@ def _by_first_row(lowest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.take(lowest, rank), number
 
 
-def _table_cells(table: "Dataset", lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_row_cells` of ``table.take(lines)``, from ``table.cells``:
+def _table_cells(table: "Dataset", rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_row_cells` of ``table.take(rows)``, from ``table.cells``:
     two rows share a cell when their table rows do, and the cells present
     are renumbered by their first row."""
     table_first, table_cell = table.cells
-    group = np.take(table_cell, lines)
-    n = lines.shape[0]
+    group = np.take(table_cell, rows)
+    n = rows.shape[0]
     lowest = np.full(table_first.shape[0], n, dtype=np.intp)  # n: no row in that cell
     np.minimum.at(lowest, group, np.arange(n))
     first, number = _by_first_row(lowest)
@@ -177,11 +177,9 @@ class Dataset:
         read-only ``(first, cell)``: ``first`` holds each cell's first row,
         ascending, and ``cell`` each row's index into ``first``.
 
-        A split of a table of distinct lines (see :func:`split`) takes its
-        cells from the table's, without sorting its own rows."""
-        source = self.__dict__.pop("_table_lines", None)
-        first, cell = _row_cells(self.features, self.labels) if source is None else _table_cells(*source)
-        return _read_only(first), _read_only(cell)
+        The training side of a :func:`split` has them already, taken from
+        the split dataset's cells without sorting its own rows."""
+        return tuple(map(_read_only, _row_cells(self.features, self.labels)))
 
     def column(self, name: str) -> np.ndarray:
         """Read-only view of one feature column."""
@@ -313,7 +311,9 @@ def load_csv_table(path, label_column: str,
     order, and ``lines`` each data line's row in ``table``.  Two distinct
     lines can still parse to equal rows (``1`` and ``1.0``).  On every
     other route ``table`` has one row per data line and ``lines`` is None.
-    :func:`split` takes both, so that the file's rows are never expanded.
+    :func:`split` takes both, so that the file's rows are never expanded,
+    and the training side's cells come from the table's: a job sorts each
+    distinct line's row once, not its data lines.
     """
     loaded = _load_loadtxt(path, label_column, positive_label)
     return (_load_rows(path, label_column, positive_label), None) if loaded is None else loaded
@@ -717,8 +717,11 @@ def split(dataset: Dataset, spec: SplitSpec,
 
     Given :func:`load_csv_table`'s ``(table, lines)``, it splits
     ``table.take(lines)`` without building it: each side takes its rows
-    straight from the table, and its :attr:`Dataset.cells` come from the
-    table's cells, bit for bit what its own rows would give.
+    straight from the table.
+
+    The training side gets its :attr:`Dataset.cells` from ``dataset``'s,
+    bit for bit what its own rows would give, so a split of that side
+    sorts no rows either.  The test side sorts its own when they are read.
     """
     n = dataset.n_rows if lines is None else lines.shape[0]
     if n < 2:
@@ -730,21 +733,8 @@ def split(dataset: Dataset, spec: SplitSpec,
     test = np.zeros(n, dtype=bool)
     test[np.random.default_rng(spec.seed).permutation(n)[:n_test]] = True
     test_rows, train_rows = np.flatnonzero(test), np.flatnonzero(~test)
-    if lines is None:
-        return dataset.take(train_rows), dataset.take(test_rows)
-    return _table_rows(dataset, np.take(lines, train_rows)), _table_rows(dataset, np.take(lines, test_rows))
-
-
-def _table_rows(table: Dataset, lines: np.ndarray) -> Dataset:
-    """``table.take(lines)``, whose cells are taken from the table's."""
-    rows = table.take(lines)
-    object.__setattr__(rows, "_table_lines", (table, lines))  # read once by Dataset.cells
-    return rows
-
-
-def split_source(dataset: Dataset) -> tuple[Dataset, np.ndarray | None]:
-    """The ``(table, lines)`` that :func:`split` took ``dataset`` from, while
-    its cells are unread, else ``(dataset, None)``.  ``split(table, spec,
-    lines)`` on them gives ``split(dataset, spec)``, its cells taken from
-    the table's."""
-    return dataset.__dict__.get("_table_lines", (dataset, None))
+    if lines is not None:
+        test_rows, train_rows = np.take(lines, test_rows), np.take(lines, train_rows)
+    train = dataset.take(train_rows)
+    train.__dict__["cells"] = tuple(map(_read_only, _table_cells(dataset, train_rows)))  # Dataset.cells's cache
+    return train, dataset.take(test_rows)

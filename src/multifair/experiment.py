@@ -30,7 +30,6 @@ from .data import (
     load_csv_table,
     set_privileged,
     split,
-    split_source,
 )
 from .detection import DetectionConfig, DetectionResult, detect
 from .errors import (
@@ -393,12 +392,13 @@ def grid_search(
     validation split; points whose level partition has an unreachable
     (level, label) cell, or whose validation metrics are undefined, are
     recorded as failed and excluded from selection.  Any other error aborts
-    the sweep.  The sub-split, like the train/test split, is taken from the
-    loader's table of distinct lines when there is one (see
-    :func:`split_source`).  A row's atom is the set of level attributes it
-    is unprivileged on; points whose atom -> level maps have the same
-    fibers get bit-identical weights (the unit prior makes every cell mass
-    an exact integer), so each class is fit and counted once.  Every point
+    the sweep.  The sub-split is a plain :func:`split` of the training
+    split, so its training cells come from the ones the train/test split
+    gave, and the job sorts only the loaded rows.  A row's atom is the set
+    of level attributes it is unprivileged on; points whose atom -> level
+    maps have the same fibers get bit-identical weights (the unit prior
+    makes every cell mass an exact integer), so each class is fit and
+    counted once.  Every point
     is reweighted on the (atom, label) cells, counted once per sweep, by
     one :func:`stacked_cell_multipliers` call; each row takes its cell's
     multiplier, bit for bit m3fair's weight for the row, and each failing
@@ -426,10 +426,7 @@ def grid_search(
         raise ConfigError(f"candidate attributes not in level_weights: {sorted(extra)}")
 
     train, test = _load_split(config)
-    table, train_lines = split_source(train)
-    subtrain, validation = _stage(
-        "split", split, table, SplitSpec(grid.validation_fraction, config.split.seed), train_lines
-    )
+    subtrain, validation = _stage("split", split, train, SplitSpec(grid.validation_fraction, config.split.seed))
     sub_groups, val_groups = _stage(
         "binarize", _binarize_on_train, subtrain, validation, config.sensitive_attributes
     )

@@ -672,32 +672,58 @@ class TestCells:
 SPLIT_SPECS = [SplitSpec(), SplitSpec(0.5, 0), SplitSpec(0.9, 7)]
 
 
-def split_outcome(path, label_column, positive_label, spec, from_table):
-    """A file's split, each side as its names, feature and label bytes and
-    cells, or the exception raised; split from the loader's table, or from
-    load_csv's expanded rows."""
+def side_bytes(side):
+    """A split side as its names, feature and label bytes and cells, which
+    must be _row_cells of its rows."""
+    first, cell = side.cells
+    want_first, want_cell = data._row_cells(side.features, side.labels)
+    assert (first.dtype, cell.dtype) == (want_first.dtype, want_cell.dtype)
+    assert (first.tobytes(), cell.tobytes()) == (want_first.tobytes(), want_cell.tobytes())
+    return side.column_names, side.features.tobytes(), side.labels.tobytes(), first.tobytes(), cell.tobytes()
+
+
+def split_outcome(dataset, lines, spec):
+    """split(dataset, spec, lines), then the split of its training side as
+    the grid does it (a fifth held out, the same seed): [train, test] and
+    [sub-train, validation] as side_bytes, up to the DataError that a split
+    raised, if any."""
+    outcome = []
+    try:
+        train, test = split(dataset, spec, lines)
+        outcome.append([side_bytes(train), side_bytes(test)])
+        outcome.append([side_bytes(side) for side in split(train, SplitSpec(0.2, spec.seed))])
+    except DataError as exc:
+        outcome.append((type(exc), str(exc)))
+    return outcome
+
+
+def file_split_outcome(path, label_column, positive_label, spec, from_table):
+    """split_outcome of a file, split from the loader's table or from
+    load_csv's expanded rows, or the exception that loading raised."""
     try:
         if from_table:
             table, lines = data.load_csv_table(path, label_column, positive_label)
-            sides = split(table, spec, lines)
         else:
-            sides = split(load_csv(path, label_column, positive_label), spec)
+            table, lines = load_csv(path, label_column, positive_label), None
     except Exception as exc:
         return type(exc), str(exc)
-    outcome = []
-    for side in sides:
-        first, cell = side.cells
-        want_first, want_cell = data._row_cells(side.features, side.labels)
-        assert (first.dtype, cell.dtype) == (want_first.dtype, want_cell.dtype)
-        assert (first.tobytes(), cell.tobytes()) == (want_first.tobytes(), want_cell.tobytes())
-        outcome.append((side.column_names, side.features.tobytes(), side.labels.tobytes(),
-                        first.tobytes(), cell.tobytes()))
-    return outcome
+    return split_outcome(table, lines, spec)
+
+
+@st.composite
+def tables_with_lines(draw):
+    """A table of a few values, so that rows repeat and 0.0 and -0.0 cells
+    tie, and 2-40 data rows, each one a row of the table."""
+    features, labels = draw(cell_problems())
+    lines = draw(arrays(np.intp, draw(st.integers(2, 40)), elements=st.integers(0, labels.shape[0] - 1)))
+    return Dataset(features, labels, tuple(f"c{j}" for j in range(features.shape[1]))), lines
 
 
 class TestSplitFromTable:
     """split on load_csv_table's (table, lines) gives split(load_csv(...))
-    byte for byte, and each side's cells are _row_cells of its rows."""
+    byte for byte, and so does the grid's split of its training side,
+    which takes its cells from the training side's: every side's cells are
+    _row_cells of its rows."""
 
     @pytest.fixture(scope="class")
     def csv_file(self, tmp_path_factory):
@@ -711,7 +737,17 @@ class TestSplitFromTable:
         with open(csv_file, "w", newline="", encoding="utf-8") as handle:
             handle.write(text)
         for spec in SPLIT_SPECS:
-            assert split_outcome(csv_file, "y", "p", spec, True) == split_outcome(csv_file, "y", "p", spec, False)
+            got = file_split_outcome(csv_file, "y", "p", spec, True)
+            assert got == file_split_outcome(csv_file, "y", "p", spec, False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(table_lines=tables_with_lines())
+    @example(table_lines=(Dataset(np.array([[0.0], [-0.0], [0.0]]), np.array([1, 1, 1]), ("c0",)),
+                          np.array([0, 1, 2, 1, 0, 2, 2, 1, 1, 0])))
+    def test_planted_duplicate_rows(self, table_lines):
+        table, lines = table_lines
+        for spec in SPLIT_SPECS:
+            assert split_outcome(table, lines, spec) == split_outcome(table.take(lines), None, spec)
 
     def test_one_row_read_two_ways_is_one_cell(self, tmp_path):
         path = write(tmp_path / "t.csv", "x,c,y\n1,a,p\n1.0,a,p\n1,a,p\n1.0,a,q\n1.0,a,p\n")
@@ -723,8 +759,68 @@ class TestSplitFromTable:
     @pytest.mark.parametrize("spec", SPLIT_SPECS)
     def test_census_surrogate(self, spec):
         census = (REPO_ROOT / "data" / "census_surrogate.csv", "income", ">50K")
-        got = split_outcome(*census, spec, True)
-        assert isinstance(got, list) and got == split_outcome(*census, spec, False)
+        got = file_split_outcome(*census, spec, True)
+        assert len(got) == 2 and got == file_split_outcome(*census, spec, False)
+
+    def test_the_test_side_sorts_its_own_rows_when_read(self, monkeypatch):
+        ds = Dataset(np.array([[1.0], [1.0], [2.0], [1.0]]), np.array([0, 0, 1, 0]), ("a",))
+        train, test = split(ds, SplitSpec(0.5, 0))
+        sorted_rows, real_row_cells = [], data._row_cells
+
+        def row_cells(features, labels):
+            sorted_rows.append(features.shape[0])
+            return real_row_cells(features, labels)
+
+        monkeypatch.setattr(data, "_row_cells", row_cells)
+        train.cells
+        assert sorted_rows == []
+        test.cells
+        assert sorted_rows == [2]
+
+
+CLI_JOBS = {
+    "census run": ("census_surrogate_m3fair.json", "run"),
+    "census grid": ("census_surrogate_m3fair.json", "grid"),
+    "census weights": ("census_surrogate_m3fair.json", "weights"),
+    "synthetic grid": ("synthetic_m3fair.json", "grid"),
+    "synthetic run": ("synthetic_m3fair.json", "run"),
+    "synthetic detect": ("synthetic_m3fair.json", "detect"),
+    "synthetic weights": ("synthetic_m3fair.json", "weights"),
+    "wide detect": (None, "detect"),
+}
+
+
+@pytest.mark.parametrize("job", CLI_JOBS)
+def test_each_job_sorts_the_loaded_rows_once(job, tmp_path, monkeypatch, capsys):
+    """Every CLI job runs _row_cells exactly once, on the rows the loader
+    returned: the table of distinct lines on the census surrogate (5544 of
+    32561 lines), every row elsewhere.  The training split's cells come
+    from them, and the grid's sub-training and winner's cells from those."""
+    name, command = CLI_JOBS[job]
+    if name is None:  # the wide detect benchmark's shape: 201 numeric columns, more than the key's 16
+        csv_path = tmp_path / "wide.csv"
+        save_csv(planted_bias_dataset(600, n_noise=200, rate_gap=0.3, seed=0), csv_path)
+        payload = {"dataset": {"path": str(csv_path), "label_column": "label", "positive_label": "1"},
+                   "sensitive_attributes": ["planted"], "detection": {"top_n": 10}}
+    else:
+        payload = json.loads((REPO_ROOT / "configs" / name).read_text())
+        payload["dataset"]["path"] = str(REPO_ROOT / payload["dataset"]["path"])
+    payload["report_path"] = str(tmp_path / "report")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    dataset = payload["dataset"]
+    table, _ = data.load_csv_table(dataset["path"], dataset["label_column"], dataset["positive_label"])
+
+    sorted_rows, real_row_cells = [], data._row_cells
+
+    def row_cells(features, labels):
+        sorted_rows.append((features.tobytes(), labels.tobytes()))
+        return real_row_cells(features, labels)
+
+    monkeypatch.setattr(data, "_row_cells", row_cells)
+    output = ["--output", str(tmp_path / ("weights.csv" if command == "weights" else "out"))]
+    assert main([command, "--config", str(config), *output]) == 0, capsys.readouterr().err
+    assert sorted_rows == [(table.features.tobytes(), table.labels.tobytes())]
 
 
 def test_census_split_expands_no_rows_and_sorts_only_the_distinct_lines(monkeypatch):
@@ -754,9 +850,10 @@ def test_census_split_expands_no_rows_and_sorts_only_the_distinct_lines(monkeypa
 
 
 def test_census_grid_sorts_only_the_distinct_lines(monkeypatch):
-    """The grid's sub-split is taken from the loader's table too: the
-    sub-training cells, and the winner's training cells, come from the
-    table's, so _row_cells runs once, on its 5544 rows, not on 20840."""
+    """The grid's sub-split takes its cells from the training split's,
+    which come from the loader's table: the sub-training cells, and the
+    winner's training cells, so _row_cells runs once, on its 5544 rows,
+    not on 20840."""
     sorted_rows = []
     real_row_cells = data._row_cells
 

@@ -37,7 +37,7 @@ from multifair.experiment import (
 )
 from multifair.metrics import auroc, unfairness
 from multifair.model import TrainConfig, fit
-from multifair.reweighting import LevelWeightConfig
+from multifair.reweighting import LevelWeightConfig, SampleWeights, m3fair, reweight
 from multifair.synth import planted_bias_dataset, two_attribute_biased_dataset
 
 
@@ -602,6 +602,57 @@ class TestGridDeduplication:
             assert (point.status, point.reason) == (
                 "failed", "EOD undefined: attribute 'attr_b' has a group with no positive labels"
             )
+
+
+def weight_classes(box, k):
+    """Every weight class a grid over ``box`` per attribute reaches, with
+    all 2^k atoms present: a point acts only through which atoms share a
+    level sum, so each class is the atoms' levels numbered by first
+    appearance, as the sweep keys its points."""
+    classes = set()
+    for weights in itertools.product(box, repeat=k):
+        first: dict[int, int] = {}
+        levels = (sum(w for i, w in enumerate(weights) if atom >> i & 1) for atom in range(2 ** k))
+        classes.add(tuple(first.setdefault(level, len(first)) for level in levels))
+    return classes
+
+
+class TestWhatAGridPointMeans:
+    """README, "what a grid point means": the classes each box reaches, and
+    M³Fair as intersectional RW at the committed census grid winner."""
+
+    @pytest.mark.parametrize("k, box, reached, total", [
+        (2, (1, 2), 2, 2),
+        (3, (1, 2), 7, 11),
+        (3, (1, 2, 3), 10, 11),
+        (4, (1, 2, 3), 52, 216),  # the benchmark's grid
+    ])
+    def test_classes_a_box_reaches(self, k, box, reached, total):
+        every = weight_classes(range(1, 9), k)
+        assert len(every) == total
+        assert len(weight_classes(box, k)) == reached
+        assert weight_classes(box, k) <= every
+        # joint intersectional RW, every atom its own level, is reached only for k = 2
+        assert (tuple(range(2 ** k)) in weight_classes(box, k)) == (k == 2)
+
+    def test_census_grid_winner_is_intersectional_rw(self):
+        attrs = ("sex=Male", "race=White")  # as configs/census_surrogate_m3fair.json
+        config = ExperimentConfig(
+            DatasetConfig(str(REPO_ROOT / "data" / "census_surrogate.csv"), "income", ">50K"), attrs)
+        train, test = _load_split(config)
+        groups = _binarize_on_train(train, test, attrs)[0]
+        ordered = [groups[name] for name in attrs]
+        unit = SampleWeights.unit(train.n_rows)
+        atom = sum(2 ** i * group.unprivileged_indicator() for i, group in enumerate(ordered))
+        joint = reweight(train.labels, atom, unit).values
+
+        def weights(levels):
+            return m3fair(train.labels, ordered, LevelWeightConfig(dict(zip(attrs, levels))), unit).values
+
+        winner = json.loads((REPO_ROOT / "out" / "census_surrogate_grid.json").read_text())["winner_level_weights"]
+        assert tuple(winner.values()) == (1, 2)
+        assert weights((1, 2)).tobytes() == weights((2, 1)).tobytes() == joint.tobytes()
+        assert np.abs(weights((1, 1)) / joint - 1).max() > 0.4  # {1, 1} pools two atoms
 
 
 def per_point_oracle(config, grid):
