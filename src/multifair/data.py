@@ -177,8 +177,8 @@ class Dataset:
         read-only ``(first, cell)``: ``first`` holds each cell's first row,
         ascending, and ``cell`` each row's index into ``first``.
 
-        The training side of a :func:`split` has them already, taken from
-        the split dataset's cells without sorting its own rows."""
+        A dataset made by :meth:`_take_with_cells` has them from the
+        dataset it was taken from, without sorting its own rows."""
         return tuple(map(_read_only, _row_cells(self.features, self.labels)))
 
     def column(self, name: str) -> np.ndarray:
@@ -202,6 +202,13 @@ class Dataset:
         if rows.size and (rows.min() < 0 or rows.max() >= self.n_rows):
             raise DataError(f"row indices must lie in 0..{self.n_rows - 1}")
         return Dataset(self.features[rows], self.labels[rows], self.column_names)
+
+    def _take_with_cells(self, rows: np.ndarray) -> "Dataset":
+        """:meth:`take`, with the new dataset's :attr:`cells` filled from
+        this dataset's, bit for bit what its own rows would give."""
+        taken = self.take(rows)
+        vars(taken)["cells"] = tuple(map(_read_only, _table_cells(self, rows)))  # the cached_property's slot
+        return taken
 
 
 @dataclass(frozen=True)
@@ -721,7 +728,9 @@ def split(dataset: Dataset, spec: SplitSpec,
 
     The training side gets its :attr:`Dataset.cells` from ``dataset``'s,
     bit for bit what its own rows would give, so a split of that side
-    sorts no rows either.  The test side sorts its own when they are read.
+    sorts no rows either.  So every split sorts all of ``dataset``'s rows
+    once, unless its cells are cached already, even when no one reads the
+    training side's cells.  The test side sorts its own when they are read.
     """
     n = dataset.n_rows if lines is None else lines.shape[0]
     if n < 2:
@@ -735,6 +744,4 @@ def split(dataset: Dataset, spec: SplitSpec,
     test_rows, train_rows = np.flatnonzero(test), np.flatnonzero(~test)
     if lines is not None:
         test_rows, train_rows = np.take(lines, test_rows), np.take(lines, train_rows)
-    train = dataset.take(train_rows)
-    train.__dict__["cells"] = tuple(map(_read_only, _table_cells(dataset, train_rows)))  # Dataset.cells's cache
-    return train, dataset.take(test_rows)
+    return dataset._take_with_cells(train_rows), dataset.take(test_rows)
