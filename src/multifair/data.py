@@ -183,11 +183,13 @@ class Dataset:
 
     def column(self, name: str) -> np.ndarray:
         """Read-only view of one feature column."""
+        return self.features[:, self._column_index(name)]
+
+    def _column_index(self, name: str) -> int:
         try:
-            idx = self.column_names.index(name)
+            return self.column_names.index(name)
         except ValueError:
             raise DataError(f"unknown column {name!r}") from None
-        return self.features[:, idx]
 
     def take(self, rows: np.ndarray) -> "Dataset":
         """New Dataset restricted to the given row indices (order preserved).
@@ -675,13 +677,31 @@ def save_csv(dataset: Dataset, path, label_column: str = "label",
 
 def binarize_by_threshold(dataset: Dataset, column: str, threshold: float) -> GroupAssignment:
     """Group rows by whether ``column`` strictly exceeds ``threshold``."""
-    values = dataset.column(column)
-    membership = values > threshold
-    if membership.all() or not membership.any():
+    return _threshold_group(column, threshold, dataset.column(column) > threshold)
+
+
+def _threshold_group(column: str, threshold: float, above: np.ndarray) -> GroupAssignment:
+    """The group of rows ``above`` ``column``'s ``threshold``, unless every
+    row or none is, which leaves one side empty."""
+    if above.all() or not above.any():
         raise DegenerateAttributeError(
             f"degenerate attribute {column!r}: threshold {threshold!r} leaves one group empty"
         )
-    return GroupAssignment(column, membership.astype(np.int8))
+    return GroupAssignment(column, above.astype(np.int8))
+
+
+def _above_train_means(train: Dataset, columns, *others: Dataset) -> tuple[list[float], list[np.ndarray]]:
+    """The one place that splits columns at their training means, for
+    ``run``, ``grid``, ``weights`` and ``detect``: each of the k
+    ``columns``' mean on ``train``, and for ``train`` and each of
+    ``others`` the k x n matrix of its rows strictly above those means.
+
+    The k columns are gathered as contiguous rows by one fancy index, so
+    each mean sums in the same order as the column's alone: bit for bit
+    ``float(train.column(name).mean())``."""
+    gathered = [data.features.T[[data._column_index(name) for name in columns]] for data in (train, *others)]
+    means = gathered[0].mean(axis=1, keepdims=True)
+    return means.ravel().tolist(), [values > means for values in gathered]
 
 
 def binarize_by_mean(dataset: Dataset, column: str) -> GroupAssignment:
@@ -690,8 +710,7 @@ def binarize_by_mean(dataset: Dataset, column: str) -> GroupAssignment:
     Constant columns cannot be split and raise DegenerateAttributeError.
     The privileged side is left unset; see :func:`set_privileged`.
     """
-    values = dataset.column(column)
-    return binarize_by_threshold(dataset, column, float(values.mean()))
+    return binarize_by_threshold(dataset, column, float(dataset.column(column).mean()))
 
 
 def privileged_side(label_counts: np.ndarray) -> np.ndarray:

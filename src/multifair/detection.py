@@ -9,12 +9,14 @@ prefixes form the detection intersection.
 
 All candidates are scored in one pass: one bincount over a membership
 matrix (one row per column, true above its mean) counts every column's
-(side, label, prediction) cells.  The rule :func:`.data.set_privileged`
-applies picks each column's privileged side from those counts
-(:func:`.data.privileged_side`), and the kernel that scores ``run``'s
-groups turns them into metrics (:func:`.metrics.group_fairness`).  The
-tests check the ranking against a per-column loop over the mask-by-mask
-oracles in ``tests/oracles.py``.
+(side, label, prediction) cells.  The means and that matrix come from
+:func:`.data._above_train_means`, the one place where ``run``, ``grid``
+and ``detect`` compute thresholds and memberships.  The rule
+:func:`.data.set_privileged` applies picks each column's privileged side
+from those counts (:func:`.data.privileged_side`), and the kernel that
+scores ``run``'s groups turns them into metrics
+(:func:`.metrics.group_fairness`).  The tests check the ranking against a
+per-column loop over the mask-by-mask oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 # called here: detect scores every column with the kernels they call.  They
 # are imported only because the benchmark's traced mode (perfbench/spans.py)
 # still names them in this module; its spans for them read 0.
-from .data import Dataset, binarize_by_mean, privileged_side, set_privileged  # noqa: F401
+from .data import Dataset, _above_train_means, binarize_by_mean, privileged_side, set_privileged  # noqa: F401
 from .errors import ConfigError, DataError, DegenerateAttributeError, check_fields, check_unique
 from .metrics import (  # noqa: F401
     PredictionSet,
@@ -70,11 +72,7 @@ class DetectionResult:
 def _unfairness_scores(dataset: Dataset, preds: PredictionSet, columns) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """For each of ``columns``, whether it is degenerate (all rows on one
     side of its mean), and its four unfairness scores over the others."""
-    # One row per column, each contiguous, so that its mean sums in the
-    # same order as the mean of the column alone
-    values = dataset.features.T[[dataset.column_names.index(c) for c in columns]]
-    above = values > values.mean(axis=1, keepdims=True)
-    del values  # one k x n matrix at a time: side_cells copies `above`
+    above = _above_train_means(dataset, columns)[1][0]
     # cells[column, side, label, prediction], side 1 above the mean
     cells = side_cells(above, preds.labels, preds.predictions)
     degenerate = ~cells.any(axis=(2, 3)).all(axis=1)

@@ -23,9 +23,10 @@ import numpy as np
 
 from .data import (
     Dataset,
-    GroupAssignment,
     SplitSpec,
-    binarize_by_threshold,
+    _above_train_means,
+    _threshold_group,
+    binarize_by_threshold,  # noqa: F401  not called: perfbench/spans.py still names it here, and its span reads 0
     load_csv,  # noqa: F401  not called: perfbench/spans.py still names it here, and its span reads 0
     load_csv_table,
     set_privileged,
@@ -178,15 +179,11 @@ def _binarize_on_train(train: Dataset, other: Dataset, names) -> tuple[dict, dic
     """Binarize each attribute with the training-split mean as threshold and
     the training-split base rates choosing the privileged side; the same
     threshold and side carry over to the other split."""
-    train_groups: dict[str, GroupAssignment] = {}
-    other_groups: dict[str, GroupAssignment] = {}
-    for name in names:
-        threshold = float(train.column(name).mean())
-        assignment = set_privileged(binarize_by_threshold(train, name, threshold), train)
-        train_groups[name] = assignment
-        other_groups[name] = binarize_by_threshold(other, name, threshold).with_privileged(
-            assignment.privileged_value
-        )
+    thresholds, (train_above, other_above) = _above_train_means(train, names, other)
+    train_groups, other_groups = {}, {}
+    for name, threshold, on_train, on_other in zip(names, thresholds, train_above, other_above):
+        group = train_groups[name] = set_privileged(_threshold_group(name, threshold, on_train), train)
+        other_groups[name] = _threshold_group(name, threshold, on_other).with_privileged(group.privileged_value)
     return train_groups, other_groups
 
 

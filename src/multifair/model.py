@@ -54,9 +54,11 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
-        # json reads NaN and Infinity; NaN fails every comparison
-        if not 0.0 <= self.l2_penalty < np.inf:
-            raise ConfigError(f"l2_penalty must be finite and non-negative, got {self.l2_penalty!r}")
+        # json reads NaN and Infinity; NaN fails every comparison.  The
+        # gradient takes 2 * l2_penalty, so that must be finite too; a
+        # Python float bound compares exactly with an integer of any size
+        if not 0.0 <= self.l2_penalty <= np.finfo(np.float64).max.item() / 2:
+            raise ConfigError(f"l2_penalty must be finite and non-negative, as must twice it, got {self.l2_penalty!r}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be positive")
         if not 0.0 < self.gradient_tolerance < np.inf:

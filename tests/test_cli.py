@@ -143,6 +143,19 @@ class TestConfigTypes:
         assert main(["run", "--config", str(config)]) == 1
         assert capsys.readouterr().err.startswith(f"error [config] {key} must be finite")
 
+    @pytest.mark.parametrize("value", [1e308, 10**400])
+    def test_l2_penalty_whose_double_overflows(self, workspace, capsys, value):
+        # the gradient's 2 * l2_penalty was inf: the fit stopped at n_iter 0
+        # and the run wrote an unfitted model's report
+        root, csv_path = workspace
+        config = write_config(root, csv_path, name="huge_l2.json", train={"l2_penalty": value},
+                              report_path=str(root / "huge_l2" / "report"))
+        assert main(["run", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error [config] l2_penalty must be finite and non-negative, as must twice it, got {value!r}\n")
+        assert not (root / "huge_l2").exists()
+
     @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"config"'])
     def test_top_level_must_be_an_object(self, tmp_path, capsys, text):
         config = tmp_path / "top.json"

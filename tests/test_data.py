@@ -17,6 +17,7 @@ from multifair.data import (
     Dataset,
     GroupAssignment,
     SplitSpec,
+    _above_train_means,
     binarize_by_mean,
     load_csv,
     privileged_side,
@@ -958,6 +959,78 @@ class TestBinarizeByMean:
         ds = Dataset(values[:, None], labels, ("v",))
         group = binarize_by_mean(ds, "v")
         assert np.array_equal(group.membership, values.astype(np.int8))
+
+
+# Signed zeros, the largest finite doubles (whose sums overflow) and the
+# smallest subnormal, among ordinary values
+KERNEL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, sys.float_info.max, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def kernel_splits(draw):
+    """A training and an other split over the same columns, some of them
+    constant on the training split, and the columns asked for, in any order."""
+    d = draw(st.integers(1, 5))
+    names = tuple(f"c{j}" for j in range(d))
+    train_values = draw(arrays(np.float64, (draw(st.integers(1, 300)), d), elements=KERNEL_VALUES))
+    for j in draw(st.sets(st.integers(0, d - 1))):
+        train_values[:, j] = train_values[0, j]  # a constant column
+    other_values = draw(arrays(np.float64, (draw(st.integers(1, 30)), d), elements=KERNEL_VALUES))
+    columns = draw(st.permutations(names))[:draw(st.integers(1, d))]
+
+    def dataset(values):
+        return Dataset(values, np.arange(values.shape[0]) % 2, names)
+
+    return dataset(train_values), dataset(other_values), columns
+
+
+class TestAboveTrainMeans:
+    """The one binarization kernel: the k means are bit for bit each
+    column's own mean, and each split's memberships the per-column compare."""
+
+    @staticmethod
+    def check(train, other, columns):
+        # a sum of huge values overflows to inf or nan alike on both sides
+        with np.errstate(over="ignore", invalid="ignore"):
+            means, (train_above, other_above) = _above_train_means(train, columns, other)
+            expected = [float(train.column(name).mean()) for name in columns]
+        assert all(type(mean) is float for mean in means)
+        assert np.array(means).tobytes() == np.array(expected).tobytes()
+        for dataset, above in ((train, train_above), (other, other_above)):
+            assert above.dtype == bool and above.shape == (len(columns), dataset.n_rows)
+            for row, name, mean in zip(above, columns, expected):
+                assert np.array_equal(row, dataset.column(name) > mean)
+
+    @given(kernel_splits())
+    @settings(max_examples=200, deadline=None)
+    def test_means_and_memberships_match_each_column(self, splits):
+        self.check(*splits)
+
+    def test_census_sized_columns(self):
+        # many of the pairwise sum's 128-element blocks
+        rng = np.random.default_rng(5)
+        train = Dataset(rng.normal(size=(26049, 3)) * [1.0, 1e300, 1e-300], np.arange(26049) % 2, ("a", "b", "c"))
+        other = Dataset(rng.normal(size=(6512, 3)), np.arange(6512) % 2, ("a", "b", "c"))
+        self.check(train, other, ("c", "a", "b"))
+
+    def test_only_the_training_split_without_others(self):
+        train = Dataset(np.array([[1.0, 5.0], [3.0, 5.0]]), np.array([0, 1]), ("a", "b"))
+        means, above = _above_train_means(train, ("b", "a"))
+        assert means == [5.0, 2.0]
+        assert [rows.tolist() for rows in above] == [[[False, False], [False, True]]]
+
+    @pytest.mark.parametrize("in_other", [False, True])
+    def test_unknown_column_named_as_column_does(self, in_other):
+        known = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0, 1]), ("a", "b"))
+        lacking = Dataset(np.array([[1.0], [3.0]]), np.array([0, 1]), ("a",))
+        train, other = (known, lacking) if in_other else (lacking, known)
+        with pytest.raises(DataError, match="^unknown column 'b'$"):
+            lacking.column("b")
+        with pytest.raises(DataError, match="^unknown column 'b'$"):
+            _above_train_means(train, ("a", "b"), other)
 
 
 class TestSetPrivileged:

@@ -11,9 +11,11 @@ import pytest
 import multifair.experiment
 import multifair.reweighting
 from conftest import REPO_ROOT
-from multifair.data import Dataset, SplitSpec, save_csv, split
+from multifair.data import Dataset, SplitSpec, binarize_by_threshold, save_csv, set_privileged, split
 from multifair.detection import DetectionConfig
-from multifair.errors import ConfigError, MetricUndefinedError, PipelineError, UnreachableCellError
+from multifair.errors import (
+    ConfigError, DegenerateAttributeError, MetricUndefinedError, PipelineError, UnreachableCellError,
+)
 from multifair.experiment import (
     DatasetConfig,
     ExperimentConfig,
@@ -277,6 +279,47 @@ class TestRunExperiment:
         config = config_for(synth_csv, method="m3fair", level_weights={"attr_a": 1, "attr_b": 2})
         weights = compute_training_weights(config)
         assert weights.total == pytest.approx(len(weights), rel=1e-9)
+
+
+class TestBinarizeOnTrain:
+    """Both splits' groups are those of the per-attribute functions on the
+    training split's means, and a degenerate attribute fails attribute by
+    attribute, in the order given."""
+
+    def test_groups_match_the_per_attribute_functions(self, synth_csv):
+        train, test = _load_split(config_for(synth_csv))
+        names = ("proxy_a", "attr_b", "x_0")
+        train_groups, test_groups = _binarize_on_train(train, test, names)
+        assert list(train_groups) == list(test_groups) == list(names)
+        for name in names:
+            threshold = float(train.column(name).mean())
+            expected = set_privileged(binarize_by_threshold(train, name, threshold), train)
+            for got, want in ((train_groups[name], expected),
+                              (test_groups[name], binarize_by_threshold(test, name, threshold))):
+                assert got.attribute_name == name and got.privileged_value == expected.privileged_value
+                assert got.membership.dtype == np.int8 and np.array_equal(got.membership, want.membership)
+
+    @staticmethod
+    def datasets(train_a, train_b, other_a, other_b):
+        def dataset(a, b):
+            return Dataset(np.column_stack([a, b]).astype(float), np.arange(len(a)) % 2, ("a", "b"))
+        return dataset(train_a, train_b), dataset(other_a, other_b)
+
+    @pytest.mark.parametrize("names, columns, failing, threshold", [
+        # a is one-sided on the training split
+        (("a", "b"), ([1, 1, 1], [0, 1, 1], [1, 1], [0, 1]), "a", "1.0"),
+        # a is one-sided only on the other split: it still fails before b,
+        # which is one-sided on the training split
+        (("a", "b"), ([1, 3, 5, 7], [2, 2, 2, 2], [1, 2], [0, 3]), "a", "4.0"),
+        (("b", "a"), ([1, 3, 5, 7], [2, 2, 2, 2], [1, 2], [0, 3]), "b", "2.0"),
+        # only b, only on the other split; the threshold prints as a Python float
+        (("a", "b"), ([0, 0, 1], [0, 0, 1], [0, 1], [1, 1]), "b", "0.3333333333333333"),
+    ])
+    def test_degenerate_attribute_messages_and_order(self, names, columns, failing, threshold):
+        train, other = self.datasets(*columns)
+        with pytest.raises(DegenerateAttributeError) as err:
+            _binarize_on_train(train, other, names)
+        assert str(err.value) == f"degenerate attribute {failing!r}: threshold {threshold} leaves one group empty"
 
 
 class TestReports:

@@ -1,5 +1,6 @@
 import decimal
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -315,6 +316,21 @@ class TestTrainConfig:
 
     def test_integer_penalty_is_a_number(self):
         assert TrainConfig(l2_penalty=0).l2_penalty == 0
+
+    # twice the largest accepted penalty is the largest double
+    @pytest.mark.parametrize("value", [1e308, math.nextafter(sys.float_info.max / 2, math.inf), 2**1023, 10**400])
+    def test_penalty_whose_double_overflows_rejected(self, value):
+        with pytest.raises(ConfigError, match=r"^l2_penalty must be finite and non-negative, as must twice it, got "):
+            TrainConfig(l2_penalty=value)
+
+    @pytest.mark.parametrize("value", [8.98e307, sys.float_info.max / 2])
+    def test_largest_penalties_still_fit(self, value):
+        # the penalty's gradient term stays finite, so the fit takes steps
+        # and drives every coefficient to about zero
+        ds = Dataset(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, 0, 1]), ("x",))
+        model = fit(ds, SampleWeights.unit(4), TrainConfig(l2_penalty=value))
+        assert model.converged and model.n_iter >= 1
+        assert np.abs(model.coefficients).max() < 1e-300
 
 
 class TestModelParams:
