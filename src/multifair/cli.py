@@ -16,6 +16,7 @@ from .experiment import (
     ExperimentConfig,
     GridSearchConfig,
     GridWinnerError,
+    _report_paths,
     emit_grid,
     export_training_weights,
     format_grid_table,
@@ -56,7 +57,7 @@ def _cmd_detect(args) -> int:
     print("detected sensitive attributes:", ", ".join(sorted(result.intersection)) or "(none)")
     if result.skipped:
         print("skipped columns:", ", ".join(name for name, _ in result.skipped))
-    print(f"report written to {config.report_path}.json")
+    print(f"report written to {_report_paths(config.report_path)[0]}")
     return 0
 
 

@@ -698,9 +698,18 @@ def _above_train_means(train: Dataset, columns, *others: Dataset) -> tuple[list[
 
     The k columns are gathered as contiguous rows by one fancy index, so
     each mean sums in the same order as the column's alone: bit for bit
-    ``float(train.column(name).mean())``."""
+    ``float(train.column(name).mean())``.  A column whose finite values sum
+    past the largest double gets its mean in scaled form, as
+    in ``model._standardization``; every other mean keeps its bits."""
     gathered = [data.features.T[[data._column_index(name) for name in columns]] for data in (train, *others)]
-    means = gathered[0].mean(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = gathered[0].mean(axis=1, keepdims=True)
+    huge = ~np.isfinite(means[:, 0])
+    if huge.any():
+        # The mean of x / m, m = max |x|, scaled back by m: it lies within
+        # [-m, m], so it does not overflow
+        m = np.abs(gathered[0][huge]).max(axis=1, keepdims=True)
+        means[huge] = m * (gathered[0][huge] / m).mean(axis=1, keepdims=True)
     return means.ravel().tolist(), [values > means for values in gathered]
 
 

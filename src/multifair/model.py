@@ -9,6 +9,9 @@ nothing and constant columns keep coefficient exactly 0).  Each iteration
 solves the (d+1)x(d+1) Newton system and backtracks on the loss (Armijo),
 so the loss never increases beyond its rounding: where a candidate's loss
 is within rounding of the current one, the smaller gradient decides.  The
+Hessian's feature block z.T diag(s) z comes from whichever of two BLAS
+products is faster for its shape, a choice made from (rows, columns)
+alone, so a fit is still reproducible (see :func:`_hessian_block`).  The
 method starts from zero parameters, uses no randomness, and is
 bit-reproducible on a fixed platform.  The fit converges when
 max|dL| / sum_i w_i < gradient_tolerance: the tolerance is per unit of
@@ -37,6 +40,12 @@ from .reweighting import SampleWeights
 
 # Two losses this close (relative) differ by rounding only
 _LOSS_ROUNDING = 8.0 * np.finfo(np.float64).eps
+
+# The Hessian block's work n * k * k (rows times squared columns) above
+# which the symmetric rank-k update beats the general product; measured by
+# scripts/hessian_crossover.py with single-threaded OpenBLAS 0.3.31, where
+# the ratio crosses 1 between about 1e6 and 2e6
+_SYRK_WORK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -222,6 +231,26 @@ def _standardized(z: np.ndarray, features: np.ndarray, columns, means: np.ndarra
     return z
 
 
+def _hessian_block(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``z.T @ diag(s) @ z`` for n x k ``z`` and non-negative ``s``.
+
+    Narrow systems (work n * k * k at most ``_SYRK_WORK``) take the general
+    product ``z.T @ (s[:, None] * z)``, which BLAS ``dgemm`` runs through
+    its small-matrix path about twice as fast on the grid's 3200 x 7 fits.
+    Wider ones scale the rows by ``sqrt(s)`` and take ``r.T @ r``, which
+    numpy hands to ``dsyrk`` (same operand transposed), faster there.  The
+    two differ in rounding only, and the choice reads the shape, never a
+    timing, so a given problem always takes the same path.  The general
+    product's (i, j) and (j, i) entries may round apart; the Newton solve
+    is a general LU, which does not need the block exactly symmetric.
+    """
+    n, k = z.shape
+    if n * k * k <= _SYRK_WORK:
+        return z.T @ (s[:, None] * z)
+    r = np.sqrt(s)[:, None] * z
+    return r.T @ r
+
+
 def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfig()) -> ModelParams:
     """Train weighted logistic regression on ``train`` by damped Newton
     from zero parameters.
@@ -277,8 +306,8 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
             break
         s = w * p
         s *= 1.0 - p  # w * p * (1 - p)
-        r = np.sqrt(s)[:, None] * z
-        hessian[:k, :k] = r.T @ r  # same operand transposed: a symmetric rank-k update
+        # gemm for narrow systems, dsyrk for wide ones (see _hessian_block)
+        hessian[:k, :k] = _hessian_block(z, s)
         hessian[:k, k] = hessian[k, :k] = s @ z
         hessian[k, k] = s.sum()
         # A relative floor on the curvature bounds the step where collinear

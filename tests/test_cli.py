@@ -226,6 +226,21 @@ class TestDetect:
         assert set(payload["rankings"]) == {"di", "spd", "aod", "eod"}
         assert "planted" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("output", ["d", "d.json"])
+    def test_prints_the_path_it_writes(self, tmp_path, capsys, output):
+        # --output d.json once printed "report written to d.json.json"
+        csv_path = tmp_path / "planted.csv"
+        save_csv(planted_bias_dataset(200, n_noise=2, seed=2), csv_path,
+                 label_column="label", positive_label="1", negative_label="0")
+        config = tmp_path / "detect.json"
+        config.write_text(json.dumps({
+            "dataset": {"path": str(csv_path), "label_column": "label", "positive_label": "1"},
+            "sensitive_attributes": ["planted"],
+        }))
+        assert main(["detect", "--config", str(config), "--output", str(tmp_path / output)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"report written to {tmp_path / 'd.json'}"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["d.json", "detect.json", "planted.csv"]
+
     def test_duplicate_candidate_columns_are_a_config_error(self, tmp_path, capsys):
         config = tmp_path / "detect.json"
         config.write_text(json.dumps({
@@ -236,6 +251,42 @@ class TestDetect:
         assert main(["detect", "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert err == "error [config] duplicate candidate columns: ['planted']\n"
+
+
+class TestColumnWhoseSumOverflows:
+    """A column of 1e308 on every fourth of 200 rows: its training sum
+    overflows, but its mean, about 2.5e307, does not.  Once the threshold
+    came out inf, with numpy's overflow warning (an error under this
+    suite's settings), and ``run`` failed at binarize."""
+
+    @staticmethod
+    def config(tmp_path, **extra):
+        rng = np.random.default_rng(11)
+        big = np.arange(200) % 4 == 0
+        rows = [f"{x!r},{1e308 if b else 0.0!r},{int(u < (0.7 if b else 0.4))}"
+                for x, b, u in zip(rng.normal(size=200).tolist(), big, rng.random(200))]
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("x,big,label\n" + "\n".join(rows) + "\n")
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps({
+            "dataset": {"path": str(csv_path), "label_column": "label", "positive_label": "1"},
+            "sensitive_attributes": ["big"], **extra,
+        }))
+        return config
+
+    def test_run(self, tmp_path, capsys):
+        config = self.config(tmp_path, method="m3fair", level_weights={"big": 1})
+        assert main(["run", "--config", str(config), "--output", str(tmp_path / "r")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.splitlines()[1].startswith("m3fair  [big]  big")
+        assert json.loads((tmp_path / "r.json").read_text())["rows"][0]["sensitive_attributes"] == ["big"]
+
+    def test_detect(self, tmp_path, capsys):
+        config = self.config(tmp_path)
+        assert main(["detect", "--config", str(config), "--output", str(tmp_path / "d")]) == 0
+        assert capsys.readouterr().err == ""
+        payload = json.loads((tmp_path / "d.json").read_text())
+        assert payload["skipped"] == [] and {"x", "big"} == {column for column, _ in payload["rankings"]["spd"]}
 
 
 class TestGrid:

@@ -987,21 +987,34 @@ def kernel_splits(draw):
     return dataset(train_values), dataset(other_values), columns
 
 
+def exact_mean(values) -> float:
+    """The mean of ``values`` in rational arithmetic, rounded once."""
+    return float(sum(map(Fraction, values.tolist())) / len(values))
+
+
 class TestAboveTrainMeans:
     """The one binarization kernel: the k means are bit for bit each
-    column's own mean, and each split's memberships the per-column compare."""
+    column's own mean where that sum is finite, and each split's
+    memberships the per-column compare."""
 
     @staticmethod
     def check(train, other, columns):
-        # a sum of huge values overflows to inf or nan alike on both sides
         with np.errstate(over="ignore", invalid="ignore"):
-            means, (train_above, other_above) = _above_train_means(train, columns, other)
             expected = [float(train.column(name).mean()) for name in columns]
+        means, (train_above, other_above) = _above_train_means(train, columns, other)
         assert all(type(mean) is float for mean in means)
-        assert np.array(means).tobytes() == np.array(expected).tobytes()
+        for name, mean, plain in zip(columns, means, expected):
+            if math.isfinite(plain):
+                assert float.hex(mean) == float.hex(plain)
+            else:
+                # the plain sum overflowed: the scaled mean is within a few
+                # roundings of max |x| of the exact mean
+                values = train.column(name)
+                scale = float(np.abs(values).max())
+                assert abs(mean - exact_mean(values)) <= 1e-13 * scale
         for dataset, above in ((train, train_above), (other, other_above)):
             assert above.dtype == bool and above.shape == (len(columns), dataset.n_rows)
-            for row, name, mean in zip(above, columns, expected):
+            for row, name, mean in zip(above, columns, means):
                 assert np.array_equal(row, dataset.column(name) > mean)
 
     @given(kernel_splits())
@@ -1015,6 +1028,17 @@ class TestAboveTrainMeans:
         train = Dataset(rng.normal(size=(26049, 3)) * [1.0, 1e300, 1e-300], np.arange(26049) % 2, ("a", "b", "c"))
         other = Dataset(rng.normal(size=(6512, 3)), np.arange(6512) % 2, ("a", "b", "c"))
         self.check(train, other, ("c", "a", "b"))
+
+    def test_column_whose_sum_overflows(self):
+        # 1e308 on every fourth row: the plain sum is inf, the mean 2.5e307
+        rng = np.random.default_rng(7)
+        values = np.column_stack([rng.normal(size=200), np.where(np.arange(200) % 4 == 0, 1e308, 0.0)])
+        train = Dataset(values, np.arange(200) % 2, ("x", "big"))
+        with np.errstate(all="raise"):
+            means, (above,) = _above_train_means(train, ("x", "big"))
+        assert float.hex(means[0]) == float.hex(float(train.column("x").mean()))
+        assert means[1] == pytest.approx(2.5e307, rel=1e-15)
+        assert np.array_equal(above[1], np.arange(200) % 4 == 0)
 
     def test_only_the_training_split_without_others(self):
         train = Dataset(np.array([[1.0, 5.0], [3.0, 5.0]]), np.array([0, 1]), ("a", "b"))

@@ -25,6 +25,7 @@ from multifair.metrics import PredictionSet, auroc, evaluate_fairness
 from multifair.model import (
     ModelParams,
     TrainConfig,
+    _hessian_block,
     _loss_and_gradient_at_zero,
     _sigmoid,
     _standardization,
@@ -604,7 +605,8 @@ def first_written_fit(ds, weights, config):
     vector made anew each iteration, the stopping threshold recomputed
     each iteration, the mask taken from the rows and the standardized
     features formed by the formula.  It always gathers the cells (a dataset
-    without repeated rows is its own cells).  Returns the
+    without repeated rows is its own cells), and builds the Hessian block
+    by ``fit``'s rule, gemm up to ``_SYRK_WORK`` and syrk above.  Returns the
     coefficients, the intercept, n_iter and converged."""
     first, cell = ds.cells
     features, y = ds.features[first], ds.float_labels[first]
@@ -626,9 +628,12 @@ def first_written_fit(ds, weights, config):
         if converged or n_iter == config.max_iterations:
             break
         s = w * p * (1.0 - p)
-        r = np.sqrt(s)[:, None] * z
         hessian = np.empty((k + 1, k + 1))
-        hessian[:k, :k] = r.T @ r
+        if z.shape[0] * k * k <= multifair.model._SYRK_WORK:
+            hessian[:k, :k] = z.T @ (s[:, None] * z)
+        else:
+            r = np.sqrt(s)[:, None] * z
+            hessian[:k, :k] = r.T @ r
         hessian[:k, k] = hessian[k, :k] = s @ z
         hessian[k, k] = s.sum()
         ridge = np.full(k + 1, 1e-10 * hessian.diagonal().max())
@@ -996,3 +1001,62 @@ class TestHugeFeatures:
         assert model.converged
         np.testing.assert_allclose(predict_scores(model, huge),
                                    predict_scores(fit(small, SampleWeights.unit(10)), small), rtol=0.0, atol=1e-9)
+
+
+# _SYRK_WORK values that send every shape to one form
+FORMS = {"gemm": sys.maxsize, "syrk": -1}
+
+
+class TestHessianBlock:
+    """``_hessian_block`` takes the general product for narrow systems and
+    the symmetric rank-k update for wide ones; both are z.T diag(s) z."""
+
+    @staticmethod
+    def problem(n, k, seed=0):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(0.01, 0.99, n)
+        return rng.standard_normal((n, k + 1))[:, np.arange(k)], rng.uniform(0.0, 3.0, n) * p * (1.0 - p)
+
+    # (n, k) with n * k * k at most 2^20, then above it
+    @pytest.mark.parametrize("n, k", [(1, 1), (40, 0), (40, 3), (3200, 7), (5051, 12),
+                                      (3200, 24), (26049, 7), (1200, 40)])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_matches_an_exact_sum(self, monkeypatch, n, k, form):
+        z, s = self.problem(n, k)
+        monkeypatch.setattr(multifair.model, "_SYRK_WORK", FORMS[form])
+        block = _hessian_block(z, s)
+        assert block.shape == (k, k)
+        products = s[:, None, None] * z[:, :, None] * z[:, None, :]
+        for i, j in np.ndindex(k, k):
+            # math.fsum rounds the sum of the products once; entries that
+            # cancel are measured against the sum of the products' sizes
+            column = products[:, i, j].tolist()
+            exact, size = math.fsum(column), math.fsum(map(abs, column))
+            assert abs(block[i, j] - exact) <= 1e-12 * size
+
+    @pytest.mark.parametrize("n, k, form", [(3200, 7, "gemm"), (5051, 9, "gemm"), (5051, 12, "gemm"),
+                                            (3200, 24, "syrk"), (26049, 7, "syrk"), (3200, 201, "syrk")])
+    def test_shape_picks_the_form(self, monkeypatch, n, k, form):
+        z, s = self.problem(n, k)
+        chosen = _hessian_block(z, s)
+        blocks = {}
+        for name, work in FORMS.items():
+            monkeypatch.setattr(multifair.model, "_SYRK_WORK", work)
+            blocks[name] = _hessian_block(z, s).tobytes()
+        # the two forms round apart on these shapes, so the bytes tell them apart
+        assert blocks["gemm"] != blocks["syrk"] and chosen.tobytes() == blocks[form]
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_weights_near_the_double_limit(self, monkeypatch, form):
+        # 100 rows of 1.7e306 sum to 1.7e308, just under the largest
+        # double; RuntimeWarnings are errors in this suite, so an
+        # overflowing curvature or product fails here
+        ds, _ = random_problem(np.random.default_rng(3), 100, 3)
+        monkeypatch.setattr(multifair.model, "_SYRK_WORK", FORMS[form])
+        model = fit(ds, SampleWeights(np.full(100, 1.7e306)))
+        assert model.converged and np.isfinite(model.coefficients).all()
+
+    @pytest.mark.parametrize("n, d", [(3200, 7), (1100, 32)])  # 3200 x 7 takes gemm, 1100 x 32 syrk
+    def test_refit_gives_identical_bytes(self, n, d):
+        ds, weights = random_problem(np.random.default_rng(n), n, d)
+        assert_same_model_bytes(fit(ds, weights), fit(ds, weights))
