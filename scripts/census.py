@@ -1,4 +1,5 @@
-"""Helpers for the public census income dataset.
+"""Staging for the public census income (Adult) dataset, used by
+``fetch_adult.py`` and ``run_adult.py``.
 
 The canonical training file ships without a header and with comma-space
 separated values; :func:`stage_census_csv` normalizes it into the headered
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import csv
 
-from .errors import DataError
+from multifair.errors import DataError
 
 CENSUS_COLUMNS = (
     "age", "workclass", "fnlwgt", "education", "education-num",

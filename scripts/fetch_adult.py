@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from multifair.census import CENSUS_TRAIN_ROWS, reduced_census_view, stage_census_csv
+from census import CENSUS_TRAIN_ROWS, reduced_census_view, stage_census_csv
 
 URLS = (
     "https://archive.ics.uci.edu/ml/machine-learning-databases/adult/adult.data",

@@ -12,7 +12,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from multifair.census import reduced_census_view
+from census import reduced_census_view
 from multifair.experiment import (
     DatasetConfig,
     ExperimentConfig,

@@ -718,8 +718,20 @@ def binarize_by_mean(dataset: Dataset, column: str) -> GroupAssignment:
 
     Constant columns cannot be split and raise DegenerateAttributeError.
     The privileged side is left unset; see :func:`set_privileged`.
+
+    A column whose sum overflows gets its mean in scaled form, as in
+    :func:`_above_train_means`, but computed here on the column alone, so
+    that the tests can check that kernel against this function.
     """
-    return binarize_by_threshold(dataset, column, float(dataset.column(column).mean()))
+    values = dataset.column(column)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean()
+    if not np.isfinite(mean):
+        # The mean of x / m, m = max |x|, scaled back by m: it lies within
+        # [-m, m], so it does not overflow
+        m = np.abs(values).max()
+        mean = m * (values / m).mean()
+    return binarize_by_threshold(dataset, column, float(mean))
 
 
 def privileged_side(label_counts: np.ndarray) -> np.ndarray:

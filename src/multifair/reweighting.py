@@ -58,10 +58,6 @@ class SampleWeights:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
 
 def check_level_sum(largest: int) -> None:
     """Levels are summed in int64, which wraps without an error: a row on

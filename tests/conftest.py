@@ -1,3 +1,4 @@
+import importlib.util
 import os
 from pathlib import Path
 
@@ -8,6 +9,14 @@ from multifair.data import Dataset
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 ADULT_DEFAULT = REPO_ROOT / "data" / "adult.csv"
+
+
+def load_script(name: str):
+    """``scripts/<name>.py`` as a fresh module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def adult_csv_path() -> Path | None:

@@ -10,14 +10,9 @@ bands.
 import json
 
 import pytest
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, load_script
 
 import multifair.model
-from multifair.census import (
-    CENSUS_COLUMNS,
-    reduced_census_view,
-    stage_census_csv,
-)
 from multifair.cli import main
 from multifair.data import load_csv
 from multifair.errors import DataError
@@ -26,6 +21,8 @@ from multifair.model import TrainConfig
 from multifair.synth import write_census_like_csv
 
 SENSITIVE = ("sex=Male", "race=White")
+
+census = load_script("census")
 
 
 class TestStaging:
@@ -38,7 +35,7 @@ class TestStaging:
             " Exec-managerial, Husband, White, Male, 0, 0, 13, United-States, >50K.",
         ]
         out = tmp_path / "adult.csv"
-        assert stage_census_csv(raw, out) == 2
+        assert census.stage_census_csv(raw, out) == 2
         ds = load_csv(out, "income", ">50K")
         assert ds.n_rows == 2
         assert ds.labels.tolist() == [0, 1]  # trailing period stripped
@@ -46,12 +43,12 @@ class TestStaging:
 
     def test_stage_rejects_wrong_arity(self, tmp_path):
         with pytest.raises(DataError, match="expected 15"):
-            stage_census_csv(["1,2,3"], tmp_path / "bad.csv")
+            census.stage_census_csv(["1,2,3"], tmp_path / "bad.csv")
 
     def test_canonical_header_written(self, tmp_path):
         out = tmp_path / "adult.csv"
-        stage_census_csv([], out)
-        assert out.read_text().strip() == ",".join(CENSUS_COLUMNS)
+        census.stage_census_csv([], out)
+        assert out.read_text().strip() == ",".join(census.CENSUS_COLUMNS)
 
 
 class TestReducedView:
@@ -62,7 +59,7 @@ class TestReducedView:
             "23,5,Male,White,>50K\n47,12,Female,Black,<=50K\n68,14,Male,Other,<=50K\n"
         )
         out = tmp_path / "reduced.csv"
-        reduced_census_view(src, out)
+        census.reduced_census_view(src, out)
         lines = out.read_text().splitlines()
         assert lines[0] == "age_decade,education_band,sex,race,income"
         assert lines[1].startswith("20s,<6,Male")
@@ -73,7 +70,7 @@ class TestReducedView:
         src = tmp_path / "odd.csv"
         src.write_text("a,b\n1,2\n")
         with pytest.raises(DataError, match="missing expected census column"):
-            reduced_census_view(src, tmp_path / "out.csv")
+            census.reduced_census_view(src, tmp_path / "out.csv")
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +78,7 @@ def reports(tmp_path_factory):
     root = tmp_path_factory.mktemp("census")
     raw = root / "surrogate.csv"
     write_census_like_csv(raw, n_rows=9000, seed=1)
-    reduced = reduced_census_view(raw, root / "reduced.csv")
+    reduced = census.reduced_census_view(raw, root / "reduced.csv")
 
     def config(**kw):
         return ExperimentConfig(
@@ -213,7 +210,7 @@ def test_surrogate_fit_runs_on_distinct_cells(monkeypatch):
 
 @pytest.fixture(scope="module")
 def surrogate_runs(tmp_path_factory):
-    reduced = reduced_census_view(
+    reduced = census.reduced_census_view(
         REPO_ROOT / "data" / "census_surrogate.csv",
         tmp_path_factory.mktemp("surrogate") / "reduced.csv",
     )

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -959,6 +960,27 @@ class TestBinarizeByMean:
         ds = Dataset(values[:, None], labels, ("v",))
         group = binarize_by_mean(ds, "v")
         assert np.array_equal(group.membership, values.astype(np.int8))
+
+    def test_column_whose_sum_overflows(self, monkeypatch):
+        # 1e308 on every fourth of 200 rows: the plain sum is inf, and the
+        # threshold is the kernel's scaled mean, about 2.5e307, bit for bit
+        rng = np.random.default_rng(7)
+        values = np.column_stack([rng.normal(size=200), np.where(np.arange(200) % 4 == 0, 1e308, 0.0)])
+        ds = Dataset(values, np.arange(200) % 2, ("x", "big"))
+        thresholds, real = [], data.binarize_by_threshold
+
+        def spy(dataset, column, threshold):
+            thresholds.append(threshold)
+            return real(dataset, column, threshold)
+
+        monkeypatch.setattr(data, "binarize_by_threshold", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            group = binarize_by_mean(ds, "big")
+        means, (above,) = _above_train_means(ds, ("big",))
+        assert thresholds == [pytest.approx(2.5e307, rel=1e-15)]
+        assert float.hex(thresholds[0]) == float.hex(means[0])
+        assert np.array_equal(group.membership, above[0])
 
 
 # Signed zeros, the largest finite doubles (whose sums overflow) and the

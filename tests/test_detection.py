@@ -258,6 +258,12 @@ class TestVectorDetectMatchesLoop:
     ))
     # a constant column whose computed mean is below its value (all rows above)
     @example(([[0.7, 0.7, 0.7], [0, 1, 2]], [1, 0, 1], [0.9, 0.3, 0.9], None, 1))
+    # a column whose sum overflows (1e308 on every fourth of 200 rows), split
+    # at its scaled mean, about 2.5e307
+    @example((
+        [[1e308 if i % 4 == 0 else 0.0 for i in range(200)], [i % 3 for i in range(200)]],
+        [int(i % 4 == 0 or i % 5 == 0) for i in range(200)], [0.9 if i % 3 else 0.3 for i in range(200)], None, 2,
+    ))
     # every candidate degenerate
     @example(([[2, 2, 2], [0.5, 0.5, 0.5], [0.7, 0.7, 0.7]], [1, 0, 1], [0.9, 0.3, 0.9], None, 1))
     def test_equals_per_column_loop(self, case):

@@ -278,7 +278,7 @@ class TestRunExperiment:
     def test_training_weights_balance_each_level(self, synth_csv):
         config = config_for(synth_csv, method="m3fair", level_weights={"attr_a": 1, "attr_b": 2})
         weights = compute_training_weights(config)
-        assert weights.total == pytest.approx(len(weights), rel=1e-9)
+        assert weights.values.sum() == pytest.approx(len(weights), rel=1e-9)
 
 
 class TestBinarizeOnTrain:
@@ -473,7 +473,7 @@ class TestGridSearch:
             if point.status != "ok":
                 continue
             weights = compute_training_weights(replace(config, level_weights=point.level_weights))
-            assert weights.total == pytest.approx(len(weights), rel=1e-9)
+            assert weights.values.sum() == pytest.approx(len(weights), rel=1e-9)
             assert (weights.values > 0).all()
 
     def test_winner_minimizes_composite(self):

@@ -2,20 +2,16 @@
 when it is run without arguments: ``--help`` and an unknown flag write
 nothing."""
 
-import importlib.util
-
 import pytest
 
-from conftest import REPO_ROOT
+from conftest import load_script
 
 
 @pytest.fixture
 def script(monkeypatch):
     """The script's ``main`` and the names of the files it wrote, its two
     writers replaced by recorders."""
-    spec = importlib.util.spec_from_file_location("make_synthetic", REPO_ROOT / "scripts" / "make_synthetic.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script("make_synthetic")
     written = []
     monkeypatch.setattr(module, "save_csv", lambda dataset, path, **_: written.append(path.name))
     monkeypatch.setattr(module, "write_census_like_csv", lambda path, **_: written.append(path.name))
