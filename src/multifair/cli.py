@@ -85,37 +85,54 @@ def _cmd_weights(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand: its handler, help line, --config help, --output help and
+# --output default
+_SUBCOMMANDS = {
+    "run": (_cmd_run, "run one experiment condition and print its report table",
+            "JSON experiment config", "report path override (writes <base>.json and <base>.txt)", None),
+    "detect": (_cmd_detect, "rank columns by unfairness and report the intersection",
+               "JSON experiment config", "detection report path override", None),
+    "grid": (_cmd_grid, "grid-search level weights and run the winning condition",
+             "JSON experiment config (method m3fair)",
+             "sweep table path (writes <base>.json and <base>.txt)", None),
+    "weights": (_cmd_weights, "export the training-row weights as a CSV column",
+                "JSON experiment config", "CSV output path", "weights.csv"),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; given a subcommand's name, a parser that holds
+    that subcommand alone."""
     parser = argparse.ArgumentParser(
         prog="multifair",
         description="Detect biased tabular features and mitigate them by sample reweighting.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run one experiment condition and print its report table")
-    run_p.add_argument("--config", required=True, help="JSON experiment config")
-    run_p.add_argument("--output", help="report path override (writes <base>.json and <base>.txt)")
-    run_p.set_defaults(handler=_cmd_run)
-
-    detect_p = sub.add_parser("detect", help="rank columns by unfairness and report the intersection")
-    detect_p.add_argument("--config", required=True, help="JSON experiment config")
-    detect_p.add_argument("--output", help="detection report path override")
-    detect_p.set_defaults(handler=_cmd_detect)
-
-    grid_p = sub.add_parser("grid", help="grid-search level weights and run the winning condition")
-    grid_p.add_argument("--config", required=True, help="JSON experiment config (method m3fair)")
-    grid_p.add_argument("--output", help="sweep table path (writes <base>.json and <base>.txt)")
-    grid_p.set_defaults(handler=_cmd_grid)
-
-    weights_p = sub.add_parser("weights", help="export the training-row weights as a CSV column")
-    weights_p.add_argument("--config", required=True, help="JSON experiment config")
-    weights_p.add_argument("--output", default="weights.csv", help="CSV output path")
-    weights_p.set_defaults(handler=_cmd_weights)
+    for name, (handler, help_line, config_help, output_help, output_default) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            sub_p = sub.add_parser(name, help=help_line)
+            sub_p.add_argument("--config", required=True, help=config_help)
+            sub_p.add_argument("--output", default=output_default, help=output_help)
+            sub_p.set_defaults(handler=handler)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``.  When ``argv`` starts with a
+    subcommand, that subcommand's parser alone reads it, in half the time
+    of building all four.  A subcommand's help and errors do not name the
+    others, so they read the same; anything left over for the top level
+    to report is parsed again by the full parser, as is every line that
+    does not start with a subcommand (top-level help, an unknown command)."""
+    if argv[:1] and argv[0] in _SUBCOMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv)
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.handler(args)
     except PipelineError as exc:

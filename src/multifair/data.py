@@ -207,7 +207,10 @@ class Dataset:
 
     def _take_with_cells(self, rows: np.ndarray) -> "Dataset":
         """:meth:`take`, with the new dataset's :attr:`cells` filled from
-        this dataset's, bit for bit what its own rows would give."""
+        this dataset's, bit for bit what its own rows would give.  This
+        dataset's rows are sorted before the copy is made: a sort of rows
+        with tied keys copies them all."""
+        self.cells  # computed and cached here, while no copy is alive
         taken = self.take(rows)
         vars(taken)["cells"] = tuple(map(_read_only, _table_cells(self, rows)))  # the cached_property's slot
         return taken
@@ -378,7 +381,7 @@ def _load_loadtxt(path, label_column: str,
             j: defaultdict(itertools.count(0.0).__next__) for j, cell in enumerate(first)
             if j == label_idx or (cell.strip() != "" and _parse_float(cell) is None)
         }
-        repeated = _repeated_lines(handle, header_lines, len(tables) == 1)
+        repeated = _repeated_lines(path, handle, header_lines, len(tables) == 1)
         numeric = None
         if repeated is None and len(tables) == 1:  # every column but the label is numeric
             handle.seek(0)
@@ -437,8 +440,62 @@ def _load_loadtxt(path, label_column: str,
 _PROBE_BYTES = 1 << 16
 
 
-def _repeated_lines(handle, header_lines: int,
+def _repeated_lines(path, handle, header_lines: int,
                     all_numeric: bool) -> tuple[list[str], np.ndarray] | None:
+    """:func:`_repeated_text_lines` of ``handle``, an open text handle on
+    ``path``, read from ``path`` as bytes, so that each distinct line is
+    decoded once rather than every line.
+
+    Binary lines end at ``\n`` only, where text mode with ``newline=""``
+    also ends a line at a lone ``\r``.  So a file with a lone ``\r`` in
+    the lines read, or with a line read that is not valid UTF-8, is read
+    by :func:`_repeated_text_lines`, which gives the same result, or
+    raises the same error, as before.  A non-UTF-8 byte past the probe of
+    a file whose lines do not repeat is left to the route that reads the
+    file, which raises that error.
+    """
+    with open(path, "rb") as raw:
+        head = [raw.readline() for _ in range(header_lines)]
+        lines = raw.readlines(_PROBE_BYTES)
+        try:
+            # readlines stops after the line that takes it past _PROBE_BYTES,
+            # counted in characters in text mode: non-ASCII text has fewer
+            chars = len(b"".join(lines).decode())
+            while chars <= _PROBE_BYTES and (line := raw.readline()):
+                lines.append(line)
+                chars += len(line.decode())
+        except UnicodeDecodeError:
+            lines = None
+        if lines is None or _lone_cr(b"".join(head + lines)):
+            return _repeated_text_lines(handle, header_lines, all_numeric)
+        if len(dict.fromkeys(lines)) * (2 if all_numeric else 1) >= len(lines):
+            return None
+        # a builtin default factory numbers each new line without a Python
+        # frame; the lines past the probe are read one at a time, so that
+        # only the distinct ones stay in memory
+        index = defaultdict(itertools.count().__next__)
+        inverse = np.fromiter(map(index.__getitem__, itertools.chain(lines, raw)), np.intp)
+    # every line is one of the distinct lines, and only the file's last line,
+    # which comes last here, can end without \n: a lone \r shows in their join
+    distinct = b"".join(index)
+    try:
+        decoded = list(map(bytes.decode, index))
+    except UnicodeDecodeError:
+        decoded = None
+    if decoded is None or _lone_cr(distinct):
+        return _repeated_text_lines(handle, header_lines, all_numeric)
+    if b'"' in distinct or b"\n" in index or b"\r\n" in index:
+        return None
+    return decoded, inverse
+
+
+def _lone_cr(data: bytes) -> bool:
+    """Whether ``data`` holds a ``\r`` that does not start a ``\r\n``."""
+    return data.count(b"\r") != data.count(b"\r\n")
+
+
+def _repeated_text_lines(handle, header_lines: int,
+                         all_numeric: bool) -> tuple[list[str], np.ndarray] | None:
     """The data lines of ``handle`` as (each distinct line once, in
     first-appearance order; each line's index into them), or None when
     parsing every line is as cheap or the lines cannot be parsed apart.

@@ -43,8 +43,8 @@ from .errors import (
     expect,
 )
 from .metrics import (
-    PredictionSet, accuracy, auprc, auroc, evaluate_fairness, group_fairness, predictions_from, side_cells,
-    unfairness,
+    PredictionSet, accuracy, auroc, evaluate_fairness, group_fairness, predictions_from, ranking_metrics,
+    side_cells, unfairness,
 )
 from .model import TrainConfig, fit, predict_scores, stacked_predict_scores
 from .reweighting import (
@@ -238,11 +238,8 @@ def _run_condition(config: ExperimentConfig, train: Dataset, test: Dataset) -> E
 
     def evaluate():
         preds, fairness = _evaluate(model, test, test_groups)
-        performance = {
-            "acc": accuracy(preds),
-            "auroc": auroc(preds.scores, preds.labels),
-            "auprc": auprc(preds.scores, preds.labels),
-        }
+        auroc_value, auprc_value = ranking_metrics(preds.scores, preds.labels)
+        performance = {"acc": accuracy(preds), "auroc": auroc_value, "auprc": auprc_value}
         attrs = _method_attributes(config)
         rows = tuple(ReportRow(config.method, attrs, **performance, **asdict(f)) for f in fairness)
         return ExperimentReport(

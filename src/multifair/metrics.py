@@ -92,13 +92,13 @@ def predictions_from(scores: np.ndarray) -> np.ndarray:
     return (scores >= DECISION_THRESHOLD).astype(np.int64)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
+def _average_ranks(values: np.ndarray, order: np.ndarray) -> np.ndarray:
     """1-based ranks along the last axis, tied values sharing their average
-    rank, from one sort of each row.  A tied block takes the mean of its
-    first and last positions, a half-integer that is exact in float64."""
+    rank, given ``order = np.argsort(values, axis=-1)``.  A tied block takes
+    the mean of its first and last positions, a half-integer that is exact
+    in float64."""
     n = values.shape[-1]
-    order = np.argsort(values, axis=-1)
-    order += np.arange(0, values.size, n).reshape(values.shape[:-1] + (1,))  # flat indices
+    order = order + np.arange(0, values.size, n).reshape(values.shape[:-1] + (1,))  # flat indices
     ordered = values.ravel()[order]
     starts = np.empty(values.shape, dtype=bool)  # where a tied block starts
     starts[..., 0] = True
@@ -130,31 +130,33 @@ def _scores_and_positives(scores, labels) -> tuple[np.ndarray, np.ndarray, int]:
     return scores, positives, n_pos
 
 
+def _auroc(scores: np.ndarray, positives: np.ndarray, n_pos: int, order: np.ndarray):
+    n_neg = positives.shape[0] - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise MetricUndefinedError("AUROC undefined: labels contain a single class")
+    # half-integer ranks sum exactly, so the rows agree with the vector case bit for bit
+    u = _average_ranks(scores, order)[..., positives].sum(axis=-1) - n_pos * (n_pos + 1) / 2.0
+    result = u / (n_pos * n_neg)
+    return float(result) if scores.ndim == 1 else result
+
+
 def auroc(scores, labels):
     """Rank-statistic AUROC: probability a random positive outranks a
     random negative, ties counted one half.  A float for a score vector;
     for a matrix, an array holding each row's AUROC against the same
     labels."""
     scores, positives, n_pos = _scores_and_positives(scores, labels)
-    n_neg = positives.shape[0] - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise MetricUndefinedError("AUROC undefined: labels contain a single class")
-    # half-integer ranks sum exactly, so the rows agree with the vector case bit for bit
-    u = _average_ranks(scores)[..., positives].sum(axis=-1) - n_pos * (n_pos + 1) / 2.0
-    result = u / (n_pos * n_neg)
-    return float(result) if scores.ndim == 1 else result
+    return _auroc(scores, positives, n_pos, np.argsort(scores, axis=-1))
 
 
-def auprc(scores, labels) -> float:
-    """Average precision over the descending-score sweep, grouping tied
-    scores into a single threshold step."""
-    scores, positives, n_pos = _scores_and_positives(scores, labels)
+def _auprc(scores: np.ndarray, positives: np.ndarray, n_pos: int, order: np.ndarray) -> float:
     if scores.ndim != 1:
         raise DataError("scores must be a vector")
     if n_pos == 0:
         raise MetricUndefinedError("AUPRC undefined: no positive labels")
-    # tp is read only at the end of each tied block, so no order within a tie counts
-    order = np.argsort(-scores)
+    # The ascending order reversed is a descending one.  tp is read only at
+    # the end of each tied block, so no order within a tie counts.
+    order = order[::-1]
     sorted_scores = scores[order]
     # Threshold step boundaries: last index of each tied block.
     boundaries = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1])
@@ -165,6 +167,21 @@ def auprc(scores, labels) -> float:
     recall = tp / n_pos
     recall_steps = np.diff(recall, prepend=0.0)
     return float(np.sum(recall_steps * precision))
+
+
+def auprc(scores, labels) -> float:
+    """Average precision over the descending-score sweep, grouping tied
+    scores into a single threshold step."""
+    scores, positives, n_pos = _scores_and_positives(scores, labels)
+    return _auprc(scores, positives, n_pos, np.argsort(scores))
+
+
+def ranking_metrics(scores, labels) -> tuple[float, float]:
+    """``(auroc(scores, labels), auprc(scores, labels))`` for a score
+    vector, bit for bit, from one sort of the scores."""
+    scores, positives, n_pos = _scores_and_positives(scores, labels)
+    order = np.argsort(scores)
+    return _auroc(scores, positives, n_pos, order), _auprc(scores, positives, n_pos, order)
 
 
 def accuracy(preds: PredictionSet) -> float:

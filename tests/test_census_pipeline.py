@@ -9,9 +9,11 @@ bands.
 
 import json
 
+import numpy as np
 import pytest
 from conftest import REPO_ROOT, load_script
 
+import multifair.experiment
 import multifair.model
 from multifair.cli import main
 from multifair.data import load_csv
@@ -253,3 +255,21 @@ def test_surrogate_c8_m3fair_not_worse_than_worse_sequential_order(surrogate_run
         for key, value in ours.items():
             worse = max(order[key] for order in orders)
             assert value <= worse + slack, f"{attr}/{key}: m3fair {value:.4f} vs worse order {worse:.4f}"
+
+
+def test_a_census_run_sorts_its_test_scores_once(monkeypatch):
+    # one ascending sort serves both AUROC and AUPRC
+    payload = json.loads((REPO_ROOT / "configs" / "census_surrogate_m3fair.json").read_text(encoding="utf-8"))
+    payload["dataset"]["path"] = str(REPO_ROOT / payload["dataset"]["path"])
+    del payload["grid"], payload["report_path"]
+    real_predict, real_argsort, scored, sorted_arrays = multifair.experiment.predict_scores, np.argsort, [], []
+    monkeypatch.setattr(multifair.experiment, "predict_scores",
+                        lambda *args: scored.append(real_predict(*args)) or scored[-1])
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kwargs: sorted_arrays.append(a) or real_argsort(a, *args, **kwargs))
+    report = run_experiment(ExperimentConfig.from_dict(payload))
+    [scores] = scored
+    # the scores, or their negatives for a descending sort
+    sorts_of_scores = [a for a in sorted_arrays if np.shape(a) == scores.shape and np.array_equal(np.abs(a), scores)]
+    assert len(sorts_of_scores) == 1
+    committed = json.loads((REPO_ROOT / "out" / "census_surrogate_m3fair.json").read_text(encoding="utf-8"))
+    assert [(row.auroc, row.auprc) for row in report.rows] == [(row["auroc"], row["auprc"]) for row in committed["rows"]]

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import multifair.cli
 import multifair.experiment
 from conftest import REPO_ROOT
 from multifair.cli import main
@@ -470,6 +476,66 @@ class TestWeights:
         out = root / "new" / "dir" / "weights.csv"
         assert main(["weights", "--config", str(config), "--output", str(out)]) == 0
         assert np.loadtxt(out, skiprows=1).shape == (960,)
+
+
+class TestParser:
+    """Help, usage and parse errors, byte for byte as the parser of all four
+    subcommands gives them: ``tests/cli_goldens.json`` holds each command
+    line's stdout, stderr and exit code under Python 3.11's argparse at 80
+    columns."""
+
+    GOLDENS = json.loads((REPO_ROOT / "tests" / "cli_goldens.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("case", GOLDENS, ids=lambda case: " ".join(case["argv"]) or "(no arguments)")
+    def test_output_is_unchanged(self, case, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = main(case["argv"])
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (case["code"], case["stdout"], case["stderr"])
+
+    @pytest.mark.parametrize("argv, built", [
+        (["run", "--config", "c.json"], ["run"]),
+        (["weights", "--config", "c.json", "--output", "w.csv"], ["weights"]),
+        # left over for the top level to report: parsed again in full
+        (["run", "--config", "c.json", "--bogus"], ["run", None]),
+    ])
+    def test_a_subcommand_line_builds_that_subcommand_alone(self, argv, built, monkeypatch, capsys):
+        real, calls = multifair.cli.build_parser, []
+        monkeypatch.setattr(multifair.cli, "build_parser",
+                            lambda command=None: calls.append(command) or real(command))
+        try:
+            args = multifair.cli._parse_args(argv)
+        except SystemExit:
+            args = None
+        assert calls == built
+        if args is not None:
+            assert vars(args) == vars(real().parse_args(argv))
+
+
+def parse_outcome(parse, argv):
+    """The namespace ``parse(argv)`` returns, or its exit code, with what it
+    printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict("os.environ", COLUMNS="80"):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+PARSER_TOKENS = ["run", "grid", "detect", "weights", "--config", "c.json", "--output", "o", "-h", "--help",
+                 "--", "x", "--bogus", "--conf", "--config=c", "-", "Run"]
+
+
+@given(argv=st.lists(st.sampled_from(PARSER_TOKENS), max_size=7))
+@settings(max_examples=300, deadline=None)
+def test_parse_args_is_the_full_parser(argv):
+    assert parse_outcome(multifair.cli._parse_args, argv) == parse_outcome(
+        lambda argv: multifair.cli.build_parser().parse_args(argv), argv)
 
 
 class TestEntryPoint:

@@ -444,6 +444,102 @@ def test_repeated_lines_are_parsed_once(loadtxt_sources, numeric_parses):
     assert loadtxt_sources == [] and numeric_parses == [True]
 
 
+def reader_outcome(read, path, all_numeric):
+    """What a repeated-lines reader makes of ``path`` after its one header
+    line: (distinct lines, each line's index), None, or the decode error."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        try:
+            result = read(handle, all_numeric)
+        except UnicodeDecodeError as exc:
+            return type(exc), str(exc)
+    return None if result is None else (result[0], result[1].tolist())
+
+
+# pieces of data lines: text and multi-byte UTF-8, and less often a quote
+# or a byte that is not UTF-8 (a stray 0xff, a lead byte with no continuation)
+LINE_PIECES = [b"a", b"1", b",", b"p", b" ", "\u00e9".encode(), "\u2192".encode()] * 4 + [b'"', b"\xff", b"\xc3"]
+# line ends, a lone \r less often
+LINE_ENDS = [b"\n"] * 3 + [b"\r\n"] * 2 + [b"\r"]
+
+
+@st.composite
+def raw_csv_files(draw):
+    """CSV bytes after a header line: lines drawn from a small pool, so
+    they repeat, with every kind of line end, blank lines among them, and
+    maybe no end on the last."""
+    pool = draw(st.lists(st.builds(bytes.__add__, st.lists(st.sampled_from(LINE_PIECES), max_size=4).map(b"".join),
+                                   st.sampled_from(LINE_ENDS)), min_size=1, max_size=6))
+    lines = draw(st.lists(st.sampled_from(pool), max_size=40))
+    body = b"".join(lines)
+    if draw(st.booleans()):
+        body = body.rstrip(b"\r\n")
+    return b"x,y" + draw(st.sampled_from(LINE_ENDS)) + body
+
+
+class TestBytesReaderMatchesTextReader:
+    """``_repeated_lines`` reads the data lines as bytes and decodes each
+    distinct line once.  On any file it gives what the text reader
+    ``_repeated_text_lines`` gives: the same distinct lines and index,
+    None, or the same decode error.  The probe is drawn small so that
+    files of a few lines cross it."""
+
+    @pytest.fixture(scope="class")
+    def csv_file(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("bytes_reader") / "t.csv"
+
+    @given(raw=raw_csv_files(), probe_bytes=st.integers(1, 80), all_numeric=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    @example(raw=b"x,y\n" + b"a,p\n" * 5 + b"a,p\r", probe_bytes=8, all_numeric=False)  # a lone \r last
+    @example(raw=b"x,y\n" + b"a,p\n" * 5 + b"a,p\ra,p\n", probe_bytes=8, all_numeric=False)  # past the probe
+    @example(raw=b"x,y\r" + b"a,p\n" * 5, probe_bytes=8, all_numeric=False)  # in the header
+    @example(raw=b"x,y\n" + b"a,p\n" * 5 + b"\xff,p\n", probe_bytes=8, all_numeric=False)
+    # the probe counts characters: one line's 6 bytes are past a probe of 4,
+    # its 4 characters are not
+    @example(raw=b"x,y\n" + "\u2192,p\n".encode() * 5, probe_bytes=4, all_numeric=False)
+    def test_same_lines_or_same_fallback(self, csv_file, raw, probe_bytes, all_numeric):
+        csv_file.write_bytes(raw)
+        with mock.patch.object(data, "_PROBE_BYTES", probe_bytes):
+            want = reader_outcome(lambda handle, numeric: data._repeated_text_lines(handle, 1, numeric),
+                                  csv_file, all_numeric)
+            got = reader_outcome(lambda handle, numeric: data._repeated_lines(csv_file, handle, 1, numeric),
+                                 csv_file, all_numeric)
+            if got != want:
+                # the text reader decodes whole chunks, past the probe's last
+                # line; the bytes reader leaves a byte there that is not
+                # UTF-8 to the route that reads the file, which raises the
+                # same error
+                assert got is None and want[0] is UnicodeDecodeError
+                assert load_outcome(load_csv, csv_file) == want
+
+    def test_census_is_read_as_bytes(self, monkeypatch):
+        monkeypatch.setattr(data, "_repeated_text_lines", None)
+        lines, inverse = reader_outcome(lambda handle, numeric: data._repeated_lines(
+            REPO_ROOT / "data" / "census_surrogate.csv", handle, 1, numeric),
+            REPO_ROOT / "data" / "census_surrogate.csv", False)
+        assert (len(lines), len(inverse)) == (5544, 32561)
+
+    @pytest.mark.parametrize("lines, position", [
+        # repeated lines, the bad one inside the probe
+        (b"1,a,p\n2,b,q\n" * 4000 + b"3,\xff,p\n" + b"1,a,p\n2,b,q\n" * 4000, 7048),
+        # repeated lines, the bad one past the probe: one of the distinct lines
+        (b"1,a,p\n2,b,q\n" * 8000 + b"3,\xff,p\n" + b"1,a,p\n2,b,q\n" * 4000, 5896),
+        # no line repeats, the bad one past the probe
+        (b"".join(b"%d,a,p\n" % i for i in range(20000)) + b"3,\xff,p\n", 482),
+    ])
+    def test_an_undecodable_data_line_fails_at_load(self, tmp_path, capsys, lines, position):
+        # the position counts from the start of the 8 KiB block the text
+        # reader was decoding, as it always has
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"x,t,y\n" + lines)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dataset": {"path": str(path), "label_column": "y", "positive_label": "p"},
+                                      "sensitive_attributes": ["x"]}), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error [load] 'utf-8' codec can't decode byte 0xff in position {position}: invalid start byte\n"
+        )
+
+
 def test_lines_that_repeat_only_after_the_probe_are_parsed_whole(tmp_path, loadtxt_sources,
                                                                  numeric_parses):
     rows = [f"{i},{'pq'[i % 3 == 0]}\n" for i in range(10_000)]

@@ -602,9 +602,13 @@ class TestGridDeduplication:
         assert points[(1, 1)].score != points[(1, 2)].score
 
     def test_auroc_calls_do_not_grow_with_the_classes(self, committed_grid, monkeypatch):
-        real_fit, real_auroc, fits, aurocs = multifair.experiment.fit, multifair.experiment.auroc, [], []
+        real_fit, fits, aurocs = multifair.experiment.fit, [], []
         monkeypatch.setattr(multifair.experiment, "fit", lambda *args: fits.append(args) or real_fit(*args))
-        monkeypatch.setattr(multifair.experiment, "auroc", lambda *args: aurocs.append(args) or real_auroc(*args))
+        # the winner's run scores AUROC through ranking_metrics
+        for name in ("auroc", "ranking_metrics"):
+            real = getattr(multifair.experiment, name)
+            monkeypatch.setattr(multifair.experiment, name,
+                                lambda *args, real=real: aurocs.append(args) or real(*args))
         config, _ = committed_grid
         attrs = ("attr_a", "attr_b", "proxy_a")
         wider = replace(config, sensitive_attributes=attrs, level_weights=dict.fromkeys(attrs, 1))

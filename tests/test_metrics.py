@@ -231,8 +231,9 @@ class TestAuroc:
         if data.draw(st.booleans()):
             values[-1] = values[-1, 0]  # an all-tied row
         want = np.array([oracles.average_ranks(row) for row in values])
-        assert metrics._average_ranks(values).tobytes() == want.tobytes()
-        assert metrics._average_ranks(values[-1]).tobytes() == want[-1].tobytes()
+        ranks = metrics._average_ranks(values, np.argsort(values, axis=-1))
+        assert ranks.tobytes() == want.tobytes()
+        assert metrics._average_ranks(values[-1], np.argsort(values[-1])).tobytes() == want[-1].tobytes()
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -345,7 +346,37 @@ class TestAuprcOnOracles(auprc_tests(oracles)):
     pass
 
 
-@pytest.mark.parametrize("metric", [auroc, auprc])
+@st.composite
+def random_scores(draw):
+    """Scores drawn from [0, 1], ties unlikely, and labels of both kinds."""
+    n = draw(st.integers(2, 80))
+    scores = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    return scores, draw(zero_ones(n).filter(lambda labels: 0 < sum(labels) < n))
+
+
+class TestRankingMetrics:
+    """``ranking_metrics`` gives AUROC and AUPRC from one ascending sort of
+    the scores, which AUPRC reads reversed."""
+
+    @given(case=random_scores() | tied_scores())
+    @settings(max_examples=300, deadline=None)
+    @example(case=([0.0, -0.0, 0.0, -0.0, 0.5], [1, 0, 0, 1, 1]))  # zeros of both signs tie
+    @example(case=(np.repeat([0.2, 0.7, 0.9], 300), np.tile([0, 1, 1], 300)))
+    def test_equals_the_two_sort_path_bit_for_bit(self, case):
+        scores, labels = case
+        if 0 < sum(labels) < len(labels):
+            got = metrics.ranking_metrics(scores, labels)
+            # AUROC's ascending sort, and AUPRC's own descending one
+            want = (auroc(scores, labels), oracles.auprc(scores, labels))
+            assert [value.hex() for value in got] == [value.hex() for value in want]
+            assert got == (auroc(scores, labels), auprc(scores, labels))
+        else:
+            # AUROC's check comes first, so a report fails with AUROC's message
+            with pytest.raises(MetricUndefinedError, match="AUROC undefined"):
+                metrics.ranking_metrics(scores, labels)
+
+
+@pytest.mark.parametrize("metric", [auroc, auprc, metrics.ranking_metrics])
 class TestScoreMetricInputs:
     def test_scores_and_labels_must_have_one_length(self, metric):
         with pytest.raises(DataError, match="differ in length"):
