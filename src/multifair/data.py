@@ -294,9 +294,9 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     The first data row and the first 64 KiB of data lines pick one of
     three fast routes (see :func:`_load_loadtxt`): a file whose columns are
     all numeric but the label, unless most of those lines repeat, is parsed
-    by orjson in blocks; another file whose lines repeat, with no quote or
-    blank line, is parsed one distinct line each by ``np.loadtxt``; any
-    other file by one ``np.loadtxt`` pass.  Files these cannot read
+    by orjson in blocks; another file whose lines repeat, with no quote,
+    blank line or lone ``\r`` and every line UTF-8, is parsed one distinct
+    line each by ``np.loadtxt``; any other file by one ``np.loadtxt`` pass.  Files these cannot read
     exactly as the csv module does (ragged rows, empty or non-finite
     numeric cells, spellings only Python's ``float()`` accepts such as
     ``1_000``, a stray label value, two spellings of one category that
@@ -346,7 +346,8 @@ def _load_loadtxt(path, label_column: str,
       their numbers (:func:`_numeric_rows`).  A block it might read
       otherwise than ``float()`` sends the whole file to the one-pass
       route below.
-    - Lines repeat: the file is parsed one distinct line each, in
+    - Lines repeat, and none is blank, holds a quote or a lone ``\r``, or
+      is not UTF-8: the file is parsed one distinct line each, in
       first-appearance order, so every category gets the code it would get
       from the whole file; the table is built on the distinct lines, and
       each data line gets its index into them.
@@ -381,7 +382,7 @@ def _load_loadtxt(path, label_column: str,
             j: defaultdict(itertools.count(0.0).__next__) for j, cell in enumerate(first)
             if j == label_idx or (cell.strip() != "" and _parse_float(cell) is None)
         }
-        repeated = _repeated_lines(path, handle, header_lines, len(tables) == 1)
+        repeated = _repeated_lines(path, header_lines, len(tables) == 1)
         numeric = None
         if repeated is None and len(tables) == 1:  # every column but the label is numeric
             handle.seek(0)
@@ -436,38 +437,36 @@ def _load_loadtxt(path, label_column: str,
     return Dataset(features, labels, tuple(names)), None if repeated is None else inverse
 
 
-# How much of a CSV's data lines is read to decide whether lines repeat
+# How many bytes of a CSV's data lines are read to decide whether lines repeat
 _PROBE_BYTES = 1 << 16
 
 
-def _repeated_lines(path, handle, header_lines: int,
+def _repeated_lines(path, header_lines: int,
                     all_numeric: bool) -> tuple[list[str], np.ndarray] | None:
-    """:func:`_repeated_text_lines` of ``handle``, an open text handle on
-    ``path``, read from ``path`` as bytes, so that each distinct line is
-    decoded once rather than every line.
+    """The data lines of ``path`` after its ``header_lines`` as (each
+    distinct line once, in first-appearance order; each line's index into
+    them), or None when parsing every line is as cheap or the lines cannot
+    be keyed, and the file is parsed whole.
 
-    Binary lines end at ``\n`` only, where text mode with ``newline=""``
-    also ends a line at a lone ``\r``.  So a file with a lone ``\r`` in
-    the lines read, or with a line read that is not valid UTF-8, is read
-    by :func:`_repeated_text_lines`, which gives the same result, or
-    raises the same error, as before.  A non-UTF-8 byte past the probe of
-    a file whose lines do not repeat is left to the route that reads the
-    file, which raises that error.
+    Only the first ``_PROBE_BYTES`` of data lines are read to decide.  When
+    none of them repeats, the file is taken to have no repeats worth
+    keying.  A file whose columns are all numeric but the label is keyed
+    only when most of them repeat: orjson parsed every line of 5000 rows
+    of 7 numbers in about the time loadtxt took for half of them, and of
+    4000 rows of 201 numbers in less than for a quarter.
+
+    The lines are read and keyed as bytes, and only the distinct ones are
+    decoded.  A byte line ends at ``\n`` only, where the csv module and
+    loadtxt also end a line at a lone ``\r``, so a file with a lone ``\r``
+    in its header or its lines is parsed whole.  So is a file with a line
+    that is not UTF-8, and the route that reads it raises the error.  A
+    quote may open a cell that spans lines, and loadtxt skips a blank line
+    where the line index would still count it, so a file with either in
+    its data lines is parsed whole.
     """
     with open(path, "rb") as raw:
         head = [raw.readline() for _ in range(header_lines)]
         lines = raw.readlines(_PROBE_BYTES)
-        try:
-            # readlines stops after the line that takes it past _PROBE_BYTES,
-            # counted in characters in text mode: non-ASCII text has fewer
-            chars = len(b"".join(lines).decode())
-            while chars <= _PROBE_BYTES and (line := raw.readline()):
-                lines.append(line)
-                chars += len(line.decode())
-        except UnicodeDecodeError:
-            lines = None
-        if lines is None or _lone_cr(b"".join(head + lines)):
-            return _repeated_text_lines(handle, header_lines, all_numeric)
         if len(dict.fromkeys(lines)) * (2 if all_numeric else 1) >= len(lines):
             return None
         # a builtin default factory numbers each new line without a Python
@@ -478,50 +477,18 @@ def _repeated_lines(path, handle, header_lines: int,
     # every line is one of the distinct lines, and only the file's last line,
     # which comes last here, can end without \n: a lone \r shows in their join
     distinct = b"".join(index)
-    try:
-        decoded = list(map(bytes.decode, index))
-    except UnicodeDecodeError:
-        decoded = None
-    if decoded is None or _lone_cr(distinct):
-        return _repeated_text_lines(handle, header_lines, all_numeric)
-    if b'"' in distinct or b"\n" in index or b"\r\n" in index:
+    if (_lone_cr(b"".join(head) + distinct) or b'"' in distinct
+            or b"\n" in index or b"\r\n" in index):
         return None
-    return decoded, inverse
+    try:
+        return list(map(bytes.decode, index)), inverse
+    except UnicodeDecodeError:
+        return None
 
 
 def _lone_cr(data: bytes) -> bool:
     """Whether ``data`` holds a ``\r`` that does not start a ``\r\n``."""
     return data.count(b"\r") != data.count(b"\r\n")
-
-
-def _repeated_text_lines(handle, header_lines: int,
-                         all_numeric: bool) -> tuple[list[str], np.ndarray] | None:
-    """The data lines of ``handle`` as (each distinct line once, in
-    first-appearance order; each line's index into them), or None when
-    parsing every line is as cheap or the lines cannot be parsed apart.
-
-    Only the first ``_PROBE_BYTES`` of data lines are read to decide.  When
-    none of them repeats, the file is taken to have no repeats worth
-    keying.  A file whose columns are all numeric but the label is keyed
-    only when most of them repeat: orjson parsed every line of 5000 rows
-    of 7 numbers in about the time loadtxt took for half of them, and of
-    4000 rows of 201 numbers in less than for a quarter.  A quote may open
-    a cell that spans lines, and loadtxt skips a blank line where the line
-    index would still count it, so a file with either is parsed whole.
-    """
-    handle.seek(0)
-    for _ in range(header_lines):
-        handle.readline()
-    lines = handle.readlines(_PROBE_BYTES)
-    if len(dict.fromkeys(lines)) * (2 if all_numeric else 1) >= len(lines):
-        return None
-    lines += handle.readlines()
-    # a builtin default factory numbers each new line without a Python frame
-    index = defaultdict(itertools.count().__next__)
-    inverse = np.fromiter(map(index.__getitem__, lines), np.intp, len(lines))
-    if '"' in "".join(index) or any(blank in index for blank in ("\n", "\r\n", "\r")):
-        return None
-    return list(index), inverse
 
 
 # How much of an all-numeric CSV is parsed at a time.  A block is held in

@@ -444,17 +444,6 @@ def test_repeated_lines_are_parsed_once(loadtxt_sources, numeric_parses):
     assert loadtxt_sources == [] and numeric_parses == [True]
 
 
-def reader_outcome(read, path, all_numeric):
-    """What a repeated-lines reader makes of ``path`` after its one header
-    line: (distinct lines, each line's index), None, or the decode error."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        try:
-            result = read(handle, all_numeric)
-        except UnicodeDecodeError as exc:
-            return type(exc), str(exc)
-    return None if result is None else (result[0], result[1].tolist())
-
-
 # pieces of data lines: text and multi-byte UTF-8, and less often a quote
 # or a byte that is not UTF-8 (a stray 0xff, a lead byte with no continuation)
 LINE_PIECES = [b"a", b"1", b",", b"p", b" ", "\u00e9".encode(), "\u2192".encode()] * 4 + [b'"', b"\xff", b"\xc3"]
@@ -476,47 +465,34 @@ def raw_csv_files(draw):
     return b"x,y" + draw(st.sampled_from(LINE_ENDS)) + body
 
 
-class TestBytesReaderMatchesTextReader:
+class TestRepeatedLinesMatchCsvPath:
     """``_repeated_lines`` reads the data lines as bytes and decodes each
-    distinct line once.  On any file it gives what the text reader
-    ``_repeated_text_lines`` gives: the same distinct lines and index,
-    None, or the same decode error.  The probe is drawn small so that
-    files of a few lines cross it."""
+    distinct line once, or sends the file to a route that parses it whole.
+    Whichever route a file takes, load_csv gives what the csv-module path
+    gives, error included.  The probe is drawn small so that files of a
+    few lines cross it."""
 
     @pytest.fixture(scope="class")
     def csv_file(self, tmp_path_factory):
         return tmp_path_factory.mktemp("bytes_reader") / "t.csv"
 
-    @given(raw=raw_csv_files(), probe_bytes=st.integers(1, 80), all_numeric=st.booleans())
+    @given(raw=raw_csv_files(), probe_bytes=st.integers(1, 80))
     @settings(max_examples=400, deadline=None)
-    @example(raw=b"x,y\n" + b"a,p\n" * 5 + b"a,p\r", probe_bytes=8, all_numeric=False)  # a lone \r last
-    @example(raw=b"x,y\n" + b"a,p\n" * 5 + b"a,p\ra,p\n", probe_bytes=8, all_numeric=False)  # past the probe
-    @example(raw=b"x,y\r" + b"a,p\n" * 5, probe_bytes=8, all_numeric=False)  # in the header
-    @example(raw=b"x,y\n" + b"a,p\n" * 5 + b"\xff,p\n", probe_bytes=8, all_numeric=False)
-    # the probe counts characters: one line's 6 bytes are past a probe of 4,
-    # its 4 characters are not
-    @example(raw=b"x,y\n" + "\u2192,p\n".encode() * 5, probe_bytes=4, all_numeric=False)
-    def test_same_lines_or_same_fallback(self, csv_file, raw, probe_bytes, all_numeric):
+    @example(raw=b"x,y\n" + b"a,p\n" * 5 + b"a,p\r", probe_bytes=8)  # a lone \r last
+    @example(raw=b"x,y\n" + b"a,p\n" * 5 + b"a,p\ra,p\n", probe_bytes=8)  # past the probe
+    @example(raw=b"x,y\r" + b"a,p\n" * 5, probe_bytes=8)  # in the header
+    @example(raw=b"x,y\n" + b"a,p\n" * 5 + b"\xff,p\n", probe_bytes=8)
+    # the same, with the first data line ending at byte 8192: the text
+    # handle that reads the header and first row decodes 8 KiB at a time,
+    # so here the routes are the first to decode the lines after it
+    @example(raw=b"x" + b" " * 8184 + b",y\n" + b"a,p\n" * 5 + b"\xff,p\n", probe_bytes=8)
+    # the probe counts bytes: a probe of 4 stops after the first line, which
+    # has 6 bytes but 4 characters
+    @example(raw=b"x,y\n" + "\u2192,p\n".encode() * 5, probe_bytes=4)
+    def test_same_outcome_as_the_csv_module_path(self, csv_file, raw, probe_bytes):
         csv_file.write_bytes(raw)
         with mock.patch.object(data, "_PROBE_BYTES", probe_bytes):
-            want = reader_outcome(lambda handle, numeric: data._repeated_text_lines(handle, 1, numeric),
-                                  csv_file, all_numeric)
-            got = reader_outcome(lambda handle, numeric: data._repeated_lines(csv_file, handle, 1, numeric),
-                                 csv_file, all_numeric)
-            if got != want:
-                # the text reader decodes whole chunks, past the probe's last
-                # line; the bytes reader leaves a byte there that is not
-                # UTF-8 to the route that reads the file, which raises the
-                # same error
-                assert got is None and want[0] is UnicodeDecodeError
-                assert load_outcome(load_csv, csv_file) == want
-
-    def test_census_is_read_as_bytes(self, monkeypatch):
-        monkeypatch.setattr(data, "_repeated_text_lines", None)
-        lines, inverse = reader_outcome(lambda handle, numeric: data._repeated_lines(
-            REPO_ROOT / "data" / "census_surrogate.csv", handle, 1, numeric),
-            REPO_ROOT / "data" / "census_surrogate.csv", False)
-        assert (len(lines), len(inverse)) == (5544, 32561)
+            assert load_outcome(load_csv, csv_file) == load_outcome(data._load_rows, csv_file)
 
     @pytest.mark.parametrize("lines, position", [
         # repeated lines, the bad one inside the probe
@@ -552,11 +528,19 @@ def test_lines_that_repeat_only_after_the_probe_are_parsed_whole(tmp_path, loadt
 @pytest.mark.parametrize("text", [
     "x,y\n1,p\n\n1,p\n2,q\n",  # loadtxt skips a blank line that the line index counts
     'c,y\n"a\nb",p\n"a\nb",p\n',  # a quoted cell can span lines
+    "t,y\ra,p\ra,p\ra,p\rb,q\r",  # a lone \r ends a text line, not a byte line
 ])
 def test_repeats_with_a_blank_line_or_a_quote_are_parsed_whole(tmp_path, loadtxt_sources, text):
     path = write(tmp_path / "t.csv", text)
     assert load_outcome(load_csv, path) == load_outcome(data._load_rows, path)
     assert len(loadtxt_sources) == 1 and hasattr(loadtxt_sources[0], "read")
+
+
+def test_a_quoted_header_keeps_the_distinct_line_route(tmp_path, loadtxt_sources):
+    # R's write.csv quotes the header; only the data lines are searched for quotes
+    path = write(tmp_path / "t.csv", '"t","y"\n' + "a,p\nb,q\n" * 50)
+    assert load_outcome(load_csv, path) == load_outcome(data._load_rows, path)
+    assert [len(source) for source in loadtxt_sources] == [2]
 
 
 def census_with_a_unique_column(path):

@@ -36,9 +36,6 @@ ALLOWED_UNREACHED = {
     # rows whose sort keys tie but whose bytes differ (0.0 and -0.0):
     # tests/test_data.py::TestCells
     ("data", "_row_cells.equal_to_next"),
-    # repeated lines read in text mode, for files with a lone \r or a line
-    # that is not UTF-8: tests/test_data.py::TestBytesReaderMatchesTextReader
-    ("data", "_repeated_text_lines"),
     # a stage that fails: tests/test_cli.py::TestStageErrors
     ("errors", "PipelineError.__init__"),
     # a grid winner that leaves a cell unreachable on the full training
