@@ -35,7 +35,6 @@ from .data import (
 from .detection import DetectionConfig, DetectionResult, detect
 from .errors import (
     ConfigError,
-    MetricUndefinedError,
     PipelineError,
     _parse,
     check_fields,
@@ -161,10 +160,9 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineError(name, str(exc)) from exc
 
 
-def _fit_stage(train: Dataset, weights: SampleWeights, config: TrainConfig):
-    """The fit stage; a fit that did not converge gets a warning on stderr,
+def _converged_or_warn(model, config: TrainConfig):
+    """``model``; when its fit did not converge, after a warning on stderr,
     which reports and stdout never carry."""
-    model = _stage("fit", fit, train, weights, config)
     if not model.converged:
         print(
             f"warning [fit] did not converge: n_iter {model.n_iter}, "
@@ -173,6 +171,11 @@ def _fit_stage(train: Dataset, weights: SampleWeights, config: TrainConfig):
             file=sys.stderr,
         )
     return model
+
+
+def _fit_stage(train: Dataset, weights: SampleWeights, config: TrainConfig):
+    """The fit stage, which warns when the fit did not converge."""
+    return _converged_or_warn(_stage("fit", fit, train, weights, config), config)
 
 
 def _binarize_on_train(train: Dataset, other: Dataset, names) -> tuple[dict, dict]:
@@ -383,30 +386,34 @@ def grid_search(
     """Sweep the Cartesian product of candidate level weights.
 
     Each point trains on a sub-training split and is scored on the carved
-    validation split; points whose level partition has an unreachable
-    (level, label) cell, or whose validation metrics are undefined, are
-    recorded as failed and excluded from selection.  Any other error aborts
-    the sweep.  The sub-split is a plain :func:`split` of the training
-    split, so its training cells come from the ones the train/test split
-    gave, and the job sorts only the loaded rows.  A row's atom is the set
-    of level attributes it is unprivileged on; points whose atom -> level
-    maps have the same fibers get bit-identical weights (the unit prior
-    makes every cell mass an exact integer), so each class is fit and
-    counted once.  Every point
-    is reweighted on the (atom, label) cells, counted once per sweep, by
-    one :func:`stacked_cell_multipliers` call; each row takes its cell's
-    multiplier, bit for bit m3fair's weight for the row, and each failing
-    point gets its own unreachable-cell message.  Each class is fit
-    through this module's ``fit``; metric definedness hangs on the
-    validation groups and labels alone, so it is checked on the first
-    class's scores, and a failure there stops the fits.  Then all classes
-    predict their validation scores in one :func:`stacked_predict_scores`
-    call and are scored in one pass over that (class, validation row)
-    score matrix.  The winning level weights are re-run as a full
-    condition on the already loaded split (training on the whole training
-    split, metrics on test).  The full split has its own thresholds, so
-    that re-run can meet an unreachable cell the sweep did not; it then
-    raises :class:`GridWinnerError`, which carries the sweep.
+    validation split.  The sub-split is a plain :func:`split` of the
+    training split, so its training cells come from the ones the
+    train/test split gave, and the job sorts only the loaded rows.  The
+    sweep makes three passes:
+
+    1. Reweight.  A row's cell is 2 * (the bit code of the level
+       attributes it is unprivileged on) + its label, and the cells are
+       counted once per sweep.  One :func:`stacked_cell_multipliers` call
+       gives every point's multiplier per cell; each row takes its cell's,
+       bit for bit m3fair's weight for the row.  A point whose level
+       partition leaves a cell unreachable is recorded as failed, with its
+       own message, and is excluded from selection.  Points whose
+       cell -> level maps have the same fibers get bit-identical weights
+       (the unit prior makes every cell mass an exact integer), so they
+       form one class.
+    2. Fit each class once, through this module's ``fit``.
+    3. Score.  All classes predict their validation scores in one
+       :func:`stacked_predict_scores` call and are scored in one pass over
+       that (class, validation row) score matrix.  Whether a metric is
+       defined hangs on the validation labels and groups alone, so it is
+       checked once, on the first class's scores; an undefined one raises
+       and stops the sweep, as does any other error.
+
+    The winning level weights are re-run as a full condition on the
+    already loaded split (training on the whole training split, metrics on
+    test).  The full split has its own thresholds, so that re-run can meet
+    an unreachable cell the sweep did not; it then raises
+    :class:`GridWinnerError`, which carries the sweep.
     """
     if config.method != "m3fair":
         raise ConfigError("grid search requires method 'm3fair'")
@@ -427,48 +434,40 @@ def grid_search(
 
     def sweep():
         combos = list(itertools.product(*(candidates[name] for name in attrs)))
+        # Reweight: a cell is 2 * (the bits of the level attributes a row is
+        # unprivileged on) + label, and its mass under the unit prior is its row count
         unprivileged = np.array([sub_groups[name].unprivileged_indicator() for name in attrs])
-        atoms, row_atom = distinct_ids((1 << np.arange(len(attrs))) @ unprivileged)
-        atom_levels = np.array(combos) @ ((atoms[:, None] >> np.arange(len(attrs))) & 1).T
-        # Under the unit prior an (atom, label) cell's mass is its row count
-        cell_ids, row_cell = distinct_ids(2 * row_atom + subtrain.labels)
-        cell_atom, cell_label = np.divmod(cell_ids, 2)
+        cell_ids, row_cell = distinct_ids(2 * ((1 << np.arange(len(attrs))) @ unprivileged) + subtrain.labels)
+        cell_levels = np.array(combos) @ ((cell_ids[:, None] >> np.arange(1, len(attrs) + 1)) & 1).T
         cell_rows = np.bincount(row_cell).astype(np.float64)
-        sides = np.array([group.privileged_mask for group in val_groups.values()])
-        multipliers, reasons = stacked_cell_multipliers(cell_label, atom_levels[:, cell_atom], cell_rows)
-        classes: dict[tuple, int] = {}  # fibers of the atom -> level map -> class
-        outcomes: list = []  # per point: its class, or its failed GridPoint fields
-        models, undefined = [], None  # per class fit: its model
-        for levels, point_multipliers, reason in zip(atom_levels.tolist(), multipliers, reasons):
-            if reason is not None:
-                outcomes.append({"status": "failed", "reason": reason})
-                continue
+        multipliers, reasons = stacked_cell_multipliers(cell_ids & 1, cell_levels, cell_rows)
+        # per point: None if it failed, else the fibers of its cell -> level map,
+        # its class's key; per class: its first point
+        keys, classes = [], {}
+        for p, (levels, reason) in enumerate(zip(cell_levels.tolist(), reasons)):
             first: dict[int, int] = {}
-            key = tuple(first.setdefault(level, len(first)) for level in levels)
-            if key not in classes:
-                classes[key] = len(classes)
-                if undefined is None:
-                    models.append(fit(subtrain, SampleWeights(point_multipliers[row_cell]), config.train))
-                    if len(models) == 1:
-                        try:
-                            preds = PredictionSet(predict_scores(models[0], validation), validation.labels)
-                            evaluate_fairness(preds, val_groups.values())
-                            auroc(preds.scores, preds.labels)
-                        except MetricUndefinedError as exc:
-                            undefined = {"status": "failed", "reason": str(exc)}
-            outcomes.append(classes[key])
-        scored = [undefined] * len(classes)
-        if undefined is None and models:
-            matrix = stacked_predict_scores(models, validation)  # classes x validation rows
+            keys.append(None if reason else tuple(first.setdefault(level, len(first)) for level in levels))
+            if reason is None:
+                classes.setdefault(keys[-1], p)
+        # Fit: each class once, on its first point's weights
+        models = [_converged_or_warn(fit(subtrain, SampleWeights(multipliers[p][row_cell]), config.train),
+                                     config.train) for p in classes.values()]
+        # Score: all classes in one pass over the (class, validation row) score matrix
+        scored = {}
+        if models:
+            matrix = stacked_predict_scores(models, validation)
+            # whether a metric is defined hangs on the validation labels and groups alone
+            evaluate_fairness(PredictionSet(matrix[0], validation.labels), val_groups.values())
+            sides = np.array([group.privileged_mask for group in val_groups.values()])
             cells = side_cells(sides, validation.labels, predictions_from(matrix))  # class by class
             # |1 - DI| + |SPD| + |AOD| + |EOD| per attribute, then attributes, left to right
             per_attribute = sum(unfairness(*group_fairness(cells)[:4]))
             composite = sum(per_attribute.reshape(len(matrix), -1).T).tolist()
-            aurocs = auroc(matrix, validation.labels).tolist()
-            scored = [{"status": "ok", "score": s, "val_auroc": a} for s, a in zip(composite, aurocs)]
+            scored = dict(zip(classes, zip(composite, auroc(matrix, validation.labels).tolist())))
         return [
-            GridPoint(dict(zip(attrs, combo)), **(scored[o] if isinstance(o, int) else o))
-            for combo, o in zip(combos, outcomes)
+            GridPoint(dict(zip(attrs, combo)), "failed", reason=reason) if key is None
+            else GridPoint(dict(zip(attrs, combo)), "ok", *scored[key])
+            for combo, key, reason in zip(combos, keys, reasons)
         ]
 
     points = _stage("grid", sweep)

@@ -15,7 +15,7 @@ import multifair.cli
 import multifair.experiment
 from conftest import REPO_ROOT
 from multifair.cli import main
-from multifair.data import save_csv
+from multifair.data import Dataset, SplitSpec, save_csv, split
 from multifair.errors import DataError
 from multifair.synth import planted_bias_dataset, two_attribute_biased_dataset
 
@@ -311,8 +311,8 @@ class TestGrid:
         assert "selected level weights" in capsys.readouterr().out
 
     def test_unexpected_point_error_aborts_the_grid(self, workspace, monkeypatch, capsys):
-        # Only infeasible points (an unreachable cell, an undefined metric)
-        # are recorded as failed; any other error is a fault and stops the grid.
+        # Only a point whose weighting leaves a cell unreachable is recorded
+        # as failed; any other error is a fault and stops the grid.
         root, csv_path = workspace
         config = write_config(
             root, csv_path, name="grid_fault.json",
@@ -326,6 +326,36 @@ class TestGrid:
         assert main(["grid", "--config", str(config), "--output", str(root / "fault")]) == 1
         assert capsys.readouterr().err == "error [grid] weights not row-aligned with the training data\n"
         assert not (root / "fault.json").exists()
+
+    def grid_on(self, tmp_path, labels_of, capsys):
+        """Exit code, stderr and whether a sweep file was written, for the
+        default grid on a dataset whose labels ``labels_of`` rewrites."""
+        data = two_attribute_biased_dataset(1500, seed=11)
+        csv_path = tmp_path / "data.csv"
+        save_csv(Dataset(data.features, labels_of(data), data.column_names), csv_path,
+                 label_column="outcome", positive_label="yes", negative_label="no")
+        config = write_config(tmp_path, csv_path, method="m3fair", level_weights={"attr_a": 1, "attr_b": 2})
+        code = main(["grid", "--config", str(config), "--output", str(tmp_path / "sweep")])
+        return code, capsys.readouterr().err, (tmp_path / "sweep.json").exists()
+
+    def test_undefined_validation_metric_is_one_named_error(self, tmp_path, capsys):
+        def no_positives_on_validation_attr_b(data):
+            # the validation rows with attr_b = 1 are all unfavorable, so EOD
+            # on attr_b is undefined whatever a model predicts
+            row_ids = Dataset(np.arange(data.n_rows, dtype=float)[:, None], data.labels, ("id",))
+            train, _ = split(row_ids, SplitSpec(0.2, 42))
+            rows = split(train, SplitSpec(0.2, 42))[1].column("id").astype(int)
+            labels = data.labels.copy()
+            labels[rows[data.column("attr_b")[rows] == 1]] = 0
+            return labels
+
+        assert self.grid_on(tmp_path, no_positives_on_validation_attr_b, capsys) == (
+            1, "error [grid] EOD undefined: attribute 'attr_b' has a group with no positive labels\n", False)
+
+    def test_single_class_labels_fail_at_the_first_fit(self, tmp_path, capsys):
+        # the fits run before the scoring pass, so the fit's error comes first
+        assert self.grid_on(tmp_path, lambda data: np.zeros(data.n_rows, dtype=int), capsys) == (
+            1, "error [grid] single-class training labels (one class has zero weight mass)\n", False)
 
     def test_duplicate_candidates_are_a_config_error(self, workspace, capsys):
         # a repeated level weight would sweep, and print, the same point twice
@@ -427,7 +457,7 @@ class TestConvergenceWarning:
         assert report["metadata"]["converged"] is False and report["metadata"]["n_iter"] == 1
         assert "warning" not in captured.out + (root / "starved.json").read_text()
 
-    def test_grid_warns_for_the_winner_only(self, workspace, capsys):
+    def test_grid_warns_for_every_fit(self, workspace, capsys):
         root, csv_path = workspace
         config = write_config(
             root, csv_path, name="starved_grid.json",
@@ -436,7 +466,11 @@ class TestConvergenceWarning:
         )
         assert main(["grid", "--config", str(config), "--output", str(root / "starved_sweep")]) == 0
         captured = capsys.readouterr()
-        assert len(self.warnings(captured.err)) == 1
+        # the sweep's two weight classes, then the winner
+        assert self.warnings(captured.err) == [
+            "warning [fit] did not converge: n_iter 1, max_iterations 1, "
+            "gradient_tolerance 1e-06 per unit of weight mass"
+        ] * 3
         assert captured.out.endswith((root / "starved_winner.txt").read_text())
         assert "warning" not in captured.out
 

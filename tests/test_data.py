@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -451,18 +451,45 @@ LINE_PIECES = [b"a", b"1", b",", b"p", b" ", "\u00e9".encode(), "\u2192".encode(
 LINE_ENDS = [b"\n"] * 3 + [b"\r\n"] * 2 + [b"\r"]
 
 
+# ... and the pieces of one cell
+CELL_PIECES = [piece for piece in LINE_PIECES if piece != b","]
+# A text reader decodes this many bytes at a time: the handle that reads
+# the header and the first row decodes the first chunk, so only the routes
+# read a byte past it
+DECODE_CHUNK = 8192
+
+
 @st.composite
 def raw_csv_files(draw):
-    """CSV bytes after a header line: lines drawn from a small pool, so
-    they repeat, with every kind of line end, blank lines among them, and
-    maybe no end on the last."""
-    pool = draw(st.lists(st.builds(bytes.__add__, st.lists(st.sampled_from(LINE_PIECES), max_size=4).map(b"".join),
-                                   st.sampled_from(LINE_ENDS)), min_size=1, max_size=6))
-    lines = draw(st.lists(st.sampled_from(pool), max_size=40))
+    """CSV bytes after an ``x,y`` header: lines drawn from a small pool, so
+    they repeat, with every kind of line end (mostly the header's), blank
+    lines among them, and maybe no end on the last.  Three in four pool
+    lines are two cells, as the header is, so that most files get past the
+    first row to ``_repeated_lines``.  In half the files the first line
+    repeats past the first decode chunk, and in half of those a line with
+    a byte that is not UTF-8 follows, which only the routes read."""
+    cell = st.lists(st.sampled_from(CELL_PIECES), max_size=3).map(b"".join)
+    end = draw(st.sampled_from(LINE_ENDS))
+
+    def line():
+        if draw(st.integers(0, 3)):
+            body = draw(cell) + b"," + draw(cell)
+        else:
+            body = draw(st.lists(st.sampled_from(LINE_PIECES), max_size=4).map(b"".join))
+        return body + (end if draw(st.integers(0, 4)) else draw(st.sampled_from(LINE_ENDS)))
+
+    pool = [line() for _ in range(draw(st.integers(1, 4)))]
+    lines = [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(0, 40)))]
+    if lines and draw(st.booleans()):
+        past = DECODE_CHUNK // len(lines[0]) + draw(st.integers(1, 3))
+        lines[:1] = [lines[0]] * past
+        if draw(st.booleans()):
+            stray = draw(st.sampled_from([b"\xff", b"\xc3"])) + draw(st.sampled_from(pool))
+            lines.insert(draw(st.integers(past, len(lines))), stray)
     body = b"".join(lines)
     if draw(st.booleans()):
         body = body.rstrip(b"\r\n")
-    return b"x,y" + draw(st.sampled_from(LINE_ENDS)) + body
+    return b"x,y" + end + body
 
 
 class TestRepeatedLinesMatchCsvPath:
@@ -490,9 +517,46 @@ class TestRepeatedLinesMatchCsvPath:
     # has 6 bytes but 4 characters
     @example(raw=b"x,y\n" + "\u2192,p\n".encode() * 5, probe_bytes=4)
     def test_same_outcome_as_the_csv_module_path(self, csv_file, raw, probe_bytes):
+        self.check(csv_file, raw, probe_bytes)
+
+    @staticmethod
+    def check(csv_file, raw, probe_bytes):
         csv_file.write_bytes(raw)
         with mock.patch.object(data, "_PROBE_BYTES", probe_bytes):
             assert load_outcome(load_csv, csv_file) == load_outcome(data._load_rows, csv_file)
+
+    def test_random_draws_reach_the_routes(self, csv_file, monkeypatch):
+        # A property passes whatever a branch it never reaches does.  At a
+        # fixed seed, the drawn files alone, with no explicit example, must
+        # reach _repeated_lines, its keyed route, and it with a byte that is
+        # not UTF-8 past the first decode chunk.
+        real, routes, draws = data._repeated_lines, [], []
+
+        def spy(*args):
+            lines, raw = real(*args), draws[-1]
+            # (keyed, holds a byte that is not UTF-8, which decoding drops)
+            routes.append((lines is not None, raw.decode(errors="ignore").encode() != raw))
+            return lines
+
+        monkeypatch.setattr(data, "_repeated_lines", spy)
+
+        @seed(0)
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(raw=raw_csv_files(), probe_bytes=st.integers(1, 80))
+        def drawn(raw, probe_bytes):
+            draws.append(raw)
+            self.check(csv_file, raw, probe_bytes)
+
+        drawn()
+        assert len(draws) == 200
+        shares = {
+            "reached": len(routes) / 200,
+            "keyed": sum(keyed for keyed, _ in routes) / 200,
+            "reached with a stray byte": sum(stray for _, stray in routes) / 200,
+        }
+        # 0.53, 0.23 and 0.09 at this seed
+        assert shares["reached"] >= 0.4 and shares["keyed"] >= 0.1, shares
+        assert shares["reached with a stray byte"] >= 0.05, shares
 
     @pytest.mark.parametrize("lines, position", [
         # repeated lines, the bad one inside the probe

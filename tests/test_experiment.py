@@ -619,10 +619,10 @@ class TestGridDeduplication:
             grid_search(*args)
             counts.append((len(fits), len(aurocs)))
         assert counts[0][0] < counts[1][0]
-        # the first class's definedness check, one pass over all classes, the winner's run
-        assert counts[0][1] == counts[1][1] == 3
+        # one pass over all classes, the winner's run
+        assert counts[0][1] == counts[1][1] == 2
 
-    def test_undefined_metric_fails_every_reachable_point(self, tmp_path, monkeypatch):
+    def test_undefined_metric_stops_the_sweep_after_its_fits(self, tmp_path, monkeypatch):
         # the validation rows with attr_b = 1 are all unfavorable, so EOD on
         # attr_b is undefined whatever the model predicts
         config = config_for(tmp_path / "no_positives.csv", method="m3fair",
@@ -641,14 +641,13 @@ class TestGridDeduplication:
         monkeypatch.setattr(multifair.experiment, "select_grid_winner",
                             lambda points: swept.append(points) or real_select(points))
         monkeypatch.setattr(multifair.experiment, "fit", lambda *args: fits.append(args) or real_fit(*args))
-        with pytest.raises(PipelineError, match=r"^\[grid\] all grid points failed$"):
+        message = "EOD undefined: attribute 'attr_b' has a group with no positive labels"
+        with pytest.raises(PipelineError, match=rf"^\[grid\] {message}$") as err:
             grid_search(config)
-        (points,) = swept
-        assert len(points) == 4 and len(fits) == 1  # definedness is checked on the first class only
-        for point in points:
-            assert (point.status, point.reason) == (
-                "failed", "EOD undefined: attribute 'attr_b' has a group with no positive labels"
-            )
+        assert isinstance(err.value.__cause__, MetricUndefinedError)
+        # every point is reachable and the four fall in two classes, each fit
+        # once; the scoring pass raises before any point is selected
+        assert len(fits) == 2 and swept == []
 
 
 def weight_classes(box, k):
