@@ -295,13 +295,15 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     three fast routes (see :func:`_load_loadtxt`): a file whose columns are
     all numeric but the label, unless most of those lines repeat, is parsed
     by orjson in blocks; another file whose lines repeat, with no quote,
-    blank line or lone ``\r`` and every line UTF-8, is parsed one distinct
-    line each by ``np.loadtxt``; any other file by one ``np.loadtxt`` pass.  Files these cannot read
-    exactly as the csv module does (ragged rows, empty or non-finite
-    numeric cells, spellings only Python's ``float()`` accepts such as
-    ``1_000``, a stray label value, two spellings of one category that
-    differ only by padding) take the slower csv-module path, which gives
-    the same result and is the one source of the errors below.
+    blank line or lone ``\r``, is parsed one distinct line each by
+    ``np.loadtxt``; any other file by one ``np.loadtxt`` pass.  Files these
+    cannot read exactly as the csv module does (ragged rows, empty or
+    non-finite numeric cells, spellings only Python's ``float()`` accepts
+    such as ``1_000``, a stray label value, two spellings of one category
+    that differ only by padding, a line that is not UTF-8) take the
+    csv-module path, which gives the same result and is the one source of
+    the errors below.  It parses every cell in Python, so it costs time in
+    proportion to the cells.
 
     Raises DataError for: duplicate or missing header names, row arity
     mismatches, empty or non-finite numeric cells, or a label value
@@ -346,11 +348,12 @@ def _load_loadtxt(path, label_column: str,
       their numbers (:func:`_numeric_rows`).  A block it might read
       otherwise than ``float()`` sends the whole file to the one-pass
       route below.
-    - Lines repeat, and none is blank, holds a quote or a lone ``\r``, or
-      is not UTF-8: the file is parsed one distinct line each, in
+    - Lines repeat, and none is blank or holds a quote or a lone ``\r``:
+      loadtxt decodes and parses the distinct byte lines, one each, in
       first-appearance order, so every category gets the code it would get
       from the whole file; the table is built on the distinct lines, and
-      each data line gets its index into them.
+      each data line gets its index into them.  A line that is not UTF-8
+      makes loadtxt raise, like any line it cannot read.
     - Otherwise one ``np.loadtxt`` pass parses the file.
 
     On the loadtxt routes each text or label column's converter is the
@@ -363,7 +366,8 @@ def _load_loadtxt(path, label_column: str,
     first-appearance order.  Numeric cells go through numpy's C float
     parser or orjson's, which both round as ``float()`` does; the few
     spellings only ``float()`` reads make loadtxt raise, and so take the
-    csv-module path.
+    csv-module path.  So does a non-finite number, found among the parsed
+    values before any text column is expanded to its 0/1 indicators.
     """
     # newline="" keeps line endings inside quoted cells as the csv module does
     with open(path, newline="", encoding="utf-8") as handle:
@@ -406,7 +410,9 @@ def _load_loadtxt(path, label_column: str,
             if repeated is not None and values.shape[0] != len(source):
                 return None  # a line loadtxt skipped or split would misalign every later row
         else:
-            features, label_codes, tables[label_idx] = numeric
+            values, label_codes, tables[label_idx] = numeric
+    if not np.isfinite(values).all():
+        return None
 
     for j, raw_codes in tables.items():
         tables[j] = {raw.strip(): code for raw, code in raw_codes.items()}
@@ -430,9 +436,7 @@ def _load_loadtxt(path, label_column: str,
         features = np.concatenate(blocks, axis=1, dtype=np.float64)
         label_codes = values[:, label_idx]
     else:
-        names = header[:label_idx] + header[label_idx + 1:]
-    if not np.isfinite(features).all():
-        return None
+        features, names = values, header[:label_idx] + header[label_idx + 1:]
     labels = label_codes == labels_seen.get(positive_label, -1)
     return Dataset(features, labels, tuple(names)), None if repeated is None else inverse
 
@@ -442,7 +446,7 @@ _PROBE_BYTES = 1 << 16
 
 
 def _repeated_lines(path, header_lines: int,
-                    all_numeric: bool) -> tuple[list[str], np.ndarray] | None:
+                    all_numeric: bool) -> tuple[list[bytes], np.ndarray] | None:
     """The data lines of ``path`` after its ``header_lines`` as (each
     distinct line once, in first-appearance order; each line's index into
     them), or None when parsing every line is as cheap or the lines cannot
@@ -455,14 +459,15 @@ def _repeated_lines(path, header_lines: int,
     of 7 numbers in about the time loadtxt took for half of them, and of
     4000 rows of 201 numbers in less than for a quarter.
 
-    The lines are read and keyed as bytes, and only the distinct ones are
-    decoded.  A byte line ends at ``\n`` only, where the csv module and
-    loadtxt also end a line at a lone ``\r``, so a file with a lone ``\r``
-    in its header or its lines is parsed whole.  So is a file with a line
-    that is not UTF-8, and the route that reads it raises the error.  A
-    quote may open a cell that spans lines, and loadtxt skips a blank line
-    where the line index would still count it, so a file with either in
-    its data lines is parsed whole.
+    The lines are read, keyed and returned as bytes: loadtxt decodes only
+    the distinct ones, and a line that is not UTF-8 makes it raise, so
+    that the file takes the csv-module path, which raises the error.  A
+    byte line ends at ``\n`` only, where the csv module and loadtxt also
+    end a line at a lone ``\r``, so a file with a lone ``\r`` in its
+    header or its lines is parsed whole.  A quote may open a cell that
+    spans lines, and loadtxt skips a blank line where the line index would
+    still count it, so a file with either in its data lines is parsed
+    whole.
     """
     with open(path, "rb") as raw:
         head = [raw.readline() for _ in range(header_lines)]
@@ -480,10 +485,7 @@ def _repeated_lines(path, header_lines: int,
     if (_lone_cr(b"".join(head) + distinct) or b'"' in distinct
             or b"\n" in index or b"\r\n" in index):
         return None
-    try:
-        return list(map(bytes.decode, index)), inverse
-    except UnicodeDecodeError:
-        return None
+    return list(index), inverse
 
 
 def _lone_cr(data: bytes) -> bool:
@@ -611,8 +613,11 @@ def _numeric_block(block: bytes, n_cols: int, label_idx: int,
 
 
 def _load_rows(path, label_column: str, positive_label: str) -> Dataset:
-    """The csv-module path of :func:`load_csv`: per-cell Python parsing,
-    for every file and with every error the docstring there names."""
+    """The csv-module path of :func:`load_csv`: the csv module and
+    ``float()`` on every cell, for every file and with every error the
+    docstring there names.  A text column's categories are its distinct
+    cells in first-appearance order, and its indicators one comparison of
+    its category codes with each code."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -637,53 +642,43 @@ def _load_rows(path, label_column: str, positive_label: str) -> Dataset:
         raise DataError(f"{path}: no data rows")
 
     label_idx = header.index(label_column)
-    label_values = [row[label_idx] for row in rows]
-    others = []
-    for value in label_values:
-        if value != positive_label and value not in others:
-            others.append(value)
+    columns = list(zip(*rows))
+    label_values = columns[label_idx]
+    others = set(label_values) - {positive_label}
     if len(others) > 1:
         raise DataError(
             f"{path}: label value outside declared pair: expected {positive_label!r} "
             f"plus one other value, found {sorted(others)}"
         )
-    labels = np.array([1 if v == positive_label else 0 for v in label_values])
+    labels = np.array([v == positive_label for v in label_values])
 
-    columns: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     names: list[str] = []
-    for j, name in enumerate(header):
+    for j, (name, cells) in enumerate(zip(header, columns)):
         if j == label_idx:
             continue
-        cells = [row[j] for row in rows]
-        parsed = [None if c == "" else _parse_float(c) for c in cells]
-        numeric = all(p is not None for c, p in zip(cells, parsed) if c != "")
-        if numeric:
-            for i, (c, p) in enumerate(zip(cells, parsed)):
-                if c == "":
-                    raise DataError(
-                        f"{path}: missing numeric value in column {name!r}, data row {i + 1}"
-                    )
-                if not math.isfinite(p):
-                    raise DataError(
-                        f"{path}: non-finite numeric value {c!r} in column {name!r}, "
-                        f"data row {i + 1}"
-                    )
-            columns.append(np.array([p for p in parsed], dtype=np.float64))
+        parsed = list(map(_parse_float, cells))
+        if all(p is not None for c, p in zip(cells, parsed) if c != ""):  # numeric
+            values = np.array(parsed, dtype=np.float64)  # an empty cell reads nan
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:  # the first empty or non-finite cell
+                i = int(bad[0])
+                if cells[i] == "":
+                    raise DataError(f"{path}: missing numeric value in column {name!r}, data row {i + 1}")
+                raise DataError(
+                    f"{path}: non-finite numeric value {cells[i]!r} in column {name!r}, data row {i + 1}"
+                )
+            blocks.append(values[:, None])
             names.append(name)
         else:
-            categories: list[str] = []
-            for c in cells:
-                if c not in categories:
-                    categories.append(c)
-            for cat in categories:
-                columns.append(
-                    np.array([1.0 if c == cat else 0.0 for c in cells], dtype=np.float64)
-                )
-                names.append(f"{name}={cat}")
+            categories = {c: k for k, c in enumerate(dict.fromkeys(cells))}
+            codes = np.fromiter(map(categories.__getitem__, cells), np.intp, len(cells))
+            blocks.append(codes[:, None] == np.arange(len(categories)))
+            names.extend(f"{name}={c}" for c in categories)
 
-    if not columns:
+    if not blocks:
         raise DataError(f"{path}: no feature columns besides the label")
-    return Dataset(np.column_stack(columns), labels, tuple(names))
+    return Dataset(np.concatenate(blocks, axis=1, dtype=np.float64), labels, tuple(names))
 
 
 def save_csv(dataset: Dataset, path, label_column: str = "label",

@@ -160,12 +160,14 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineError(name, str(exc)) from exc
 
 
-def _converged_or_warn(model, config: TrainConfig):
+def _converged_or_warn(model, config: TrainConfig, level_weights: dict[str, int] | None = None):
     """``model``; when its fit did not converge, after a warning on stderr,
-    which reports and stdout never carry."""
+    which reports and stdout never carry.  A grid class's warning names the
+    ``level_weights`` of its first point."""
     if not model.converged:
+        fitted = "" if level_weights is None else f" for level weights {_levels_text(level_weights)}"
         print(
-            f"warning [fit] did not converge: n_iter {model.n_iter}, "
+            f"warning [fit] did not converge{fitted}: n_iter {model.n_iter}, "
             f"max_iterations {config.max_iterations}, "
             f"gradient_tolerance {config.gradient_tolerance:g} per unit of weight mass",
             file=sys.stderr,
@@ -272,7 +274,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 def run_detection(config: ExperimentConfig) -> DetectionResult:
     """Detect biased columns on the training split using predictions from
     an unweighted baseline model fit on that split."""
-    train, _ = _load_split(config)
+    train = _load_split(config)[0]  # the test split is freed before the fit
     model = _fit_stage(train, SampleWeights.unit(train.n_rows), config.train)
 
     def run_detect():
@@ -451,7 +453,7 @@ def grid_search(
                 classes.setdefault(keys[-1], p)
         # Fit: each class once, on its first point's weights
         models = [_converged_or_warn(fit(subtrain, SampleWeights(multipliers[p][row_cell]), config.train),
-                                     config.train) for p in classes.values()]
+                                     config.train, dict(zip(attrs, combos[p]))) for p in classes.values()]
         # Score: all classes in one pass over the (class, validation row) score matrix
         scored = {}
         if models:

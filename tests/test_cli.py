@@ -466,11 +466,14 @@ class TestConvergenceWarning:
         )
         assert main(["grid", "--config", str(config), "--output", str(root / "starved_sweep")]) == 0
         captured = capsys.readouterr()
-        # the sweep's two weight classes, then the winner
+        # the sweep's two weight classes, each named by its first point's
+        # level weights, then the winner, as a run names it
+        tail = ": n_iter 1, max_iterations 1, gradient_tolerance 1e-06 per unit of weight mass"
         assert self.warnings(captured.err) == [
-            "warning [fit] did not converge: n_iter 1, max_iterations 1, "
-            "gradient_tolerance 1e-06 per unit of weight mass"
-        ] * 3
+            "warning [fit] did not converge for level weights attr_a=1, attr_b=1" + tail,
+            "warning [fit] did not converge for level weights attr_a=1, attr_b=2" + tail,
+            "warning [fit] did not converge" + tail,
+        ]
         assert captured.out.endswith((root / "starved_winner.txt").read_text())
         assert "warning" not in captured.out
 
