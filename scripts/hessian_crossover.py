@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Time the two products that can build the fit's Hessian block.
+"""Time the two products that can build the fit's Newton system.
 
-Each Newton iteration of ``multifair.model.fit`` needs ``z.T @ diag(s) @ z``
-for the n x k standardized features ``z`` and the n row curvatures ``s``.
-Two forms give it:
+Each Newton iteration of ``multifair.model.fit`` needs
+``design.T @ diag(s) @ design`` for its n x (k+1) column-major design
+``[z | 1]`` (the k standardized features, then a ones column) and the n
+row curvatures ``s``.  Two forms give it:
 
-  gemm  ``z.T @ (s[:, None] * z)``: a general matrix product
-  syrk  ``r = sqrt(s)[:, None] * z; r.T @ r``: numpy hands the product of
-        an operand with its own transpose to BLAS ``dsyrk``
+  gemm  ``design.T @ (s[:, None] * design)``: a general matrix product
+  syrk  ``r = sqrt(s)[:, None] * design; r.T @ r``: numpy hands the
+        product of an operand with its own transpose to BLAS ``dsyrk``
 
-``model._SYRK_WORK`` picks between them from the work n * k * k alone.
+``model._SYRK_WORK`` picks between them from the work n * m * m alone,
+m = k + 1 the design's columns.
 This script prints the time of each path, scaling included, over a grid
 of shapes, with BLAS single-threaded (as the benchmark runs it), so the
 constant can be rechecked on another BLAS build.
@@ -17,7 +19,7 @@ constant can be rechecked on another BLAS build.
 Usage:
   python3 scripts/hessian_crossover.py
 
-prints one row per shape: n, k, the work n*k*k, the microseconds of each
+prints one row per shape: n, k, the work n*m*m, the microseconds of each
 path (best of 7 repeats), their ratio gemm/syrk, and the path that
 ``fit`` takes for that shape.
 """
@@ -38,22 +40,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from multifair.model import _SYRK_WORK  # noqa: E402
 
 ROWS = (3200, 5051, 26049)
-COLUMNS = (7, 12, 24, 48, 96, 201)
+# feature columns k; the benchmark's fits are 3200 x 7 (grid), 5051 x 9
+# (census cells) and 3200 x 201 (wide)
+COLUMNS = (7, 9, 12, 17, 24, 31, 48, 96, 201)
 
 
-def _gemm(z, s):
-    return z.T @ (s[:, None] * z)
+def _gemm(design, s):
+    return design.T @ (s[:, None] * design)
 
 
-def _syrk(z, s):
-    r = np.sqrt(s)[:, None] * z
+def _syrk(design, s):
+    r = np.sqrt(s)[:, None] * design
     return r.T @ r
 
 
-def _microseconds(product, z, s) -> float:
+def _microseconds(product, design, s) -> float:
     """Best time of one call, in µs, over 7 repeats of a batch that runs
     for about 20 ms."""
-    timer = timeit.Timer(lambda: product(z, s))
+    timer = timeit.Timer(lambda: product(design, s))
     number, _ = timer.autorange()
     number = max(1, number // 10)
     return min(timer.repeat(repeat=7, number=number)) / number * 1e6
@@ -61,16 +65,19 @@ def _microseconds(product, z, s) -> float:
 
 def main() -> int:
     rng = np.random.default_rng(0)
-    print(f"{'n':>6} {'k':>4} {'n*k*k':>10} {'gemm_us':>9} {'syrk_us':>9} {'ratio':>6}  fit uses")
+    print(f"{'n':>6} {'k':>4} {'n*m*m':>10} {'gemm_us':>9} {'syrk_us':>9} {'ratio':>6}  fit uses")
     for n in ROWS:
         for k in COLUMNS:
-            # fit's z is a column-major gather of the centered features
-            z = rng.standard_normal((n, k + 1))[:, np.arange(k)]
+            # fit's design: column-major, the ones column last
+            design = np.empty((n, k + 1), order="F")
+            design[:, :k] = rng.standard_normal((n, k))
+            design[:, k] = 1.0
             p = rng.uniform(0.01, 0.99, n)
             s = rng.uniform(0.5, 2.0, n) * p * (1.0 - p)
-            gemm, syrk = _microseconds(_gemm, z, s), _microseconds(_syrk, z, s)
-            path = "gemm" if n * k * k <= _SYRK_WORK else "syrk"
-            print(f"{n:>6} {k:>4} {n * k * k:>10} {gemm:>9.1f} {syrk:>9.1f} {gemm / syrk:>6.2f}  {path}")
+            gemm, syrk = _microseconds(_gemm, design, s), _microseconds(_syrk, design, s)
+            work = n * (k + 1) ** 2
+            path = "gemm" if work <= _SYRK_WORK else "syrk"
+            print(f"{n:>6} {k:>4} {work:>10} {gemm:>9.1f} {syrk:>9.1f} {gemm / syrk:>6.2f}  {path}")
     return 0
 
 

@@ -1,5 +1,11 @@
 """Bias detection and multi-level, multi-attribute sample reweighting for
-tabular binary classification."""
+tabular binary classification.
+
+The fit's loss kernel is
+``weighted_loss_and_gradient(x, design, labels, sign, weights, penalty)``:
+the loss, gradient and probabilities at the parameters ``x`` of the
+design, ``sign = 1 - 2 * labels`` and ``penalty`` per coordinate (see
+:func:`multifair.model.weighted_loss_and_gradient`)."""
 
 from .data import (
     Dataset,

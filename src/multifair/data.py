@@ -718,8 +718,8 @@ def _above_train_means(train: Dataset, columns, *others: Dataset) -> tuple[list[
     The k columns are gathered as contiguous rows by one fancy index, so
     each mean sums in the same order as the column's alone: bit for bit
     ``float(train.column(name).mean())``.  A column whose finite values sum
-    past the largest double gets its mean in scaled form, as
-    in ``model._standardization``; every other mean keeps its bits."""
+    past the largest double gets its mean in scaled form, as in
+    ``model._design``; every other mean keeps its bits."""
     gathered = [data.features.T[[data._column_index(name) for name in columns]] for data in (train, *others)]
     with np.errstate(over="ignore", invalid="ignore"):
         means = gathered[0].mean(axis=1, keepdims=True)

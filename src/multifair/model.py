@@ -5,20 +5,24 @@ The fit minimizes
     L(theta, b) = sum_i w_i * CE(sigmoid(z_i theta + b), y_i) + l2 * ||theta||^2
 
 over weight-standardized features z (so zero-weight rows influence
-nothing and constant columns keep coefficient exactly 0).  Each iteration
-solves the (d+1)x(d+1) Newton system and backtracks on the loss (Armijo),
-so the loss never increases beyond its rounding: where a candidate's loss
-is within rounding of the current one, the smaller gradient decides.  The
-Hessian's feature block z.T diag(s) z comes from whichever of two BLAS
-products is faster for its shape, a choice made from (rows, columns)
-alone, so a fit is still reproducible (see :func:`_hessian_block`).  The
-method starts from zero parameters, uses no randomness, and is
-bit-reproducible on a fixed platform.  The fit converges when
-max|dL| / sum_i w_i < gradient_tolerance: the tolerance is per unit of
-weight mass, so it does not depend on the row count or on the scale of
-the weights.  Each row's cross-entropy is one softplus of v = +-z, taken
-as max(v, 0) + log1p(exp(-|z|)) with the exponential the sigmoid also
-uses (see :func:`weighted_loss_and_gradient`).
+nothing and constant columns keep coefficient exactly 0).  It works on one
+column-major design ``[z | 1]``, the ones column last, built in one pass
+that also gives the weighted means and scales (see :func:`_design`): with
+x = (theta, b), the margins are one matrix-vector product, design @ x, and
+so is the whole gradient.  Each iteration solves the (k+1)x(k+1) Newton
+system and backtracks on the loss (Armijo), so the loss never increases
+beyond its rounding: where a candidate's loss is within rounding of the
+current one, the smaller gradient decides.  The whole system
+design.T diag(s) design comes from one BLAS product, whichever of two is
+faster for its shape, a choice made from (rows, columns) alone, so a fit
+is still reproducible (see :func:`_hessian_block`).  The method starts
+from zero parameters, uses no randomness, and is bit-reproducible on a
+fixed platform.  The fit converges when max|dL| / sum_i w_i <
+gradient_tolerance: the tolerance is per unit of weight mass, so it does
+not depend on the row count or on the scale of the weights.  Each row's
+cross-entropy is one softplus of v = +-z, taken as max(v, 0) +
+log1p(exp(-|z|)) with the exponential the sigmoid also uses (see
+:func:`weighted_loss_and_gradient`).
 
 Every term of L, its derivatives and the standardization is a sum over
 rows of a function of the row's (features, label), so the fit runs on the
@@ -41,10 +45,11 @@ from .reweighting import SampleWeights
 # Two losses this close (relative) differ by rounding only
 _LOSS_ROUNDING = 8.0 * np.finfo(np.float64).eps
 
-# The Hessian block's work n * k * k (rows times squared columns) above
-# which the symmetric rank-k update beats the general product; measured by
-# scripts/hessian_crossover.py with single-threaded OpenBLAS 0.3.31, where
-# the ratio crosses 1 between about 1e6 and 2e6
+# The Newton system's work n * m * m (rows times squared design columns)
+# above which the symmetric rank-k update beats the general product;
+# measured by scripts/hessian_crossover.py on the design [z | 1] with
+# single-threaded OpenBLAS 0.3.31, where the ratio crosses 1 between about
+# 1e6 and 1.7e6
 _SYRK_WORK = 1 << 20
 
 
@@ -122,86 +127,92 @@ def _sigmoid_from_exp(z, e):
     return p
 
 
-def weighted_loss_and_gradient(coefficients, intercept, features, labels, weights, l2_penalty):
-    """Weighted cross-entropy loss with L2 on the coefficients, its
-    analytic gradient (d/dcoefficients, d/dintercept), and the predicted
-    probabilities sigmoid(features @ coefficients + intercept).
+def weighted_loss_and_gradient(x, design, labels, sign, weights, penalty):
+    """Weighted cross-entropy loss with a quadratic penalty, its gradient
+    and the predicted probabilities, at the parameters ``x`` of the n x m
+    ``design``: the margins are ``design @ x`` and the probabilities their
+    sigmoid.  Returns (loss, gradient m-vector, probabilities).
 
-    ``labels`` must be exactly 0 or 1: the cross-entropy
-    y*softplus(-z) + (1-y)*softplus(z) is then one softplus, of v = -z
-    where y = 1 and of v = z where y = 0.  softplus(v) is taken as
-    max(v, 0) + log1p(exp(-|v|)), which never overflows, and |v| = |z|,
-    so the one exponential exp(-|z|) serves the loss and the sigmoid.
+    The arguments are float64 arrays.  ``labels`` must be exactly 0 or 1,
+    ``sign`` is ``1 - 2 * labels`` and ``penalty`` holds each coordinate's
+    curvature: the loss is sum_i w_i CE_i + sum_j penalty_j x_j^2 / 2 and
+    the gradient ``design.T @ (w * (p - y)) + penalty * x``.  ``fit`` passes
+    its design ``[z | 1]``, with penalty 2 * l2_penalty on the coefficients
+    and 0 on the intercept.
+
+    The cross-entropy y*softplus(-z) + (1-y)*softplus(z) is one softplus,
+    of v = sign * z: bitwise -z where y = 1 and z where y = 0.  softplus(v)
+    is taken as max(v, 0) + log1p(exp(-|v|)), which never overflows, and
+    |v| = |z|, so the one exponential exp(-|z|) serves the loss and the
+    sigmoid.
     """
-    coefficients = np.asarray(coefficients, dtype=np.float64)
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    z = features @ coefficients + intercept
+    z = design @ x
     e = np.abs(z)
     np.exp(np.negative(e, out=e), out=e)
     p = _sigmoid_from_exp(z, e)
-    ce = np.maximum(np.where(labels == 1.0, -z, z), 0.0)
+    ce = np.maximum(sign * z, 0.0)
     ce += np.log1p(e, out=e)
-    return _loss_and_gradient(coefficients, features, labels, weights, l2_penalty, ce, p)
-
-
-def _loss_and_gradient(coefficients, features, labels, weights, l2_penalty, ce, p):
-    """weighted_loss_and_gradient from each row's cross-entropy ``ce`` and
-    probability ``p``."""
-    loss = float(weights @ ce + l2_penalty * (coefficients @ coefficients))
+    ridge = penalty * x
     residual = p - labels
     residual *= weights
-    grad_coef = features.T @ residual + 2.0 * l2_penalty * coefficients
-    grad_intercept = float(residual.sum())
-    return loss, grad_coef, grad_intercept, p
+    grad = residual @ design
+    grad += ridge
+    return float(weights @ ce + 0.5 * (ridge @ x)), grad, p
 
 
-def _loss_and_gradient_at_zero(features, labels, weights, l2_penalty):
-    """weighted_loss_and_gradient at zero coefficients and intercept, bit
-    for bit, with no margins formed: every margin ``features @ 0 + 0.0`` is
-    +0, so each row's cross-entropy is exactly log1p(exp(-0)) = log1p(1)
-    and its probability exactly 1/2.  The arguments are float64 arrays."""
-    n = labels.shape[0]
-    ce, p = np.full(n, np.log1p(1.0)), np.full(n, 0.5)
-    return _loss_and_gradient(np.zeros(features.shape[1]), features, labels, weights, l2_penalty, ce, p)
+# fit evaluates its start through this second name and each line-search
+# candidate through the module global, so that a wrapper over the global
+# (the benchmark's loss-evaluation count) sees one call per candidate
+_start_loss = weighted_loss_and_gradient
 
 
-def _standardization(features: np.ndarray, weights: np.ndarray, constant: np.ndarray):
-    """Weighted per-column mean and scale, and the centered features
-    ``features - means`` in one new array.
+def _design(features: np.ndarray, weights: np.ndarray, constant: np.ndarray):
+    """The fit's design ``[z | 1]`` and every column's weighted mean and
+    scale.
 
-    Exactly constant columns (the mask ``constant``, see
-    :attr:`Dataset.constant_columns`) get mean = the constant and scale 1,
-    so the standardized column is identically zero and its coefficient
-    never moves off 0.  Columns with no weighted variation likewise get
-    scale 1.  A column whose sums overflow (finite values beyond about
-    1e154) gets its mean and scale in scaled form; every other column's
-    are unchanged, bit for bit.  A column whose mean is so replaced is
-    centered again on the new mean.
+    The design is n x (k+1) and column-major: its first k columns are the
+    columns of ``features`` outside the mask ``constant`` (see
+    :attr:`Dataset.constant_columns`), centered on their means and divided
+    by their scales, and its last column is ones.  Exactly constant columns
+    get mean = the constant and scale 1 and no design column, so their
+    coefficients stay exactly 0.  Columns with no weighted variation get
+    scale 1.  The columns are centered into the design as they are
+    gathered, and their moments read from it there.  A column whose sums
+    overflow (finite values beyond about 1e154) gets its moments in scaled
+    form, and one whose entry overflows its column as
+    ``x / scale - mean / scale`` (:func:`_standardized`); every other
+    column keeps its bits.
     """
+    active = np.flatnonzero(~constant)
+    k = active.shape[0]
+    design = np.empty((features.shape[0], k + 1), order="F")
+    design[:, k] = 1.0
+    z = design[:, :k]
     total = weights.sum()
     with np.errstate(over="ignore", invalid="ignore"):
         means = (weights @ features) / total
-        centered = features - means
-        scales = np.sqrt((weights @ (centered * centered)) / total)
-    huge = ~np.isfinite(scales)
+        np.subtract(features[:, active], means[active], out=z)
+        scale = np.sqrt((weights @ np.square(z)) / total)
+    huge = ~np.isfinite(scale)
     if huge.any():
         # The same moments of x / m, m = max |x|, scaled back by m: both lie
-        # within [-m, m], so neither overflows
-        m = np.abs(features[:, huge]).max(axis=0)
-        scaled = features[:, huge] / m
+        # within [-m, m], so neither overflows; the column is centered again
+        columns = active[huge]
+        x = features[:, columns]
+        m = np.abs(x).max(axis=0)
+        scaled = x / m
         mean = (weights @ scaled) / total
         scaled -= mean
-        means[huge] = m * mean
-        scales[huge] = m * np.sqrt((weights @ (scaled * scaled)) / total)
+        means[columns] = m * mean
+        scale[huge] = m * np.sqrt((weights @ (scaled * scaled)) / total)
         with np.errstate(over="ignore", invalid="ignore"):
-            centered[:, huge] = features[:, huge] - means[huge]
+            z[:, huge] = x - means[columns]
+    scale[scale <= 0.0] = 1.0
+    _standardized(z, features, active, means[active], scale)
     means[constant] = features[0, constant]
-    centered[:, constant] = 0.0  # x - x
-    scales[constant] = 1.0
-    scales[scales <= 0.0] = 1.0
-    return means, scales, centered
+    scales = np.ones(features.shape[1])
+    scales[active] = scale
+    return design, means, scales
 
 
 def _standardized(z: np.ndarray, features: np.ndarray, columns, means: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -231,23 +242,25 @@ def _standardized(z: np.ndarray, features: np.ndarray, columns, means: np.ndarra
     return z
 
 
-def _hessian_block(z: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``z.T @ diag(s) @ z`` for n x k ``z`` and non-negative ``s``.
+def _hessian_block(design: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``design.T @ diag(s) @ design`` for n x m ``design`` and non-negative
+    ``s``: for fit's ``[z | 1]``, the whole (k+1) x (k+1) Newton system
+    before its diagonal terms.
 
-    Narrow systems (work n * k * k at most ``_SYRK_WORK``) take the general
-    product ``z.T @ (s[:, None] * z)``, which BLAS ``dgemm`` runs through
-    its small-matrix path about twice as fast on the grid's 3200 x 7 fits.
-    Wider ones scale the rows by ``sqrt(s)`` and take ``r.T @ r``, which
-    numpy hands to ``dsyrk`` (same operand transposed), faster there.  The
-    two differ in rounding only, and the choice reads the shape, never a
-    timing, so a given problem always takes the same path.  The general
+    Narrow systems (work n * m * m at most ``_SYRK_WORK``) take the general
+    product ``design.T @ (s[:, None] * design)``, which BLAS ``dgemm`` runs
+    through its small-matrix path about twice as fast on the grid's 3200 x
+    8 fits.  Wider ones scale the rows by ``sqrt(s)`` and take ``r.T @ r``,
+    which numpy hands to ``dsyrk`` (same operand transposed), faster there.
+    The two differ in rounding only, and the choice reads the shape, never
+    a timing, so a given problem always takes the same path.  The general
     product's (i, j) and (j, i) entries may round apart; the Newton solve
-    is a general LU, which does not need the block exactly symmetric.
+    is a general LU, which does not need the system exactly symmetric.
     """
-    n, k = z.shape
-    if n * k * k <= _SYRK_WORK:
-        return z.T @ (s[:, None] * z)
-    r = np.sqrt(s)[:, None] * z
+    n, m = design.shape
+    if n * m * m <= _SYRK_WORK:
+        return design.T @ (s[:, None] * design)
+    r = np.sqrt(s)[:, None] * design
     return r.T @ r
 
 
@@ -277,28 +290,16 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
         raise DataError("single-class training labels (one class has zero weight mass)")
 
     constant = train.constant_columns
-    means, scales, centered = _standardization(features, w, constant)
-    # Exactly constant columns standardize to 0; leaving them out of the
-    # solve keeps their coefficients bit-exact 0.
-    active = np.flatnonzero(~constant)
-    # The index array gathers a column-major copy, the layout the products
-    # below have always summed in
-    z = _standardized(centered[:, active], features, active, means[active], scales[active])
-    del centered  # n x d, not needed by the Newton loop
-    k = active.shape[0]
-
-    def stacked(loss, grad_coef, grad_b, p):
-        """The loss, the gradient as one (k+1)-vector, and the probabilities."""
-        grad = np.empty(k + 1)
-        grad[:k], grad[k] = grad_coef, grad_b
-        return loss, grad, p
-
-    hessian = np.empty((k + 1, k + 1))  # every iteration overwrites it
-    diagonal = hessian.reshape(-1)[:: k + 2]  # a view
+    design, means, scales = _design(features, w, constant)
+    k = design.shape[1] - 1
+    sign = 1.0 - 2.0 * y
+    # The penalty's curvature: 2 * l2 on each coefficient, none on the intercept
+    penalty = np.full(k + 1, 2.0 * config.l2_penalty)
+    penalty[k] = 0.0
     tolerance = config.gradient_tolerance * w.sum()
     x = np.zeros(k + 1)
     # p: the probabilities at x, reused by the Hessian
-    loss, grad, p = stacked(*_loss_and_gradient_at_zero(z, y, w, config.l2_penalty))
+    loss, grad, p = _start_loss(x, design, y, sign, w, penalty)
     for n_iter in range(config.max_iterations + 1):
         grad_max = np.abs(grad).max()
         converged = bool(grad_max < tolerance)
@@ -307,22 +308,18 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
         s = w * p
         s *= 1.0 - p  # w * p * (1 - p)
         # gemm for narrow systems, dsyrk for wide ones (see _hessian_block)
-        hessian[:k, :k] = _hessian_block(z, s)
-        hessian[:k, k] = hessian[k, :k] = s @ z
-        hessian[k, k] = s.sum()
+        hessian = _hessian_block(design, s)
+        diagonal = hessian.reshape(-1)[:: k + 2]  # a view
         # A relative floor on the curvature bounds the step where collinear
         # columns (both sides of a one-hot pair) leave an unpenalized
         # Hessian numerically singular; it changes the steps, not the optimum.
-        floor = 1e-10 * diagonal.max()
-        diagonal[:k] += floor + 2.0 * config.l2_penalty
-        diagonal[k] += floor
+        diagonal += penalty + 1e-10 * diagonal.max()
         step = np.linalg.solve(hessian, grad)
         decrease = 1e-4 * float(grad @ step)  # Armijo sufficient decrease per unit step
         t = 1.0
         while decrease > 0.0 and t >= 1e-10:
             candidate = x - t * step
-            cand_loss, cand_grad, cand_p = stacked(*weighted_loss_and_gradient(
-                candidate[:k], candidate[k], z, y, w, config.l2_penalty))
+            cand_loss, cand_grad, cand_p = weighted_loss_and_gradient(candidate, design, y, sign, w, penalty)
             if cand_loss <= loss - t * decrease:
                 break
             # Within the loss's rounding the Armijo test is decided by that
@@ -335,7 +332,7 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
             break  # numerically flat: no step along the Newton direction lowers the loss
         x, loss, grad, p = candidate, cand_loss, cand_grad, cand_p
     coefficients = np.zeros(train.n_cols)
-    coefficients[active] = x[:k]
+    coefficients[~constant] = x[:k]
     return ModelParams(
         feature_names=train.column_names,
         coefficients=coefficients,

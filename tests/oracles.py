@@ -17,6 +17,10 @@ tie, where :func:`auprc` keeps the rows' order.
 stacked pass and ``reweighting.stacked_cell_multipliers`` reweights many
 partitions in two bincounts; :func:`predict_scores` and
 :func:`cell_multipliers` do one model or one partition at a time.
+``model.fit`` solves on one design ``[z | 1]`` with one product for the
+Newton system and one for the gradient; :func:`separate_products_fit` is
+the loop as it ran before that design, on the gathered columns z with the
+intercept's Hessian entries and gradient taken apart.
 """
 
 from __future__ import annotations
@@ -25,10 +29,11 @@ import math
 
 import numpy as np
 
+import multifair.model
 from multifair.data import Dataset, GroupAssignment
 from multifair.errors import DataError, MetricUndefinedError, UnreachableCellError
 from multifair.metrics import PredictionSet, _scores_and_positives
-from multifair.model import ModelParams, _sigmoid
+from multifair.model import ModelParams, TrainConfig, _sigmoid, _sigmoid_from_exp, _standardized
 
 
 def set_privileged(group: GroupAssignment, dataset: Dataset) -> GroupAssignment:
@@ -195,3 +200,102 @@ def cell_multipliers(labels, partition, weights) -> np.ndarray:
         raise UnreachableCellError(f"unreachable cell: group {ids[g]}, label {d} has zero prior weight")
     multiplier = np.divide(demand, weights.sum() * mass, out=np.zeros_like(mass), where=~empty)
     return multiplier[group, labels]
+
+
+def _separate_moments(features, weights, constant):
+    """Weighted means and scales and the centered features, each column's
+    sums overflowing into the scaled form."""
+    total = weights.sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = (weights @ features) / total
+        centered = features - means
+        scales = np.sqrt((weights @ (centered * centered)) / total)
+    huge = ~np.isfinite(scales)
+    if huge.any():
+        m = np.abs(features[:, huge]).max(axis=0)
+        scaled = features[:, huge] / m
+        mean = (weights @ scaled) / total
+        scaled -= mean
+        means[huge] = m * mean
+        scales[huge] = m * np.sqrt((weights @ (scaled * scaled)) / total)
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered[:, huge] = features[:, huge] - means[huge]
+    means[constant] = features[0, constant]
+    centered[:, constant] = 0.0
+    scales[constant] = 1.0
+    scales[scales <= 0.0] = 1.0
+    return means, scales, centered
+
+
+def _separate_loss(coefficients, intercept, z, labels, weights, l2_penalty, zero=False):
+    """Loss, stacked gradient and probabilities with the intercept apart
+    from the coefficients; ``zero`` fills the start's rows."""
+    if zero:
+        ce, p = np.full(labels.shape[0], np.log1p(1.0)), np.full(labels.shape[0], 0.5)
+    else:
+        margins = z @ coefficients + intercept
+        e = np.abs(margins)
+        np.exp(np.negative(e, out=e), out=e)
+        p = _sigmoid_from_exp(margins, e)
+        ce = np.maximum(np.where(labels == 1.0, -margins, margins), 0.0)
+        ce += np.log1p(e, out=e)
+    loss = float(weights @ ce + l2_penalty * (coefficients @ coefficients))
+    residual = (p - labels) * weights
+    grad = np.append(z.T @ residual + 2.0 * l2_penalty * coefficients, residual.sum())
+    return loss, grad, p
+
+
+def separate_products_fit(train: Dataset, weights, config: TrainConfig = TrainConfig()) -> ModelParams:
+    """``model.fit`` as it ran on gathered columns z: the feature block of
+    the Newton system from z alone, by the same shape rule on (rows,
+    columns of z), its intercept row and corner from ``s @ z`` and
+    ``s.sum()``, and the intercept's gradient from ``residual.sum()``."""
+    import multifair.model
+
+    first, cell = train.cells
+    features, y = train.features[first], train.float_labels[first]
+    w = np.bincount(cell, weights=weights.values, minlength=first.shape[0])
+    constant = train.constant_columns
+    means, scales, centered = _separate_moments(features, w, constant)
+    active = np.flatnonzero(~constant)
+    z = _standardized(centered[:, active], features, active, means[active], scales[active])
+    k = active.shape[0]
+    hessian = np.empty((k + 1, k + 1))
+    diagonal = hessian.reshape(-1)[:: k + 2]
+    x = np.zeros(k + 1)
+    loss, grad, p = _separate_loss(x[:k], 0.0, z, y, w, config.l2_penalty, zero=True)
+    for n_iter in range(config.max_iterations + 1):
+        grad_max = np.abs(grad).max()
+        converged = bool(grad_max < config.gradient_tolerance * w.sum())
+        if converged or n_iter == config.max_iterations:
+            break
+        s = w * p
+        s *= 1.0 - p
+        if z.shape[0] * k * k <= multifair.model._SYRK_WORK:
+            hessian[:k, :k] = z.T @ (s[:, None] * z)
+        else:
+            r = np.sqrt(s)[:, None] * z
+            hessian[:k, :k] = r.T @ r
+        hessian[:k, k] = hessian[k, :k] = s @ z
+        hessian[k, k] = s.sum()
+        floor = 1e-10 * diagonal.max()
+        diagonal[:k] += floor + 2.0 * config.l2_penalty
+        diagonal[k] += floor
+        step = np.linalg.solve(hessian, grad)
+        decrease = 1e-4 * float(grad @ step)
+        t = 1.0
+        while decrease > 0.0 and t >= 1e-10:
+            candidate = x - t * step
+            cand_loss, cand_grad, cand_p = _separate_loss(candidate[:k], candidate[k], z, y, w, config.l2_penalty)
+            if cand_loss <= loss - t * decrease:
+                break
+            within_rounding = abs(cand_loss - loss) <= 8.0 * np.finfo(np.float64).eps * abs(loss)
+            if within_rounding and np.abs(cand_grad).max() < grad_max:
+                break
+            t *= 0.5
+        else:
+            break
+        x, loss, grad, p = candidate, cand_loss, cand_grad, cand_p
+    coefficients = np.zeros(train.n_cols)
+    coefficients[active] = x[:k]
+    return ModelParams(train.column_names, coefficients, float(x[k]), means, scales, converged, n_iter)

@@ -172,19 +172,21 @@ def test_c6_gradient_check():
         coef = rng.standard_normal(d)
         intercept = float(rng.standard_normal())
         l2 = float(rng.uniform(0.0, 1e-3))
-        _, grad_coef, grad_b, _ = weighted_loss_and_gradient(
-            coef, intercept, features, labels, weights, l2
-        )
-        analytic = np.append(grad_coef, grad_b)
+        # the kernel's design [features | 1], label signs and per-coordinate
+        # penalty, 2 * l2 on the coefficients and none on the intercept
+        design = np.column_stack([features, np.ones(n)])
+        rest = (design, labels, 1.0 - 2.0 * labels, weights, np.append(np.full(d, 2.0 * l2), 0.0))
+        x = np.append(coef, intercept)
+        analytic = weighted_loss_and_gradient(x, *rest)[1]
         numeric = np.empty(d + 1)
         step = 1e-5
         for k in range(d + 1):
-            plus = np.append(coef, intercept)
-            minus = plus.copy()
+            plus = x.copy()
+            minus = x.copy()
             plus[k] += step
             minus[k] -= step
-            lp = weighted_loss_and_gradient(plus[:d], plus[d], features, labels, weights, l2)[0]
-            lm = weighted_loss_and_gradient(minus[:d], minus[d], features, labels, weights, l2)[0]
+            lp = weighted_loss_and_gradient(plus, *rest)[0]
+            lm = weighted_loss_and_gradient(minus, *rest)[0]
             numeric[k] = (lp - lm) / (2 * step)
         rel = np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(analytic))
         worst = max(worst, rel)

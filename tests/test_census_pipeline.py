@@ -183,9 +183,9 @@ def test_surrogate_fit_runs_on_distinct_cells(monkeypatch):
     # fall back to row-level fitting fails here.
     real, rows_seen = multifair.model.weighted_loss_and_gradient, []
 
-    def counted(coefficients, intercept, features, *args):
-        rows_seen.append(features.shape[0])
-        return real(coefficients, intercept, features, *args)
+    def counted(x, design, *args):
+        rows_seen.append(design.shape[0])
+        return real(x, design, *args)
 
     monkeypatch.setattr(multifair.model, "weighted_loss_and_gradient", counted)
     report = run_experiment(ExperimentConfig(

@@ -477,6 +477,8 @@ LINE_ENDS = [b"\n"] * 3 + [b"\r\n"] * 2 + [b"\r"]
 
 # ... and the pieces of one cell
 CELL_PIECES = [piece for piece in LINE_PIECES if piece != b","]
+# ... and those of a clean file's cell: no quote and no byte that is not UTF-8
+CLEAN_CELL_PIECES = [piece for piece in CELL_PIECES if piece not in (b'"', b"\xff", b"\xc3")]
 # A text reader decodes this many bytes at a time: the handle that reads
 # the header and the first row decodes the first chunk, so only the routes
 # read a byte past it
@@ -485,34 +487,45 @@ DECODE_CHUNK = 8192
 
 @st.composite
 def raw_csv_files(draw):
-    """CSV bytes after an ``x,y`` header: lines drawn from a small pool, so
-    they repeat, with every kind of line end (mostly the header's), blank
-    lines among them, and maybe no end on the last.  Three in four pool
-    lines are two cells, as the header is, so that most files get past the
-    first row to ``_repeated_lines``; nine in ten of their ``y`` cells
-    are ``p`` or ``q``, so that many keyed files are read as a table of
-    distinct lines.  In half the files the first line repeats past the
-    first decode chunk, and in half of those a line with a byte that is
-    not UTF-8 follows, which only the routes read."""
-    cell = st.lists(st.sampled_from(CELL_PIECES), max_size=3).map(b"".join)
-    end = draw(st.sampled_from(LINE_ENDS))
+    """CSV bytes after an ``x,y`` header: at least one data line, the
+    rest drawn from a small pool, so they repeat, with every kind of line
+    end (mostly the header's), blank lines among them, and maybe no end on
+    the last.  The first line and three in four pool lines are two cells,
+    as the header is, so that most files get past the first row to
+    ``_repeated_lines``; nine in ten of the pool's ``y`` cells, and every
+    first line's, are ``p`` or ``q``.  One file in three is clean: its
+    cells are non-empty and hold no quote and no byte that is not UTF-8,
+    every line is two cells labelled ``p`` or ``q`` and ends as the header
+    does, and the header does not end in a lone ``\r``, so that many keyed
+    files are read as a table of distinct lines.  In half the files the first line
+    repeats past the first decode chunk, and in half of those a line with
+    a byte that is not UTF-8 follows, which only the routes read; in half
+    of the others it repeats at once, inside any probe longer than it."""
+    clean = draw(st.integers(0, 2)) == 0
+    if clean:
+        cell = st.lists(st.sampled_from(CLEAN_CELL_PIECES), min_size=1, max_size=3).map(b"".join)
+    else:
+        cell = st.lists(st.sampled_from(CELL_PIECES), max_size=3).map(b"".join)
+    end = draw(st.sampled_from(LINE_ENDS[:-1] if clean else LINE_ENDS))
 
-    def line():
-        if draw(st.integers(0, 3)):
-            label = draw(st.sampled_from([b"p", b"q"])) if draw(st.integers(0, 9)) else draw(cell)
-            body = draw(cell) + b"," + label
+    def line(two_cells=False):
+        if two_cells or clean or draw(st.integers(0, 3)):
+            p_or_q = two_cells or clean or draw(st.integers(0, 9))
+            body = draw(cell) + b"," + draw(st.sampled_from([b"p", b"q"]) if p_or_q else cell)
         else:
             body = draw(st.lists(st.sampled_from(LINE_PIECES), max_size=4).map(b"".join))
-        return body + (end if draw(st.integers(0, 4)) else draw(st.sampled_from(LINE_ENDS)))
+        return body + (end if clean or draw(st.integers(0, 4)) else draw(st.sampled_from(LINE_ENDS)))
 
     pool = [line() for _ in range(draw(st.integers(1, 4)))]
-    lines = [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(0, 40)))]
-    if lines and draw(st.booleans()):
+    lines = [line(two_cells=True)] + [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(0, 39)))]
+    if draw(st.booleans()):
         past = DECODE_CHUNK // len(lines[0]) + draw(st.integers(1, 3))
         lines[:1] = [lines[0]] * past
         if draw(st.booleans()):
             stray = draw(st.sampled_from([b"\xff", b"\xc3"])) + draw(st.sampled_from(pool))
             lines.insert(draw(st.integers(past, len(lines))), stray)
+    elif draw(st.booleans()):
+        lines[1:1] = [lines[0]] * draw(st.integers(1, 3))
     body = b"".join(lines)
     if draw(st.booleans()):
         body = body.rstrip(b"\r\n")
@@ -591,10 +604,10 @@ class TestRepeatedLinesMatchCsvPath:
             "reached with a stray byte": sum(stray for _, stray in routes) / 200,
             "loaded as a table": sum(tables) / 200,
         }
-        # 0.575, 0.19, 0.185 and 0.035 at this seed
+        # 0.86, 0.315, 0.1 and 0.195 at this seed
         assert shares["reached"] >= 0.4 and shares["keyed"] >= 0.1, shares
         assert shares["reached with a stray byte"] >= 0.05, shares
-        assert shares["loaded as a table"] >= 0.03, shares
+        assert shares["loaded as a table"] >= 0.1, shares
 
     @pytest.mark.parametrize("lines, position", [
         # repeated lines, the bad one inside the probe

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.optimize import minimize
@@ -25,10 +25,9 @@ from multifair.metrics import PredictionSet, auroc, evaluate_fairness
 from multifair.model import (
     ModelParams,
     TrainConfig,
+    _design,
     _hessian_block,
-    _loss_and_gradient_at_zero,
     _sigmoid,
-    _standardization,
     fit,
     predict_scores,
     stacked_predict_scores,
@@ -56,6 +55,15 @@ def random_problem(rng, n, d):
         labels[0] = 0
     weights = SampleWeights(rng.uniform(0.1, 3.0, n))
     return Dataset(features, labels, tuple(f"c{i}" for i in range(d))), weights
+
+
+def kernel_args(coefficients, intercept, features, labels, weights, l2_penalty):
+    """The kernel's arguments for coefficients and an intercept on
+    ``features``: the design [features | 1], the label signs and the
+    penalty 2 * l2 on the coefficients, none on the intercept."""
+    design = np.column_stack([features, np.ones(features.shape[0])])
+    penalty = np.append(np.full(features.shape[1], 2.0 * l2_penalty), 0.0)
+    return np.append(coefficients, intercept), design, labels, 1.0 - 2.0 * labels, weights, penalty
 
 
 class TestFit:
@@ -166,19 +174,17 @@ class TestGradient:
             coef = rng.standard_normal(d)
             intercept = float(rng.standard_normal())
             l2 = float(rng.uniform(0, 1e-2))
-            _, grad_coef, grad_b, _ = weighted_loss_and_gradient(
-                coef, intercept, features, labels, weights, l2
-            )
-            analytic = np.append(grad_coef, grad_b)
+            x, *rest = kernel_args(coef, intercept, features, labels, weights, l2)
+            analytic = weighted_loss_and_gradient(x, *rest)[1]
             step = 1e-5
             numeric = np.empty(d + 1)
             for k in range(d + 1):
-                plus = np.append(coef, intercept)
-                minus = plus.copy()
+                plus = x.copy()
+                minus = x.copy()
                 plus[k] += step
                 minus[k] -= step
-                lp = weighted_loss_and_gradient(plus[:d], plus[d], features, labels, weights, l2)[0]
-                lm = weighted_loss_and_gradient(minus[:d], minus[d], features, labels, weights, l2)[0]
+                lp = weighted_loss_and_gradient(plus, *rest)[0]
+                lm = weighted_loss_and_gradient(minus, *rest)[0]
                 numeric[k] = (lp - lm) / (2 * step)
             denom = max(1.0, float(np.linalg.norm(analytic)))
             assert np.linalg.norm(analytic - numeric) / denom < 1e-5
@@ -194,26 +200,23 @@ class TestGradient:
         z = features @ coef + intercept
         p = 1.0 / (1.0 + np.exp(-z))
         plain_grad = features.T @ (p - labels)
-        _, grad_coef, grad_b, _ = weighted_loss_and_gradient(
-            coef, intercept, features, labels, np.ones(n), 0.0
-        )
-        np.testing.assert_allclose(grad_coef, plain_grad, rtol=1e-12)
-        assert grad_b == pytest.approx((p - labels).sum(), rel=1e-12)
+        grad = weighted_loss_and_gradient(*kernel_args(coef, intercept, features, labels, np.ones(n), 0.0))[1]
+        np.testing.assert_allclose(grad[:d], plain_grad, rtol=1e-12)
+        assert grad[d] == pytest.approx((p - labels).sum(), rel=1e-12)
 
 
 def objective(model, ds, weights, l2_penalty):
     """The fit's objective at ``model``'s parameters, in its standardized
     coordinates."""
     z = (ds.features - model.means) / model.scales
-    return weighted_loss_and_gradient(
-        model.coefficients, model.intercept, z, ds.labels, weights.values, l2_penalty
-    )[0]
+    return weighted_loss_and_gradient(*kernel_args(
+        model.coefficients, model.intercept, z, ds.float_labels, weights.values, l2_penalty))[0]
 
 
 def lbfgs_scores(ds, weights, l2_penalty):
     """Test oracle: scipy's L-BFGS-B on the same objective and coordinates,
     scored on the training rows."""
-    means, scales, _ = _standardization(ds.features, weights.values, _constant_columns(ds.features))
+    _, means, scales = _design(ds.features, weights.values, _constant_columns(ds.features))
     z = (ds.features - means) / scales
     y = ds.labels.astype(np.float64)
     w = weights.values
@@ -550,22 +553,16 @@ def two_term_sigmoid(z):
     return np.where(z >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def two_term_loss_and_gradient(coefficients, intercept, features, labels, weights, l2_penalty):
+def two_term_loss_and_gradient(x, design, labels, sign, weights, penalty):
     """Test-only copy of the loss with the cross-entropy in its two-term
-    form y*softplus(-z) + (1-y)*softplus(z), returning the probabilities
-    too."""
-    coefficients = np.asarray(coefficients, dtype=np.float64)
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    z = features @ coefficients + intercept
+    form y*softplus(-z) + (1-y)*softplus(z), the labels read as they are
+    and not through ``sign``, returning the probabilities too."""
+    z = design @ x
     ce = labels * np.logaddexp(0.0, -z) + (1.0 - labels) * np.logaddexp(0.0, z)
-    loss = float(weights @ ce + l2_penalty * (coefficients @ coefficients))
+    loss = float(weights @ ce + 0.5 * ((penalty * x) @ x))
     p = two_term_sigmoid(z)
     residual = weights * (p - labels)
-    grad_coef = features.T @ residual + 2.0 * l2_penalty * coefficients
-    grad_intercept = float(residual.sum())
-    return loss, grad_coef, grad_intercept, p
+    return loss, residual @ design + penalty * x, p
 
 
 def one_exp_softplus(v):
@@ -573,12 +570,12 @@ def one_exp_softplus(v):
     return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
 
 
-def one_exp_two_term_loss(coefficients, intercept, features, labels, weights, l2_penalty):
+def one_exp_two_term_loss(x, design, labels, sign, weights, penalty):
     """Test-only loss of two_term_loss_and_gradient with one_exp_softplus
     in place of ``logaddexp(0, .)``."""
-    z = features @ coefficients + intercept
+    z = design @ x
     ce = labels * one_exp_softplus(-z) + (1.0 - labels) * one_exp_softplus(z)
-    return float(weights @ ce + l2_penalty * (coefficients @ coefficients))
+    return float(weights @ ce + 0.5 * ((penalty * x) @ x))
 
 
 def decimal_softplus(x):
@@ -601,25 +598,28 @@ def ptp_constant_columns(features):
 
 def first_written_fit(ds, weights, config):
     """Test-only copy of ``fit``'s Newton loop as first written, with the
-    two-term loss: a gradient joined by np.append, a Hessian and a ridge
-    vector made anew each iteration, the stopping threshold recomputed
-    each iteration, the mask taken from the rows and the standardized
-    features formed by the formula.  It always gathers the cells (a dataset
-    without repeated rows is its own cells), and builds the Hessian block
-    by ``fit``'s rule, gemm up to ``_SYRK_WORK`` and syrk above.  Returns the
-    coefficients, the intercept, n_iter and converged."""
+    two-term loss: the label signs, the penalty vector, the Hessian, the
+    ridge vector and the stopping threshold made anew each time they are
+    used, the mask taken from the rows and the standardized features formed
+    by the formula from ``_design``'s means and scales, with the ones
+    column appended and laid out column-major as ``fit``'s design.  It
+    always gathers the cells (a dataset without repeated rows is its own
+    cells), and builds the Hessian by ``fit``'s rule on the design, gemm up
+    to ``_SYRK_WORK`` and syrk above.  Returns the coefficients, the
+    intercept, n_iter and converged."""
     first, cell = ds.cells
     features, y = ds.features[first], ds.float_labels[first]
     w = np.bincount(cell, weights=weights.values, minlength=first.shape[0])
     constant = ptp_constant_columns(ds.features)
-    means, scales, _ = _standardization(features, w, constant)
+    _, means, scales = _design(features, w, constant)
     active = np.flatnonzero(~constant)
     z = (features[:, active] - means[active]) / scales[active]
+    design = np.asfortranarray(np.column_stack([z, np.ones(z.shape[0])]))
     k = active.shape[0]
 
     def loss_grad(params):
-        loss, grad_coef, grad_b, p = two_term_loss_and_gradient(params[:k], params[k], z, y, w, config.l2_penalty)
-        return loss, np.append(grad_coef, grad_b), p
+        penalty = np.append(np.full(k, 2.0 * config.l2_penalty), 0.0)
+        return two_term_loss_and_gradient(params, design, y, 1.0 - 2.0 * y, w, penalty)
 
     x = np.zeros(k + 1)
     loss, grad, p = loss_grad(x)
@@ -628,14 +628,11 @@ def first_written_fit(ds, weights, config):
         if converged or n_iter == config.max_iterations:
             break
         s = w * p * (1.0 - p)
-        hessian = np.empty((k + 1, k + 1))
-        if z.shape[0] * k * k <= multifair.model._SYRK_WORK:
-            hessian[:k, :k] = z.T @ (s[:, None] * z)
+        if design.shape[0] * (k + 1) ** 2 <= multifair.model._SYRK_WORK:
+            hessian = design.T @ (s[:, None] * design)
         else:
-            r = np.sqrt(s)[:, None] * z
-            hessian[:k, :k] = r.T @ r
-        hessian[:k, k] = hessian[k, :k] = s @ z
-        hessian[k, k] = s.sum()
+            r = np.sqrt(s)[:, None] * design
+            hessian = r.T @ r
         ridge = np.full(k + 1, 1e-10 * hessian.diagonal().max())
         ridge[:k] += 2.0 * config.l2_penalty
         hessian[np.diag_indices(k + 1)] += ridge
@@ -664,27 +661,8 @@ EDGE_MARGINS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e
 margins = st.one_of(st.sampled_from(EDGE_MARGINS), st.floats(-800.0, 800.0, allow_nan=False))
 
 
-def result_bits(loss, grad_coef, grad_b, p):
-    return float.hex(loss), grad_coef.tobytes(), float.hex(grad_b), p.tobytes()
-
-
-START_FEATURES = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 1.0, -1.5, 7.0]),
-    st.floats(-1e6, 1e6, allow_nan=False),
-)
-
-
-@st.composite
-def zero_start_problems(draw):
-    """(features, labels, weights) with negative, signed-zero and subnormal
-    features, constant columns (few distinct values make them common) and
-    zero weights."""
-    n, d = draw(st.integers(1, 12)), draw(st.integers(0, 5))
-    features = draw(arrays(np.float64, (n, d), elements=START_FEATURES))
-    labels = draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0])))
-    weights = draw(arrays(np.float64, n, elements=st.one_of(
-        st.sampled_from([0.0, 5e-324, 0.37, 1.0]), st.floats(0.0, 1e3))))
-    return features, labels, weights
+def result_bits(loss, grad, p):
+    return float.hex(loss), grad.tobytes(), p.tobytes()
 
 
 class TestBitIdentity:
@@ -699,15 +677,17 @@ class TestBitIdentity:
         labels = np.array([y for y, _ in rows], dtype=np.float64)
         z = np.array([margin for _, margin in rows])
         weights = 0.37 * np.arange(1, len(rows) + 1)
-        # z passes through the margin exactly: z * 1.0 + (-0.0) is z, signed zeros included
-        problems = [(np.ones(1), -0.0, z[:, None], labels, weights, l2)]
+        # z passes through the margin, design @ x with the design [z | 1] and
+        # x = (1, -0.0), exactly but for the sign of a zero; both forms take
+        # the same margins
+        problems = [kernel_args(np.ones(1), -0.0, z[:, None], labels, weights, l2)]
         # row by row, so that no row's difference can cancel in the sum
-        problems += [(np.ones(1), -0.0, z[i:i + 1, None], labels[i:i + 1], np.ones(1), 0.0)
+        problems += [kernel_args(np.ones(1), -0.0, z[i:i + 1, None], labels[i:i + 1], np.ones(1), 0.0)
                      for i in range(len(rows))]
         for i, args in enumerate(problems):
             result = weighted_loss_and_gradient(*args)
             reference = two_term_loss_and_gradient(*args)
-            # the gradient, the intercept's gradient and the probabilities
+            # the gradient and the probabilities
             assert result_bits(*result)[1:] == result_bits(*reference)[1:]
             assert float.hex(result[0]) == float.hex(one_exp_two_term_loss(*args))
             if i > 0:
@@ -724,7 +704,8 @@ class TestBitIdentity:
         for x in xs.tolist():
             exact = decimal_softplus(x)
             # a label-0 row with margin x has cross-entropy softplus(x)
-            kernel = weighted_loss_and_gradient(np.ones(1), -0.0, np.array([[x]]), np.zeros(1), np.ones(1), 0.0)[0]
+            kernel = weighted_loss_and_gradient(*kernel_args(np.ones(1), -0.0, np.array([[x]]), np.zeros(1),
+                                                             np.ones(1), 0.0))[0]
             assert ulps_apart(kernel, exact) <= 1, x
             assert ulps_apart(np.logaddexp(0.0, x), exact) <= 1, x
 
@@ -759,17 +740,6 @@ class TestBitIdentity:
         ds = Dataset(source[rows], [y for _, y in picks], tuple(f"c{j}" for j in range(source.shape[1])))
         assert np.array_equal(ds.constant_columns, ptp_constant_columns(ds.features))
 
-    @settings(max_examples=300, deadline=None)
-    @given(zero_start_problems(), st.sampled_from([0.0, 1e-4, 0.5]))
-    @example((np.array([[-1.0, 7.0, -0.0], [-2.5, 7.0, -0.0], [-5e-324, 7.0, -0.0]]),
-              np.array([1.0, 0.0, 1.0]), np.array([0.0, 2.5, 0.0])), 1e-4)
-    @example((np.zeros((4, 0)), np.array([0.0, 1.0, 1.0, 0.0]), np.array([1.0, 0.0, 5e-324, 3.0])), 0.5)
-    def test_filled_start_equals_loss_at_zero(self, problem, l2):
-        features, labels, weights = problem
-        zero = weighted_loss_and_gradient(np.zeros(features.shape[1]), 0.0, features, labels, weights, l2)
-        start = _loss_and_gradient_at_zero(features, labels, weights, l2)
-        assert result_bits(*start) == result_bits(*zero)
-
     @staticmethod
     def assert_same_fit(ds, weights, config, monkeypatch):
         calls = []
@@ -803,8 +773,11 @@ class TestBitIdentity:
         assert float.hex(model.intercept) == float.hex(intercept)
         assert (model.n_iter, model.converged) == (n_iter, converged)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_fit_equals_two_term_fit_on_random_problems(self, seed, monkeypatch):
+    @staticmethod
+    def constant_columns_problem(seed):
+        """A random problem with three constant columns appended: one of
+        7.0, one of signed zeros and one whose last row differs; and its
+        train settings."""
         rng = np.random.default_rng(50 + seed)
         n = int(rng.integers(20, 400))
         ds, weights = random_problem(rng, n, int(rng.integers(1, 8)))
@@ -819,7 +792,15 @@ class TestBitIdentity:
         ds = Dataset(features, ds.labels, tuple(f"c{i}" for i in range(features.shape[1])))
         config = TrainConfig(l2_penalty=(0.0, 1e-4, 1e-2)[seed % 3],
                              gradient_tolerance=(1e-6, 1e-10)[seed % 2])
-        self.assert_same_fit(ds, weights, config, monkeypatch)
+        return ds, weights, config
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fit_equals_two_term_fit_on_random_problems(self, seed, monkeypatch):
+        self.assert_same_fit(*self.constant_columns_problem(seed), monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fit_matches_separate_products_loop_on_random_problems(self, seed):
+        assert_matches_separate_products_loop(*self.constant_columns_problem(seed))
 
     @pytest.mark.parametrize("unit", [True, False])
     def test_fit_equals_two_term_fit_on_committed_data(self, unit, monkeypatch):
@@ -827,6 +808,18 @@ class TestBitIdentity:
         weights = (SampleWeights.unit(ds.n_rows) if unit
                    else SampleWeights(np.random.default_rng(60).uniform(0.2, 3.0, ds.n_rows)))
         self.assert_same_fit(ds, weights, TrainConfig(), monkeypatch)
+
+
+def assert_matches_separate_products_loop(ds, weights, config):
+    """``fit`` on its design [z | 1] against the loop that took the
+    intercept's Hessian entries and gradient apart from z
+    (``oracles.separate_products_fit``): the products round apart, so the
+    parameters differ in their last bits, but each decision is the same
+    (on every problem of these tests the iteration count too) and the
+    scores agree far inside the tolerance."""
+    model, loop = fit(ds, weights, config), oracles.separate_products_fit(ds, weights, config)
+    assert (model.converged, model.n_iter) == (loop.converged, loop.n_iter)
+    np.testing.assert_allclose(predict_scores(model, ds), predict_scores(loop, ds), rtol=0.0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -900,6 +893,13 @@ class TestCellFit:
             config = TrainConfig(l2_penalty=l2_penalty, gradient_tolerance=tolerance)
             TestBitIdentity.assert_same_fit(ds, weights, config, monkeypatch)
 
+    @pytest.mark.parametrize("tolerance", [1e-6, 1e-12])
+    def test_fit_matches_separate_products_loop_with_planted_duplicates(self, tolerance):
+        for seed in range(200):
+            ds, weights, l2_penalty = self.planted_duplicates_problem(seed)
+            assert_matches_separate_products_loop(
+                ds, weights, TrainConfig(l2_penalty=l2_penalty, gradient_tolerance=tolerance))
+
     def test_census_surrogate_fit_equals_two_term_fit(self, monkeypatch):
         # the m3fair fit of the census_m3fair benchmark, on its 5051 cells
         config = ExperimentConfig(
@@ -951,9 +951,9 @@ class TestCellFit:
 
 class TestFitMemory:
     def test_peak_stays_near_three_feature_matrices(self):
-        # The centered matrix that gives the standardized features is freed
-        # before the Newton loop, which holds z and its row-scaled copy r; a
-        # fit that kept it alive peaked at about 4.1x the features
+        # The Newton loop holds the design [z | 1] and its row-scaled copy
+        # r, and nothing else of the features' size; a fit that kept a
+        # centered copy of the features alive peaked at about 4.1x them
         rng = np.random.default_rng(0)
         n, d = 3200, 201
         ds = Dataset(rng.standard_normal((n, d)), rng.integers(0, 2, n), tuple(f"c{j}" for j in range(d)))
@@ -1060,3 +1060,89 @@ class TestHessianBlock:
     def test_refit_gives_identical_bytes(self, n, d):
         ds, weights = random_problem(np.random.default_rng(n), n, d)
         assert_same_model_bytes(fit(ds, weights), fit(ds, weights))
+
+
+@st.composite
+def branch_problems(draw):
+    """A fit problem on either side of the Hessian's shape rule: the design
+    has m = k + 1 columns and n rows, with n * m * m at most
+    ``_SYRK_WORK`` (2^20) in narrow draws and above it in wide ones.  In
+    half the draws each column is multiplied by 2^0, 2^600 or 2^1015, so
+    some columns' squares, and some sums, overflow; every value stays
+    below 2e306, so no centered entry overflows.  Returns the problem, its
+    twin with every column unscaled, and the train settings."""
+    limit = multifair.model._SYRK_WORK
+    if draw(st.booleans()):
+        m = draw(st.integers(33, 64))
+        n = draw(st.integers(limit // (m * m) + 1, 1500))
+    else:
+        m = draw(st.integers(2, 32))
+        n = draw(st.integers(4 * m, min(1500, limit // (m * m))))
+    twin, weights = random_problem(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, m - 1)
+    exponents = [0] * (m - 1)
+    if draw(st.booleans()):
+        exponents = draw(st.lists(st.sampled_from([0, 600, 1015]), min_size=m - 1, max_size=m - 1))
+    problem = Dataset(twin.features * np.ldexp(1.0, exponents), twin.labels, twin.column_names)
+    config = TrainConfig(l2_penalty=draw(st.sampled_from([1e-4, 1e-2])), gradient_tolerance=1e-10)
+    return problem, twin, weights, config
+
+
+class TestFitBranches:
+    """The fit's branches, each reached by random draws: the Hessian's two
+    forms and the design's overflow fallback."""
+
+    @staticmethod
+    def check(problem, twin, weights, config):
+        model = fit(problem, weights, config)
+        # the steps of the first-written loop, whose Hessian form is the shape rule's
+        coefficients, intercept, n_iter, converged = first_written_fit(problem, weights, config)
+        assert model.coefficients.tobytes() == coefficients.tobytes()
+        assert float.hex(model.intercept) == float.hex(intercept)
+        assert (model.n_iter, model.converged) == (n_iter, converged)
+        # a column times a power of two standardizes to the same column; the
+        # scaled form of the moments rounds apart from the direct one
+        reference = fit(twin, weights, config)
+        assert model.converged and reference.converged
+        np.testing.assert_allclose(predict_scores(model, problem), predict_scores(reference, twin),
+                                   rtol=0.0, atol=1e-7)
+
+    @settings(max_examples=100, deadline=None)
+    @given(branch_problems())
+    def test_fit_equals_first_written_fit_and_its_unscaled_twin(self, drawn):
+        self.check(*drawn)
+
+    def test_random_draws_reach_the_branches(self, monkeypatch):
+        # A property passes whatever a branch it never reaches does.  At a
+        # fixed seed, the drawn problems alone must take each Hessian form
+        # and the design's overflow fallback.
+        real_block, real_design, draws = multifair.model._hessian_block, multifair.model._design, []
+
+        def block_spy(design, s):
+            n, m = design.shape
+            draws[-1].add("syrk" if n * m * m > multifair.model._SYRK_WORK else "gemm")
+            return real_block(design, s)
+
+        def design_spy(features, weights, constant):
+            # the fallback runs where a column's direct scale is not finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                centered = features - (weights @ features) / weights.sum()
+                direct = np.sqrt((weights @ (centered * centered)) / weights.sum())
+            if not np.isfinite(direct[~constant]).all():
+                draws[-1].add("fallback")
+            return real_design(features, weights, constant)
+
+        monkeypatch.setattr(multifair.model, "_hessian_block", block_spy)
+        monkeypatch.setattr(multifair.model, "_design", design_spy)
+
+        @seed(0)
+        @settings(max_examples=100, deadline=None, database=None)
+        @given(branch_problems())
+        def drawn(problem):
+            draws.append(set())
+            self.check(*problem)
+
+        drawn()
+        assert len(draws) == 100
+        shares = {branch: sum(branch in d for d in draws) / 100 for branch in ("gemm", "syrk", "fallback")}
+        # 0.71, 0.29 and 0.38 at this seed
+        assert min(shares.values()) >= 0.25, shares
