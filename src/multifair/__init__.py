@@ -12,9 +12,7 @@ from .data import (
     GroupAssignment,
     SplitSpec,
     binarize_by_mean,
-    binarize_by_threshold,
     load_csv,
-    save_csv,
     set_privileged,
     split,
 )

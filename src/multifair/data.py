@@ -167,11 +167,6 @@ class Dataset:
         return _read_only(_constant_columns(features))
 
     @cached_property
-    def float_labels(self) -> np.ndarray:
-        """Read-only labels as float64 0.0 and 1.0."""
-        return _read_only(self.labels.astype(np.float64))
-
-    @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """The rows grouped by exact (feature bytes, label) equality, as
         read-only ``(first, cell)``: ``first`` holds each cell's first row,
@@ -735,22 +730,14 @@ def _above_train_means(train: Dataset, columns, *others: Dataset) -> tuple[list[
 def binarize_by_mean(dataset: Dataset, column: str) -> GroupAssignment:
     """Binarize a numeric column against its own mean (strictly greater -> 1).
 
+    The mean is the one that :func:`_above_train_means`, the kernel every
+    command binarizes through, takes with ``dataset`` as the training
+    split, so a column whose sum overflows gets its mean in scaled form.
     Constant columns cannot be split and raise DegenerateAttributeError.
     The privileged side is left unset; see :func:`set_privileged`.
-
-    A column whose sum overflows gets its mean in scaled form, as in
-    :func:`_above_train_means`, but computed here on the column alone, so
-    that the tests can check that kernel against this function.
     """
-    values = dataset.column(column)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = values.mean()
-    if not np.isfinite(mean):
-        # The mean of x / m, m = max |x|, scaled back by m: it lies within
-        # [-m, m], so it does not overflow
-        m = np.abs(values).max()
-        mean = m * (values / m).mean()
-    return binarize_by_threshold(dataset, column, float(mean))
+    (mean,), _ = _above_train_means(dataset, (column,))
+    return binarize_by_threshold(dataset, column, mean)
 
 
 def privileged_side(label_counts: np.ndarray) -> np.ndarray:

@@ -230,19 +230,14 @@ def _weigh(config: ExperimentConfig, train: Dataset, other: Dataset) -> tuple[Sa
     return _stage("reweight", _training_weights, config, train, train_groups), other_groups
 
 
-def _evaluate(model, data: Dataset, groups: dict) -> tuple[PredictionSet, list]:
-    """Score ``data`` and evaluate every group's fairness on the scores."""
-    preds = PredictionSet(predict_scores(model, data), data.labels)
-    return preds, evaluate_fairness(preds, groups.values())
-
-
 def _run_condition(config: ExperimentConfig, train: Dataset, test: Dataset) -> ExperimentReport:
     """Binarize, reweight, fit, evaluate on ``test`` and emit the report."""
     weights, test_groups = _weigh(config, train, test)
     model = _fit_stage(train, weights, config.train)
 
     def evaluate():
-        preds, fairness = _evaluate(model, test, test_groups)
+        preds = PredictionSet(predict_scores(model, test), test.labels)
+        fairness = evaluate_fairness(preds, test_groups.values())
         auroc_value, auprc_value = ranking_metrics(preds.scores, preds.labels)
         performance = {"acc": accuracy(preds), "auroc": auroc_value, "auprc": auprc_value}
         attrs = _method_attributes(config)

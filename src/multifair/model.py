@@ -266,7 +266,8 @@ def _hessian_block(design: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfig()) -> ModelParams:
     """Train weighted logistic regression on ``train`` by damped Newton
-    from zero parameters.
+    from zero parameters, on ``train``'s cells (see the module docstring).
+    The labels are cast from ``train.labels`` to float64 once per fit.
 
     Raises DataError when the weights are misaligned or when either class
     carries zero weight mass (a single-class problem has no finite
@@ -280,10 +281,10 @@ def fit(train: Dataset, weights: SampleWeights, config: TrainConfig = TrainConfi
     # its rows' summed weight (see the module docstring)
     first, cell = train.cells
     if first.shape[0] == train.n_rows:  # every row is its own cell
-        features, y, w = train.features, train.float_labels, weights.values
+        features, y, w = train.features, train.labels.astype(np.float64), weights.values
     else:
         features = np.take(train.features, first, axis=0)
-        y = np.take(train.float_labels, first)
+        y = np.take(train.labels, first).astype(np.float64)
         w = np.bincount(cell, weights=weights.values, minlength=first.shape[0])
     # With non-negative weights, a class's mass is zero exactly when its dot product is
     if w @ y <= 0.0 or w @ (1.0 - y) <= 0.0:

@@ -115,7 +115,9 @@ def reweight(labels, partition, prior: SampleWeights) -> SampleWeights:
 
     ``partition`` is a vector of integer (or bool) group ids; any other
     dtype is a DataError.  Each row's multiplier comes from
-    :func:`cell_multipliers`, with the rows as its items.
+    :func:`stacked_cell_multipliers`, with the rows as its items and
+    ``partition`` as its one point; an unreachable cell raises
+    UnreachableCellError with the kernel's reason.
     """
     labels = np.asarray(labels)
     partition = np.asarray(partition)
@@ -131,17 +133,10 @@ def reweight(labels, partition, prior: SampleWeights) -> SampleWeights:
     if not ((labels == 0) | (labels == 1)).all():
         raise DataError("labels must be 0 or 1")
     labels = labels.astype(np.int64, copy=False)
-    return SampleWeights(weights * cell_multipliers(labels, partition, weights))
-
-
-def cell_multipliers(labels, partition, weights) -> np.ndarray:
-    """Each item's multiplier under the module docstring's formula: the
-    one-partition case of :func:`stacked_cell_multipliers`.  Raises its
-    UnreachableCellError."""
-    multipliers, reasons = stacked_cell_multipliers(labels, partition[None], weights)
-    if reasons[0] is not None:
-        raise UnreachableCellError(reasons[0])
-    return multipliers[0]
+    multipliers, (reason,) = stacked_cell_multipliers(labels, partition[None], weights)
+    if reason is not None:
+        raise UnreachableCellError(reason)
+    return SampleWeights(weights * multipliers[0])
 
 
 def distinct_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

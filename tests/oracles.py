@@ -1,8 +1,8 @@
 """Test oracles: the group-fairness metrics and the privileged-side rule
-written out one mask at a time, AUROC's average ranks from ``np.unique``,
-AUPRC's sweep over a stable sort, and one model's scores and one
-partition's reweighting multipliers as they were computed before
-``multifair`` stacked them.
+written out one mask at a time, a column's split at its own mean, AUROC's
+average ranks from ``np.unique``, AUPRC's sweep over a stable sort, and
+one model's scores and one partition's reweighting multipliers as they
+were computed before ``multifair`` stacked them.
 
 ``multifair`` computes the first from label and prediction counts in one
 kernel (``metrics.side_cells`` and ``metrics.group_fairness``, and
@@ -17,6 +17,9 @@ tie, where :func:`auprc` keeps the rows' order.
 stacked pass and ``reweighting.stacked_cell_multipliers`` reweights many
 partitions in two bincounts; :func:`predict_scores` and
 :func:`cell_multipliers` do one model or one partition at a time.
+``data.binarize_by_mean`` takes its threshold from the kernel that splits
+every command's columns at once, ``data._above_train_means``;
+:func:`binarize_by_mean` takes the mean of the one column alone.
 ``model.fit`` solves on one design ``[z | 1]`` with one product for the
 Newton system and one for the gradient; :func:`separate_products_fit` is
 the loop as it ran before that design, on the gathered columns z with the
@@ -31,9 +34,27 @@ import numpy as np
 
 import multifair.model
 from multifair.data import Dataset, GroupAssignment
-from multifair.errors import DataError, MetricUndefinedError, UnreachableCellError
+from multifair.errors import DataError, DegenerateAttributeError, MetricUndefinedError, UnreachableCellError
 from multifair.metrics import PredictionSet, _scores_and_positives
 from multifair.model import ModelParams, TrainConfig, _sigmoid, _sigmoid_from_exp, _standardized
+
+
+def binarize_by_mean(dataset: Dataset, column: str) -> GroupAssignment:
+    """The rows of ``column`` strictly above its mean, taken on the column
+    alone; where its sum overflows, the mean of x / m scaled back by m = max
+    |x|.  Raises DegenerateAttributeError when every row or none is above."""
+    values = dataset.column(column)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean()
+    if not np.isfinite(mean):
+        m = np.abs(values).max()
+        mean = m * (values / m).mean()
+    above = values > mean
+    if above.all() or not above.any():
+        raise DegenerateAttributeError(
+            f"degenerate attribute {column!r}: threshold {float(mean)!r} leaves one group empty"
+        )
+    return GroupAssignment(column, above.astype(np.int8))
 
 
 def set_privileged(group: GroupAssignment, dataset: Dataset) -> GroupAssignment:
@@ -253,7 +274,7 @@ def separate_products_fit(train: Dataset, weights, config: TrainConfig = TrainCo
     import multifair.model
 
     first, cell = train.cells
-    features, y = train.features[first], train.float_labels[first]
+    features, y = train.features[first], train.labels[first].astype(np.float64)
     w = np.bincount(cell, weights=weights.values, minlength=first.shape[0])
     constant = train.constant_columns
     means, scales, centered = _separate_moments(features, w, constant)

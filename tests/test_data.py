@@ -31,6 +31,7 @@ from multifair.experiment import DatasetConfig, ExperimentConfig
 from multifair.metrics import PredictionSet
 from multifair.reweighting import SampleWeights, reweight
 from multifair.synth import planted_bias_dataset
+from oracles import binarize_by_mean as binarize_by_mean_oracle
 from oracles import set_privileged as set_privileged_oracle
 
 
@@ -567,11 +568,12 @@ class TestRepeatedLinesMatchCsvPath:
             assert load_outcome(load_csv, csv_file) == load_outcome(data._load_rows, csv_file)
 
     def test_random_draws_reach_the_routes(self, csv_file, monkeypatch):
-        # A property passes whatever a branch it never reaches does.  At a
-        # fixed seed, the drawn files alone, with no explicit example, must
-        # reach _repeated_lines, its keyed route, it with a byte that is not
-        # UTF-8 past the first decode chunk, and the keyed parse that loads
-        # a table of distinct lines.
+        # A property passes whatever a branch it never reaches does.  Pooled
+        # over three fixed seeds, so that a floor pins the strategy's reach
+        # rather than one seed's draws, the drawn files alone, with no
+        # explicit example, must reach _repeated_lines, its keyed route, it
+        # with a byte that is not UTF-8 past the first decode chunk, and the
+        # keyed parse that loads a table of distinct lines.
         real, routes, draws, tables = data._repeated_lines, [], [], []
 
         def spy(*args):
@@ -589,22 +591,24 @@ class TestRepeatedLinesMatchCsvPath:
         monkeypatch.setattr(data, "_repeated_lines", spy)
         monkeypatch.setattr(data, "load_csv_table", table_spy)
 
-        @seed(0)
         @settings(max_examples=200, deadline=None, database=None)
         @given(raw=raw_csv_files(), probe_bytes=st.integers(1, 80))
         def drawn(raw, probe_bytes):
             draws.append(raw)
             self.check(csv_file, raw, probe_bytes)
 
-        drawn()
-        assert len(draws) == 200
+        for number in range(3):
+            seed(number)(drawn)()
+        assert len(draws) == 600
         shares = {
-            "reached": len(routes) / 200,
-            "keyed": sum(keyed for keyed, _ in routes) / 200,
-            "reached with a stray byte": sum(stray for _, stray in routes) / 200,
-            "loaded as a table": sum(tables) / 200,
+            "reached": len(routes) / 600,
+            "keyed": sum(keyed for keyed, _ in routes) / 600,
+            "reached with a stray byte": sum(stray for _, stray in routes) / 600,
+            "loaded as a table": sum(tables) / 600,
         }
-        # 0.86, 0.315, 0.1 and 0.195 at this seed
+        # Seeds 0, 1, 2 read 0.86, 0.875, 0.83 reached, 0.315, 0.32, 0.21
+        # keyed, 0.1, 0.11, 0.135 with a stray byte and 0.195, 0.205, 0.085
+        # loaded as a table; pooled, 0.855, 0.282, 0.115 and 0.162
         assert shares["reached"] >= 0.4 and shares["keyed"] >= 0.1, shares
         assert shares["reached with a stray byte"] >= 0.05, shares
         assert shares["loaded as a table"] >= 0.1, shares
@@ -836,12 +840,36 @@ class TestCells:
     @example((np.array([[1e308, -1e308], [-1e308, 1e308], [1e308, -1e308]]), np.array([0, 0, 0])))
     @example((np.array([[5e-324], [0.0], [-5e-324], [5e-324], [0.0]]), np.array([1, 0, 1, 1, 0])))
     def test_cells_are_the_exact_byte_partition(self, problem):
+        self.check(problem)
+
+    @staticmethod
+    def check(problem):
         # RuntimeWarnings are errors in this suite, so an overflowing key fails here
         features, labels = problem
         first, cell = Dataset(features, labels, tuple(f"c{j}" for j in range(features.shape[1]))).cells
         assert (first.tolist(), cell.tolist()) == byte_cells(features, labels)
         assert (np.diff(first) > 0).all()
         assert (first[cell] <= np.arange(labels.shape[0])).all()
+
+    def test_random_draws_reach_the_tie_branch(self, monkeypatch):
+        # At a fixed seed the drawn problems alone, with no explicit
+        # example, must reach the sort on the key and then the bytes, which
+        # runs only where tied keys hold different rows
+        real, resorts, reached = np.lexsort, [], []
+        monkeypatch.setattr(np, "lexsort", lambda keys: resorts.append(keys) or real(keys))
+
+        @seed(0)
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(cell_problems())
+        def drawn(problem):
+            resorts.clear()
+            self.check(problem)
+            reached.append(bool(resorts))
+
+        drawn()
+        assert len(reached) == 300
+        # 0.207 at this seed, 0.117-0.207 at seeds 0-7
+        assert sum(reached) / 300 >= 0.1
 
     def test_census_surrogate_training_split_has_5051_cells(self):
         ds = load_csv(REPO_ROOT / "data" / "census_surrogate.csv", "income", ">50K")
@@ -1158,7 +1186,8 @@ class TestBinarizeByMean:
 
     def test_column_whose_sum_overflows(self, monkeypatch):
         # 1e308 on every fourth of 200 rows: the plain sum is inf, and the
-        # threshold is the kernel's scaled mean, about 2.5e307, bit for bit
+        # threshold is the kernel's scaled mean, about 2.5e307, bit for bit;
+        # the column's own scaled mean splits the rows the same way
         rng = np.random.default_rng(7)
         values = np.column_stack([rng.normal(size=200), np.where(np.arange(200) % 4 == 0, 1e308, 0.0)])
         ds = Dataset(values, np.arange(200) % 2, ("x", "big"))
@@ -1176,6 +1205,7 @@ class TestBinarizeByMean:
         assert thresholds == [pytest.approx(2.5e307, rel=1e-15)]
         assert float.hex(thresholds[0]) == float.hex(means[0])
         assert np.array_equal(group.membership, above[0])
+        assert np.array_equal(group.membership, binarize_by_mean_oracle(ds, "big").membership)
 
 
 # Signed zeros, the largest finite doubles (whose sums overflow) and the

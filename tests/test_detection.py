@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multifair.data import Dataset, binarize_by_mean
+from multifair.data import Dataset
 from multifair.detection import METRIC_NAMES, DetectionConfig, DetectionResult, detect
 from multifair.errors import ConfigError, DataError, DegenerateAttributeError, MetricUndefinedError
 from multifair.metrics import PredictionSet
@@ -14,6 +14,7 @@ from multifair.reweighting import SampleWeights
 from multifair.synth import planted_bias_dataset
 from oracles import (
     average_odds_difference,
+    binarize_by_mean,
     disparate_impact,
     equal_opportunity_difference,
     set_privileged,
@@ -156,8 +157,8 @@ class TestDetect:
 
 
 def loop_detect(dataset, preds, config=DetectionConfig()):
-    """Test oracle: detection as a per-column loop over binarize_by_mean and
-    the set_privileged and per-metric oracles, with detect's checks,
+    """Test oracle: detection as a per-column loop over the binarize_by_mean,
+    set_privileged and per-metric oracles, with detect's checks,
     ranking key, intersection and skip list."""
     if len(preds) != dataset.n_rows:
         raise DataError("baseline predictions not row-aligned with the dataset")

@@ -24,7 +24,6 @@ from multifair.experiment import (
     GridSearchConfig,
     ReportRow,
     _binarize_on_train,
-    _evaluate,
     _load_split,
     _run_condition,
     _training_weights,
@@ -37,8 +36,8 @@ from multifair.experiment import (
     run_experiment,
     select_grid_winner,
 )
-from multifair.metrics import auroc, unfairness
-from multifair.model import TrainConfig, fit
+from multifair.metrics import PredictionSet, auroc, evaluate_fairness, unfairness
+from multifair.model import TrainConfig, fit, predict_scores
 from multifair.reweighting import LevelWeightConfig, SampleWeights, m3fair, reweight
 from multifair.synth import planted_bias_dataset, two_attribute_biased_dataset
 
@@ -715,7 +714,9 @@ def per_point_oracle(config, grid):
         try:
             weights = _training_weights(replace(config, level_weights=level_weights), subtrain, sub_groups)
             distinct.add(weights.values.tobytes())
-            preds, fairness = _evaluate(fit(subtrain, weights, config.train), validation, val_groups)
+            model = fit(subtrain, weights, config.train)
+            preds = PredictionSet(predict_scores(model, validation), validation.labels)
+            fairness = evaluate_fairness(preds, val_groups.values())
             val_auroc = auroc(preds.scores, preds.labels)
         except (UnreachableCellError, MetricUndefinedError) as exc:
             points.append(GridPoint(level_weights, "failed", reason=str(exc)))

@@ -210,7 +210,7 @@ def objective(model, ds, weights, l2_penalty):
     coordinates."""
     z = (ds.features - model.means) / model.scales
     return weighted_loss_and_gradient(*kernel_args(
-        model.coefficients, model.intercept, z, ds.float_labels, weights.values, l2_penalty))[0]
+        model.coefficients, model.intercept, z, ds.labels.astype(np.float64), weights.values, l2_penalty))[0]
 
 
 def lbfgs_scores(ds, weights, l2_penalty):
@@ -608,7 +608,7 @@ def first_written_fit(ds, weights, config):
     to ``_SYRK_WORK`` and syrk above.  Returns the coefficients, the
     intercept, n_iter and converged."""
     first, cell = ds.cells
-    features, y = ds.features[first], ds.float_labels[first]
+    features, y = ds.features[first], ds.labels[first].astype(np.float64)
     w = np.bincount(cell, weights=weights.values, minlength=first.shape[0])
     constant = ptp_constant_columns(ds.features)
     _, means, scales = _design(features, w, constant)
