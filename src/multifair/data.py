@@ -279,12 +279,11 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     """Load a headered CSV file into a :class:`Dataset`.
 
     The label column must hold at most two distinct values, one of them
-    ``positive_label`` (mapped to 1).  A column is numeric when every
-    non-empty cell parses as a number (``float()``); it becomes one float
-    feature.  Any other column is text and is one-hot encoded into
-    ``name=value`` indicator columns, categories ordered by first
-    appearance.  Cell whitespace is stripped, so comma-space separated
-    files load cleanly.
+    ``positive_label``.  A column is numeric when every non-empty cell
+    parses as a number (``float()``); any other column is text.  Cell
+    whitespace is stripped, so comma-space separated files load cleanly.
+    Every route but orjson's ends in :func:`_dataset`, the one step that
+    builds the features, their names and the labels.
 
     The first data row and the first 64 KiB of data lines pick one of
     three fast routes (see :func:`_load_loadtxt`): a file whose columns are
@@ -357,12 +356,13 @@ def _load_loadtxt(path, label_column: str,
     loadtxt's C loop, with no Python frame per cell; the orjson route codes
     label cells with the same builtin.  When two raw spellings strip to one
     category the file takes the csv-module path, which merges them;
-    otherwise each stripped category keeps its raw code, in
-    first-appearance order.  Numeric cells go through numpy's C float
-    parser or orjson's, which both round as ``float()`` does; the few
-    spellings only ``float()`` reads make loadtxt raise, and so take the
-    csv-module path.  So does a non-finite number, found among the parsed
-    values before any text column is expanded to its 0/1 indicators.
+    otherwise each stripped category keeps its raw code.  Numeric cells go
+    through numpy's C float parser or orjson's, which both round as
+    ``float()`` does; the few spellings only ``float()`` reads make loadtxt
+    raise, and so take the csv-module path.  So does a non-finite number,
+    found among the parsed values before :func:`_dataset` builds anything.
+    Both loadtxt routes return through it; the orjson route's features are
+    its parsed matrix as it is, which :func:`_dataset` would copy.
     """
     # newline="" keeps line endings inside quoted cells as the csv module does
     with open(path, newline="", encoding="utf-8") as handle:
@@ -418,22 +418,32 @@ def _load_loadtxt(path, label_column: str,
     if len(labels_seen.keys() - {positive_label}) > 1:
         return None
     if numeric is None:
-        blocks, names = [], []
-        for j, name in enumerate(header):
-            if j == label_idx:
-                continue
-            if j in tables:
-                blocks.append(values[:, j, None] == np.arange(len(tables[j])))
-                names.extend(f"{name}={category}" for category in tables[j])
-            else:
-                blocks.append(values[:, j, None])
-                names.append(name)
-        features = np.concatenate(blocks, axis=1, dtype=np.float64)
-        label_codes = values[:, label_idx]
-    else:
-        features, names = values, header[:label_idx] + header[label_idx + 1:]
-    labels = label_codes == labels_seen.get(positive_label, -1)
-    return Dataset(features, labels, tuple(names)), None if repeated is None else inverse
+        dataset = _dataset(header, label_idx, values.T, tables, positive_label)
+        return dataset, None if repeated is None else inverse
+    names = header[:label_idx] + header[label_idx + 1:]
+    return Dataset(values, label_codes == labels_seen.get(positive_label, -1), tuple(names)), None
+
+
+def _dataset(header: list[str], label_idx: int, values, tables: dict,
+             positive_label: str) -> Dataset:
+    """The one assembly step of the loadtxt routes and the csv-module
+    path: ``values[j]`` is column ``j`` of ``header``, a number per row,
+    or for the label and each text column ``j`` each cell's code in
+    ``tables[j]``, a ``{category: code}`` map in first-appearance order.
+    A text column becomes one ``name=category`` indicator per category,
+    and a label is 1 where its code is ``positive_label``'s."""
+    blocks, names = [], []
+    for j, name in enumerate(header):
+        if j == label_idx:
+            continue
+        if j in tables:
+            blocks.append(values[j][:, None] == np.arange(len(tables[j])))
+            names.extend(f"{name}={category}" for category in tables[j])
+        else:
+            blocks.append(values[j][:, None])
+            names.append(name)
+    labels = values[label_idx] == tables[label_idx].get(positive_label, -1)
+    return Dataset(np.concatenate(blocks, axis=1, dtype=np.float64), labels, tuple(names))
 
 
 # How many bytes of a CSV's data lines are read to decide whether lines repeat
@@ -610,9 +620,9 @@ def _numeric_block(block: bytes, n_cols: int, label_idx: int,
 def _load_rows(path, label_column: str, positive_label: str) -> Dataset:
     """The csv-module path of :func:`load_csv`: the csv module and
     ``float()`` on every cell, for every file and with every error the
-    docstring there names.  A text column's categories are its distinct
-    cells in first-appearance order, and its indicators one comparison of
-    its category codes with each code."""
+    docstring there names.  The label and each text column are coded with
+    the loadtxt converters' builtin, and :func:`_dataset` assembles the
+    result."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -638,42 +648,28 @@ def _load_rows(path, label_column: str, positive_label: str) -> Dataset:
 
     label_idx = header.index(label_column)
     columns = list(zip(*rows))
-    label_values = columns[label_idx]
-    others = set(label_values) - {positive_label}
+    others = set(columns[label_idx]) - {positive_label}
     if len(others) > 1:
         raise DataError(
             f"{path}: label value outside declared pair: expected {positive_label!r} "
             f"plus one other value, found {sorted(others)}"
         )
-    labels = np.array([v == positive_label for v in label_values])
-
-    blocks: list[np.ndarray] = []
-    names: list[str] = []
-    for j, (name, cells) in enumerate(zip(header, columns)):
-        if j == label_idx:
-            continue
-        parsed = list(map(_parse_float, cells))
-        if all(p is not None for c, p in zip(cells, parsed) if c != ""):  # numeric
-            values = np.array(parsed, dtype=np.float64)  # an empty cell reads nan
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:  # the first empty or non-finite cell
-                i = int(bad[0])
-                if cells[i] == "":
-                    raise DataError(f"{path}: missing numeric value in column {name!r}, data row {i + 1}")
-                raise DataError(
-                    f"{path}: non-finite numeric value {cells[i]!r} in column {name!r}, data row {i + 1}"
-                )
-            blocks.append(values[:, None])
-            names.append(name)
-        else:
-            categories = {c: k for k, c in enumerate(dict.fromkeys(cells))}
-            codes = np.fromiter(map(categories.__getitem__, cells), np.intp, len(cells))
-            blocks.append(codes[:, None] == np.arange(len(categories)))
-            names.extend(f"{name}={c}" for c in categories)
-
-    if not blocks:
+    if len(header) < 2:
         raise DataError(f"{path}: no feature columns besides the label")
-    return Dataset(np.concatenate(blocks, axis=1, dtype=np.float64), labels, tuple(names))
+    values, tables = {}, {}
+    for j, (name, cells) in enumerate(zip(header, columns)):
+        parsed = None if j == label_idx else list(map(_parse_float, cells))
+        if parsed is None or not all(p is not None for c, p in zip(cells, parsed) if c != ""):
+            tables[j] = defaultdict(itertools.count(0.0).__next__)  # the label or a text column
+            values[j] = np.fromiter(map(tables[j].__getitem__, cells), np.float64, len(cells))
+            continue
+        values[j] = np.array(parsed, dtype=np.float64)  # an empty cell reads nan
+        finite = np.isfinite(values[j])
+        if not finite.all():
+            i = int(finite.argmin())  # the first empty or non-finite cell
+            problem = "missing numeric value" if cells[i] == "" else f"non-finite numeric value {cells[i]!r}"
+            raise DataError(f"{path}: {problem} in column {name!r}, data row {i + 1}")
+    return _dataset(header, label_idx, values, tables, positive_label)
 
 
 def save_csv(dataset: Dataset, path, label_column: str = "label",

@@ -469,6 +469,41 @@ def test_repeated_lines_are_parsed_once(loadtxt_sources, numeric_parses):
     assert loadtxt_sources == [] and numeric_parses == [True]
 
 
+@pytest.mark.parametrize("text, route, names, features, labels", [
+    # lines that repeat: loadtxt parses the two distinct ones
+    ("x,y,t\n1,p,a\n2,q,b\n1,p,a\n2,q,b\n", "distinct lines", ("x", "t=a", "t=b"),
+     [[1, 1, 0], [2, 0, 1], [1, 1, 0], [2, 0, 1]], [1, 0, 1, 0]),
+    # a quoted cell: one loadtxt pass over the whole file
+    ('x,y,t\n1,p,"a,b"\n2,q,c\n3,p,"a,b"\n', "whole file", ("x", "t=a,b", "t=c"),
+     [[1, 1, 0], [2, 0, 1], [3, 1, 0]], [1, 0, 1]),
+    # two paddings of one category, which the csv-module path merges
+    ("x,y,t\n1,p,a\n2,q, a\n3,p,b\n", "csv module", ("x", "t=a", "t=b"),
+     [[1, 1, 0], [2, 1, 0], [3, 0, 1]], [1, 0, 1]),
+])
+def test_each_route_assembles_the_literal_dataset(tmp_path, monkeypatch, loadtxt_sources, text,
+                                                  route, names, features, labels):
+    # The fuzz tests compare each route with the csv-module path, and every
+    # one of them ends in the same assembly step: these pin what it builds
+    calls = []
+
+    def spy(name):
+        real = getattr(data, name)
+        monkeypatch.setattr(data, name, lambda *args: calls.append(name) or real(*args))
+
+    spy("_load_rows")
+    spy("_dataset")
+    ds = load_csv(write(tmp_path / "t.csv", text), "y", "p")
+    assert ds.column_names == names
+    assert ds.features.tobytes() == np.array(features, dtype=np.float64).tobytes()
+    assert ds.labels.tolist() == labels
+    read = ["lines" if isinstance(source, list) else "file" for source in loadtxt_sources]
+    assert (read, calls) == {
+        "distinct lines": (["lines"], ["_dataset"]),
+        "whole file": (["file"], ["_dataset"]),
+        "csv module": (["file"], ["_load_rows", "_dataset"]),
+    }[route]
+
+
 # pieces of data lines: text and multi-byte UTF-8, and less often a quote
 # or a byte that is not UTF-8 (a stray 0xff, a lead byte with no continuation)
 LINE_PIECES = [b"a", b"1", b",", b"p", b" ", "\u00e9".encode(), "\u2192".encode()] * 4 + [b'"', b"\xff", b"\xc3"]
@@ -488,20 +523,26 @@ DECODE_CHUNK = 8192
 
 @st.composite
 def raw_csv_files(draw):
-    """CSV bytes after an ``x,y`` header: at least one data line, the
-    rest drawn from a small pool, so they repeat, with every kind of line
-    end (mostly the header's), blank lines among them, and maybe no end on
-    the last.  The first line and three in four pool lines are two cells,
-    as the header is, so that most files get past the first row to
-    ``_repeated_lines``; nine in ten of the pool's ``y`` cells, and every
-    first line's, are ``p`` or ``q``.  One file in three is clean: its
-    cells are non-empty and hold no quote and no byte that is not UTF-8,
-    every line is two cells labelled ``p`` or ``q`` and ends as the header
-    does, and the header does not end in a lone ``\r``, so that many keyed
-    files are read as a table of distinct lines.  In half the files the first line
-    repeats past the first decode chunk, and in half of those a line with
-    a byte that is not UTF-8 follows, which only the routes read; in half
-    of the others it repeats at once, inside any probe longer than it."""
+    """``(file, probe bytes)``: CSV bytes after an ``x,y`` header, a first
+    data line and at least one more drawn from a small pool, so that lines
+    repeat, with every kind of line end (mostly one, which in a clean file
+    and half the others ends the header too), blank lines among them, and
+    maybe no end on the last.  The first line and three in four pool
+    lines are two cells, as the header is, so that most files get past the
+    first row to ``_repeated_lines``; nine in ten of the pool's ``y``
+    cells, and every first line's, are ``p`` or ``q``.  One file in three
+    is clean: its cells are non-empty and hold no quote and no byte that
+    is not UTF-8, every line is two cells labelled ``p`` or ``q`` and ends
+    as the header does, and the header does not end in a lone ``\r``, so
+    that many keyed files are read as a table of distinct lines.  In half
+    the files the first line repeats past the first decode chunk, and in
+    half of those a line with a byte that is not UTF-8 follows, which only
+    the routes read; in half of the others it repeats at once.
+
+    The probe is drawn up to 80 bytes, so that files of a few lines cross
+    it.  A probe no longer than the first line reads that line alone, which
+    cannot repeat, so in half the files that repeat a line the probe is
+    that much past the end of the line before the first repeat."""
     clean = draw(st.integers(0, 2)) == 0
     if clean:
         cell = st.lists(st.sampled_from(CLEAN_CELL_PIECES), min_size=1, max_size=3).map(b"".join)
@@ -518,7 +559,7 @@ def raw_csv_files(draw):
         return body + (end if clean or draw(st.integers(0, 4)) else draw(st.sampled_from(LINE_ENDS)))
 
     pool = [line() for _ in range(draw(st.integers(1, 4)))]
-    lines = [line(two_cells=True)] + [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(0, 39)))]
+    lines = [line(two_cells=True)] + [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 39)))]
     if draw(st.booleans()):
         past = DECODE_CHUNK // len(lines[0]) + draw(st.integers(1, 3))
         lines[:1] = [lines[0]] * past
@@ -527,10 +568,15 @@ def raw_csv_files(draw):
             lines.insert(draw(st.integers(past, len(lines))), stray)
     elif draw(st.booleans()):
         lines[1:1] = [lines[0]] * draw(st.integers(1, 3))
+    probe = draw(st.integers(1, 80))
+    repeat = next((k for k in range(1, len(lines)) if lines[k] in lines[:k]), None)
+    if repeat is not None and not draw(st.booleans()):
+        probe += len(b"".join(lines[:repeat]))  # reads past the first repeat
     body = b"".join(lines)
     if draw(st.booleans()):
         body = body.rstrip(b"\r\n")
-    return b"x,y" + end + body
+    head_end = end if clean or draw(st.booleans()) else draw(st.sampled_from(LINE_ENDS))
+    return b"x,y" + head_end + body, probe
 
 
 class TestRepeatedLinesMatchCsvPath:
@@ -545,21 +591,21 @@ class TestRepeatedLinesMatchCsvPath:
     def csv_file(self, tmp_path_factory):
         return tmp_path_factory.mktemp("bytes_reader") / "t.csv"
 
-    @given(raw=raw_csv_files(), probe_bytes=st.integers(1, 80))
+    @given(file=raw_csv_files())
     @settings(max_examples=400, deadline=None)
-    @example(raw=b"x,y\n" + b"a,p\n" * 5 + b"a,p\r", probe_bytes=8)  # a lone \r last
-    @example(raw=b"x,y\n" + b"a,p\n" * 5 + b"a,p\ra,p\n", probe_bytes=8)  # past the probe
-    @example(raw=b"x,y\r" + b"a,p\n" * 5, probe_bytes=8)  # in the header
-    @example(raw=b"x,y\n" + b"a,p\n" * 5 + b"\xff,p\n", probe_bytes=8)
+    @example(file=(b"x,y\n" + b"a,p\n" * 5 + b"a,p\r", 8))  # a lone \r last
+    @example(file=(b"x,y\n" + b"a,p\n" * 5 + b"a,p\ra,p\n", 8))  # past the probe
+    @example(file=(b"x,y\r" + b"a,p\n" * 5, 8))  # in the header
+    @example(file=(b"x,y\n" + b"a,p\n" * 5 + b"\xff,p\n", 8))
     # the same, with the first data line ending at byte 8192: the text
     # handle that reads the header and first row decodes 8 KiB at a time,
     # so here the routes are the first to decode the lines after it
-    @example(raw=b"x" + b" " * 8184 + b",y\n" + b"a,p\n" * 5 + b"\xff,p\n", probe_bytes=8)
+    @example(file=(b"x" + b" " * 8184 + b",y\n" + b"a,p\n" * 5 + b"\xff,p\n", 8))
     # the probe counts bytes: a probe of 4 stops after the first line, which
     # has 6 bytes but 4 characters
-    @example(raw=b"x,y\n" + "\u2192,p\n".encode() * 5, probe_bytes=4)
-    def test_same_outcome_as_the_csv_module_path(self, csv_file, raw, probe_bytes):
-        self.check(csv_file, raw, probe_bytes)
+    @example(file=(b"x,y\n" + "\u2192,p\n".encode() * 5, 4))
+    def test_same_outcome_as_the_csv_module_path(self, csv_file, file):
+        self.check(csv_file, *file)
 
     @staticmethod
     def check(csv_file, raw, probe_bytes):
@@ -573,13 +619,17 @@ class TestRepeatedLinesMatchCsvPath:
         # rather than one seed's draws, the drawn files alone, with no
         # explicit example, must reach _repeated_lines, its keyed route, it
         # with a byte that is not UTF-8 past the first decode chunk, and the
-        # keyed parse that loads a table of distinct lines.
+        # keyed parse that loads a table of distinct lines.  A file with a
+        # quote or a lone \r is never keyed: a cell quoted across lines or
+        # a lone \r that ends a line would misalign the distinct lines' rows.
         real, routes, draws, tables = data._repeated_lines, [], [], []
 
         def spy(*args):
             lines, raw = real(*args), draws[-1]
-            # (keyed, holds a byte that is not UTF-8, which decoding drops)
-            routes.append((lines is not None, raw.decode(errors="ignore").encode() != raw))
+            # (keyed, holds a byte that is not UTF-8, which decoding drops,
+            # holds a quote or a lone \r)
+            routes.append((lines is not None, raw.decode(errors="ignore").encode() != raw,
+                           b'"' in raw or raw.count(b"\r") != raw.count(b"\r\n")))
             return lines
 
         def table_spy(*args):
@@ -592,25 +642,30 @@ class TestRepeatedLinesMatchCsvPath:
         monkeypatch.setattr(data, "load_csv_table", table_spy)
 
         @settings(max_examples=200, deadline=None, database=None)
-        @given(raw=raw_csv_files(), probe_bytes=st.integers(1, 80))
-        def drawn(raw, probe_bytes):
-            draws.append(raw)
-            self.check(csv_file, raw, probe_bytes)
+        @given(file=raw_csv_files())
+        def drawn(file):
+            draws.append(file[0])
+            self.check(csv_file, *file)
 
         for number in range(3):
             seed(number)(drawn)()
         assert len(draws) == 600
         shares = {
             "reached": len(routes) / 600,
-            "keyed": sum(keyed for keyed, _ in routes) / 600,
-            "reached with a stray byte": sum(stray for _, stray in routes) / 600,
+            "keyed": sum(keyed for keyed, _, _ in routes) / 600,
+            "reached with a stray byte": sum(stray for _, stray, _ in routes) / 600,
+            "reached with a quote or a lone \\r": sum(odd for _, _, odd in routes) / 600,
             "loaded as a table": sum(tables) / 600,
         }
-        # Seeds 0, 1, 2 read 0.86, 0.875, 0.83 reached, 0.315, 0.32, 0.21
-        # keyed, 0.1, 0.11, 0.135 with a stray byte and 0.195, 0.205, 0.085
-        # loaded as a table; pooled, 0.855, 0.282, 0.115 and 0.162
+        assert not any(keyed and odd for keyed, _, odd in routes)
+        # Seeds 0, 1, 2 read 0.82, 0.855, 0.885 reached, 0.49 keyed each,
+        # 0.185, 0.11, 0.195 with a stray byte, 0.09, 0.145, 0.145 with a
+        # quote or a lone \r and 0.275, 0.23, 0.25 loaded as a table;
+        # pooled, 0.853, 0.49, 0.163, 0.127 and 0.252.  Seeds 0-7 load a
+        # table in 0.22-0.275 of their draws
         assert shares["reached"] >= 0.4 and shares["keyed"] >= 0.1, shares
         assert shares["reached with a stray byte"] >= 0.05, shares
+        assert shares["reached with a quote or a lone \\r"] >= 0.05, shares
         assert shares["loaded as a table"] >= 0.1, shares
 
     @pytest.mark.parametrize("lines, position", [
@@ -1268,6 +1323,26 @@ class TestAboveTrainMeans:
     @settings(max_examples=200, deadline=None)
     def test_means_and_memberships_match_each_column(self, splits):
         self.check(*splits)
+
+    def test_random_draws_reach_the_scaled_mean(self):
+        # At a fixed seed the drawn splits alone, with no explicit example,
+        # must take the scaled mean, which runs only where the plain sum of
+        # a column asked for overflows
+        reached = []
+
+        @seed(0)
+        @settings(max_examples=200, deadline=None, database=None)
+        @given(kernel_splits())
+        def drawn(splits):
+            train, other, columns = splits
+            self.check(train, other, columns)
+            with np.errstate(over="ignore", invalid="ignore"):
+                reached.append(not all(math.isfinite(train.column(name).sum()) for name in columns))
+
+        drawn()
+        assert len(reached) == 200
+        # 0.2 at this seed, 0.18-0.31 at seeds 0-7
+        assert sum(reached) / 200 >= 0.1
 
     def test_census_sized_columns(self):
         # many of the pairwise sum's 128-element blocks

@@ -432,10 +432,19 @@ def make_model(names, coefficients, intercept, means, scales):
 @st.composite
 def scoring_cases(draw):
     """Rows to score and 1-6 models for them; a model may name another
-    column or have another count of columns."""
+    column or have another count of columns.  In half the draws the
+    features and means lie near the largest double, so that ``x - mean``
+    overflows in some models' columns and not in others, and the scales
+    are 1e302 times as large."""
     n_rows, n_cols = draw(st.integers(1, 25)), draw(st.integers(1, 5))
     names = tuple(f"c{j}" for j in range(n_cols))
-    values = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324, 7.0]))
+    if draw(st.booleans()):
+        values = means = st.one_of(st.sampled_from([1.5e308, -1.5e308, 1e308, -1e308]),
+                                   st.floats(-1.5e308, 1.5e308))
+        scale_unit = 1e302  # keeps (x - mean) / scale finite
+    else:
+        values = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 5e-324, 7.0]))
+        means, scale_unit = st.floats(-1e3, 1e3), 1.0
     features = draw(arrays(np.float64, (n_rows, n_cols), elements=values))
     models = []
     for _ in range(draw(st.integers(1, 6))):
@@ -445,8 +454,8 @@ def scoring_cases(draw):
             model_names,
             draw(arrays(np.float64, d, elements=st.floats(-5.0, 5.0))),
             draw(st.floats(-5.0, 5.0)),
-            draw(arrays(np.float64, d, elements=st.floats(-1e3, 1e3))),
-            draw(arrays(np.float64, d, elements=st.floats(1e-3, 1e3))),
+            draw(arrays(np.float64, d, elements=means)),
+            draw(arrays(np.float64, d, elements=st.floats(1e-3, 1e3))) * scale_unit,
         ))
     return Dataset(features, np.zeros(n_rows, dtype=int), names), models
 
@@ -502,6 +511,10 @@ class TestStackedPredict:
     @example(case=mismatch_case("name"))
     @example(case=mismatch_case("count"))
     def test_rows_equal_per_model_oracle(self, case):
+        self.check(case)
+
+    @staticmethod
+    def check(case):
         data, models = case
         per_model = [scores_or_error(lambda m=model: oracles.predict_scores(m, data)) for model in models]
         errors = [outcome for outcome in per_model if isinstance(outcome, str)]
@@ -512,6 +525,32 @@ class TestStackedPredict:
             assert stacked == b"".join(per_model)
         for model, expected in zip(models, per_model):
             assert scores_or_error(lambda m=model: predict_scores(m, data)) == expected
+
+    def test_random_draws_reach_the_overflow_redo(self, monkeypatch):
+        # A property passes whatever a branch it never reaches does.  At a
+        # fixed seed the drawn cases alone must make the stacked predict
+        # redo a column whose x - mean overflowed under some model
+        real, reached = multifair.model._standardized, []
+
+        def spy(z, features, columns, means, scales):
+            if isinstance(columns, slice):  # the predict side: fit gathers its columns
+                with np.errstate(over="ignore", invalid="ignore"):
+                    reached[-1] |= not np.isfinite(z / scales[..., None, :]).all()
+            return real(z, features, columns, means, scales)
+
+        monkeypatch.setattr(multifair.model, "_standardized", spy)
+
+        @seed(0)
+        @settings(max_examples=100, deadline=None, database=None)
+        @given(case=scoring_cases())
+        def drawn(case):
+            reached.append(False)
+            self.check(case)
+
+        drawn()
+        assert len(reached) == 100
+        # 0.33 at this seed, 0.12-0.41 at seeds 0-7
+        assert sum(reached) / 100 >= 0.1
 
     def test_overflow_is_redone_per_model(self):
         data, models = overflow_case()
